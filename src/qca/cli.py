@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .crystal import Rank2Crystal, rank2_principal_seed
-from .ebasis import EBasis, MutatedBasis
+from .ebasis import EBasis, ExpansionError, MutatedBasis
 from .kronecker import KroneckerAlgebra
 from .laurent import LaurentPoly
 from .lusztig import RowCache, TriangularTable, compare_bases, phi_rank2_principal
@@ -28,6 +28,7 @@ from .seed import (
     double_seed,
     load_seed,
     mutate,
+    parse_seed,
     principal_seed,
     save_seed,
     seed_from_dict,
@@ -124,7 +125,9 @@ def _expansion_string(basis: EBasis, head, coeffs: dict) -> str:
 def cmd_seed(args) -> int:
     config = RunConfig.from_args(args)
     if args.seed_cmd == "check":
-        seed = _load_seed_lenient(args.seedfile)
+        # Parsed but not validated, so that check can report on invalid seeds.
+        with open(args.seedfile, encoding="utf-8") as fh:
+            seed = parse_seed(json.load(fh))
         report = validate(seed)
         if config.output_format == "machine":
             print(json.dumps(report.to_dict()))
@@ -160,25 +163,6 @@ def cmd_seed(args) -> int:
 def _derived_name(path: str, tag: str) -> str:
     root, ext = os.path.splitext(path)
     return f"{root}.{tag}{ext or '.json'}"
-
-
-def _load_seed_lenient(path: str) -> QuantumSeed:
-    """Load without rejecting invalid seeds, so `check` can report on them."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        return seed_from_dict(data)
-    except ValueError:
-        return QuantumSeed(
-            m=int(data["m"]),
-            n=int(data["n"]),
-            btilde=tuple(tuple(int(x) for x in r) for r in data["B"]),
-            lam=tuple(tuple(int(x) for x in r) for r in data["Lambda"]),
-            d=tuple(int(x) for x in data["d"]),
-            order=tuple(
-                int(k) - 1 for k in data.get("order", range(1, int(data["n"]) + 1))
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +433,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError, ExpansionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ which is what the basis-independence comparisons consume.
 from __future__ import annotations
 
 from dataclasses import replace
+from heapq import heapify, heappop, heappush
 
 from .laurent import LaurentPoly, gaussian_binomial
 from .seed import QuantumSeed, exchange_vector, mutate, seed_weight_order, validate
@@ -35,7 +36,7 @@ __all__ = ["EBasis", "MutatedBasis", "ExpansionError"]
 
 
 class ExpansionError(RuntimeError):
-    """Raised when greedy expansion exceeds its step cap."""
+    """Raised when a sweep exceeds its step cap."""
 
 
 class EBasis:
@@ -56,7 +57,6 @@ class EBasis:
         self.expansion_cap = expansion_cap
         self._x_prime: dict = {}
         self._elements: dict = {}
-        self._r_rows: dict = {}
 
     # -- generators ----------------------------------------------------------
 
@@ -153,30 +153,54 @@ class EBasis:
 
     # -- expansion ------------------------------------------------------------------
 
-    def expand(self, x: TorusElement, cap: int | None = None) -> dict:
-        """Coefficients of ``x`` in the standard basis (exact, greedy).
+    def sweep(self, x: TorusElement, rule):
+        """Walk the terms of ``x`` from the order-highest exponent down.
 
-        Every basis element has unit coefficient on its leading exponent and
-        all other terms strictly below it, so peeling leading terms both
-        terminates and is unique for any ``x`` in the span.  Raises
-        :class:`ExpansionError` if the cap is hit (the typical cause is an
-        ``x`` outside the span).
+        At each exponent ``g`` with coefficient ``c`` the sweep adds
+        ``rule(c) * E(a)``, where ``a`` is the label led by ``g``.  That
+        element has unit coefficient at ``g`` and all other terms strictly
+        below it, so a visited coefficient never changes again and the terms
+        not yet visited form a heap.  Returns the nonzero multiples by label
+        and the resulting element.  Raises :class:`ExpansionError` when more
+        than ``expansion_cap`` multiples are needed.
         """
         if x.form != self.form:
             raise ValueError("element lives in a different torus context")
-        cap = self.expansion_cap if cap is None else cap
-        coeffs: dict = {}
-        rem = x
-        steps = 0
-        while not rem.is_zero():
-            steps += 1
-            if steps > cap:
-                raise ExpansionError(f"expansion exceeded {cap} steps")
-            g, c = rem.leading_term(self.order)
-            a = self.leading_exponent_inverse(g)
-            coeffs[a] = coeffs.get(a, LaurentPoly.zero()) + c
-            rem = rem - self.element(a).scalar_mul(c)
-        return {a: c for a, c in coeffs.items() if c}
+        key = self.order.descending_key
+        terms = dict(x.terms)
+        heap = [(key(e), e) for e in terms]
+        heapify(heap)
+        multiples: dict = {}
+        result: dict = {}
+        while heap:
+            g = heappop(heap)[1]
+            p = rule(terms[g])
+            if p:
+                if len(multiples) == self.expansion_cap:
+                    raise ExpansionError(f"expansion exceeded {self.expansion_cap} steps")
+                a = self.leading_exponent_inverse(g)
+                multiples[a] = p
+                for e, ce in self.element(a).terms.items():
+                    s = terms.get(e)
+                    if s is None:
+                        terms[e] = ce * p
+                        heappush(heap, (key(e), e))
+                    else:
+                        terms[e] = s + ce * p
+            c = terms.pop(g)
+            if c:
+                result[g] = c
+        return multiples, TorusElement(self.form, result)
+
+    def expand(self, x: TorusElement) -> dict:
+        """Coefficients of ``x`` in the standard basis (exact).
+
+        This is the sweep that cancels every coefficient it reaches; it
+        terminates for any ``x`` in the span.  Raises :class:`ExpansionError`
+        if the cap is hit (the typical cause is an ``x`` outside the span).
+        """
+        multiples, _ = self.sweep(x, lambda c: -c)
+        return {a: -p for a, p in multiples.items()}
 
     def assemble(self, coeffs: dict) -> TorusElement:
         """Inverse of :meth:`expand`: rebuild the element from coefficients."""
@@ -188,22 +212,15 @@ class EBasis:
     def r_row(self, a) -> dict:
         """Expansion of ``bar(E) - E`` for label ``a``.
 
-        Nonzero entries can only sit at labels of strictly smaller grading;
-        that triangularity is what makes the correction recursion terminate,
-        so it is asserted here.
+        Nonzero entries can only sit at labels of strictly smaller grading
+        (bar-triangularity), so that is asserted here.
         """
-        a = tuple(a)
-        cached = self._r_rows.get(a)
-        if cached is None:
-            e = self.element(a)
-            cached = self.expand(e.bar() - e)
-            bound = r_of(a, self.seed.n)
-            for key in cached:
-                assert r_of(key, self.seed.n) < bound, (
-                    f"bar-triangularity violated: {key} vs {a}"
-                )
-            self._r_rows[a] = cached
-        return cached
+        e = self.element(a)
+        row = self.expand(e.bar() - e)
+        bound = self.grading(a)
+        for key in row:
+            assert self.grading(key) < bound, f"bar-triangularity violated: {key} vs {a}"
+        return row
 
     def grading(self, a) -> int:
         return r_of(a, self.seed.n)

@@ -5,7 +5,7 @@ quasi-commute with twist 2, and each new variable is produced from the
 exchange relation by one exact torus division, so every variable lands in
 the initial torus.  The imaginary-root element and its Chebyshev family
 fill in the non-cluster part of the triangular basis; the verifiers below
-check that against the recursion output, together with the labeling of
+check that against the triangular rows, together with the labeling of
 cluster monomials and the multiplication table of standard monomials by the
 0-th variable.
 """

@@ -7,7 +7,7 @@ maps.  Coefficients are plain Python integers and therefore never overflow.
 The ring carries the involution ``v -> v^-1`` (:meth:`LaurentPoly.bar`),
 which is the scalar part of the bar-involution used everywhere else in this
 package, and the positive-part extraction ``[f]_+`` that drives the
-triangular-basis recursion: whenever ``f + bar(f) = 0``, ``p = [f]_+`` is
+triangular-basis elimination: whenever ``f + bar(f) = 0``, ``p = [f]_+`` is
 the unique polynomial in ``v*Z[v]`` with ``p - bar(p) = f``.
 """
 

@@ -1,17 +1,12 @@
-"""Canonical triangular basis elements via the bar-involution recursion.
+"""Canonical triangular basis elements by bar-invariant elimination.
 
-Each basis label gets a correction row ``p`` supported on labels of strictly
-smaller grading, solved from the involution data of the standard basis: the
-defining conditions are that the corrected element is bar-fixed and that
-every correction coefficient lies in ``v Z[v]``.  Both force the closed
-recursion
-
-    p[a'] = positive_part( r[a, a'] + sum_{a''} bar(p[a'']) * r[a'', a'] )
-
-which is evaluated lazily over the finite closure of the involution rows,
-processing candidates level by level in decreasing grading (entries of an
-involution row always sit strictly below their label, so a level is complete
-when it is reached).
+The triangular element ``C(a)`` is the unique bar-invariant element of
+``E(a) + sum_{a'} v Z[v] E(a')``.  It is built directly in the torus: sweep
+the terms of ``E(a)`` from the order-highest exponent down, and wherever a
+coefficient ``c`` is not bar-invariant add ``[bar(c) - c]_+`` times the
+standard element led by that exponent, the unique multiple in ``v Z[v]``
+that makes the coefficient bar-invariant.  Each added element lies strictly
+below the exponent it corrects, so coefficients already visited stay fixed.
 """
 
 from __future__ import annotations
@@ -37,13 +32,11 @@ __all__ = [
 class TriangularTable:
     """Per-seed table of correction rows and assembled basis elements."""
 
-    def __init__(self, basis: EBasis, cache: "RowCache | None" = None, tie_order=None):
+    def __init__(self, basis: EBasis, cache: "RowCache | None" = None):
         self.basis = basis
         self.cache = cache
         self._rows: dict = {}
-        # Candidate processing order within one grading level; the result is
-        # provably independent of it, and tests exercise that.
-        self._tie_order = tie_order if tie_order is not None else sorted
+        self._elements: dict = {}
 
     def p_row(self, a) -> dict:
         """Correction coefficients for label ``a`` (excluding ``a`` itself)."""
@@ -57,32 +50,15 @@ class TriangularTable:
                 self._rows[a] = row
                 return row
         basis = self.basis
-        grade = basis.grading
-        pending: dict = {}
-        for key, coeff in basis.r_row(a).items():
-            pending[key] = pending.get(key, LaurentPoly.zero()) + coeff
-        row = {}
-        while pending:
-            level = max(grade(key) for key in pending)
-            batch = self._tie_order([key for key in pending if grade(key) == level])
-            for key in batch:
-                f = pending.pop(key)
-                if f.is_zero():
-                    continue
-                if f + f.bar() != LaurentPoly.zero():
-                    raise ArithmeticError(
-                        f"correction equation for {a} at {key} is not antisymmetric"
-                    )
-                p = f.positive_part()
-                if p.is_zero():
-                    continue
-                row[key] = p
-                pbar = p.bar()
-                for key2, rc in basis.r_row(key).items():
-                    pending[key2] = pending.get(key2, LaurentPoly.zero()) + pbar * rc
+        row, element = basis.sweep(basis.element(a), _bar_correction)
+        bound = basis.grading(a)
+        for key in row:
+            if basis.grading(key) >= bound:
+                raise ArithmeticError(f"row of {a} has label {key} at no smaller grading")
         self._rows[a] = row
+        self._elements[a] = element
         if self.cache is not None:
-            self.cache.store(a, row, self.element(a))
+            self.cache.store(a, row)
         return row
 
     def expansion(self, a) -> dict:
@@ -94,13 +70,18 @@ class TriangularTable:
 
     def element(self, a) -> TorusElement:
         """The triangular basis element for label ``a`` as a torus element."""
-        return self.basis.assemble(self.expansion(a))
+        a = tuple(a)
+        self.p_row(a)
+        element = self._elements.get(a)
+        if element is None:  # the row was read from the cache
+            element = self._elements[a] = self.basis.assemble(self.expansion(a))
+        return element
 
     def verify(self, a) -> Report:
         """Re-check the defining properties of a computed row."""
         a = tuple(a)
         rep = Report(name=f"triangular properties at {a}")
-        elt = self.element(a)
+        elt = self.basis.assemble(self.expansion(a))
         rep.record(elt.bar() == elt, "element is not bar-invariant")
         bound = self.basis.grading(a)
         for key, p in self.p_row(a).items():
@@ -110,6 +91,11 @@ class TriangularTable:
                 f"support label {key} does not have smaller grading than {a}",
             )
         return rep
+
+
+def _bar_correction(c: LaurentPoly) -> LaurentPoly:
+    """The multiple in ``v Z[v]`` whose sum with ``c`` is bar-invariant."""
+    return (c.bar() - c).positive_part()
 
 
 def cluster_monomial_check(table: TriangularTable, a) -> bool:
@@ -135,7 +121,7 @@ def compare_bases(basis: EBasis, labels) -> Report:
     """Exact equality of triangular elements across one sink mutation.
 
     For every label the mutated-seed element is computed by the same
-    recursion run inside the mutated torus, realized back in the original
+    elimination run inside the mutated torus, realized back in the original
     torus, and compared against the original element at the corresponding
     label (recovered as the unit coefficient of the realized expansion).
     """
@@ -171,7 +157,7 @@ class RowCache:
         self.directory = directory
         self.seed_hash = seed_hash
         self.path = os.path.join(directory, f"{seed_hash}.json")
-        self._records = None  # label -> {"p": [...], "C": [...]}
+        self._records = None  # label -> {"p": [...]}
         self.hits = 0
 
     def _load_all(self):
@@ -200,11 +186,10 @@ class RowCache:
             for item in rec["p"]
         }
 
-    def store(self, a, row: dict, element: TorusElement):
+    def store(self, a, row: dict):
         self._load_all()
         self._records[tuple(a)] = {
             "p": [{"a": list(lbl), "coeff": str(c)} for lbl, c in sorted(row.items())],
-            "C": element.to_records(),
         }
         os.makedirs(self.directory, exist_ok=True)
         payload = {

@@ -39,6 +39,7 @@ __all__ = [
     "bullet_exponents",
     "bullet_generators",
     "seed_to_dict",
+    "parse_seed",
     "seed_from_dict",
     "load_seed",
     "save_seed",
@@ -431,9 +432,10 @@ def seed_to_dict(seed: QuantumSeed) -> dict:
     }
 
 
-def seed_from_dict(data: dict) -> QuantumSeed:
+def parse_seed(data: dict) -> QuantumSeed:
+    """The seed a dict describes, not validated; malformed data raises ValueError."""
     try:
-        seed = QuantumSeed(
+        return QuantumSeed(
             m=int(data["m"]),
             n=int(data["n"]),
             btilde=tuple(tuple(int(x) for x in r) for r in data["B"]),
@@ -443,6 +445,10 @@ def seed_from_dict(data: dict) -> QuantumSeed:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed seed data: {exc}") from exc
+
+
+def seed_from_dict(data: dict) -> QuantumSeed:
+    seed = parse_seed(data)
     report = validate(seed)
     if not report.valid:
         raise ValueError("seed file fails validation: " + "; ".join(report.lines()))

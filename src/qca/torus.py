@@ -47,8 +47,7 @@ def plus_part(a):
 def r_of(a, n: int) -> int:
     """Sum of the negative parts of the first ``n`` components.
 
-    This is the grading that orders basis labels in the triangular-basis
-    recursion.
+    This is the grading of basis labels; triangular rows sit strictly below it.
     """
     return sum(-x for x in a[:n] if x < 0)
 
@@ -354,6 +353,10 @@ class WeightOrder:
 
     def key(self, e):
         return (vec_dot(self.weights, e), e)
+
+    def descending_key(self, e):
+        """A key whose ascending order is this order reversed (for a min-heap)."""
+        return (-vec_dot(self.weights, e), vec_neg(e))
 
     def less(self, e, f) -> bool:
         return self.key(e) < self.key(f)

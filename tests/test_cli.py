@@ -40,6 +40,15 @@ def test_seed_check_invalid(tmp_path, capsys):
     assert "INVALID" in out
 
 
+def test_seed_check_malformed(tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"m": 2}))
+    code = main(["seed", "check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_seed_mutate(a11_file, tmp_path, capsys):
     out_path = str(tmp_path / "mut.json")
     code, _ = run(capsys, "seed", "mutate", a11_file, "-k", "1", "-o", out_path)
@@ -90,6 +99,13 @@ def test_basis_c_output(a11_file, tmp_path, capsys):
     expansion = json.loads(open(exp_path).read())
     parsed = {tuple(rec["a"]): parse_laurent(rec["coeff"]) for rec in expansion}
     assert set(parsed) == {(-1, -1), (1, 1)}
+
+
+def test_basis_c_expansion_cap(a11_file, capsys):
+    code = main(["basis", "c", a11_file, "--a=-3,-3", "--no-cache", "--expansion-cap", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_basis_e_single_monomial(a11_file, capsys):

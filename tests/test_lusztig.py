@@ -1,11 +1,13 @@
-"""The triangular-basis recursion and basis independence."""
+"""Triangular-basis rows and basis independence."""
 
 import itertools
+import json
 import random
 
 import pytest
 
-from qca.ebasis import EBasis, MutatedBasis
+from qca.crystal import rank2_principal_seed
+from qca.ebasis import EBasis, ExpansionError, MutatedBasis
 from qca.kronecker import KroneckerAlgebra, a11_seed
 from qca.laurent import LaurentPoly
 from qca.lusztig import (
@@ -60,15 +62,61 @@ def test_verify_flags_corruption(affine_table):
     assert not rep.ok
 
 
-def test_processing_order_independence():
-    # Reversing the within-level processing order changes nothing.
-    t1 = TriangularTable(EBasis(a11_seed()))
-    t2 = TriangularTable(
-        EBasis(a11_seed()), tie_order=lambda keys: sorted(keys, reverse=True)
-    )
-    for a in [(-2, -2), (-3, -1), (-2, -3)]:
-        assert t1.p_row(a) == t2.p_row(a)
-        assert t1.element(a) == t2.element(a)
+def closure_row(basis, a):
+    """Reference row by the closure recursion over the involution rows
+    ``r[a, a']`` (the expansion of ``bar(E(a)) - E(a)``):
+
+        p[a'] = [ r[a, a'] + sum_{a''} bar(p[a'']) * r[a'', a'] ]_+
+
+    evaluated level by level in decreasing grading; an involution row sits
+    strictly below its label, so a level is complete when it is reached.
+    """
+    pending = dict(basis.r_row(a))
+    row = {}
+    while pending:
+        level = max(basis.grading(key) for key in pending)
+        for key in sorted(k for k in pending if basis.grading(k) == level):
+            f = pending.pop(key)
+            assert f + f.bar() == LaurentPoly.zero(), (a, key)
+            p = f.positive_part()
+            if p:
+                row[key] = p
+                for key2, rc in basis.r_row(key).items():
+                    pending[key2] = pending.get(key2, LaurentPoly.zero()) + p.bar() * rc
+    return row
+
+
+def test_p_row_matches_closure_oracle():
+    window = range(-4, 5)
+    cases = [(a11_seed(), list(itertools.product(window, window)) + [(-8, -8)])]
+    window, frozen = range(-3, 4), (-1, 0, 1)
+    for b, c in [(2, 2), (3, 2)]:
+        labels = list(itertools.product(window, window, frozen, frozen))
+        cases.append((rank2_principal_seed(b, c), labels))
+    rng = random.Random(1206)
+    for _ in range(3):
+        seed = random_principal_seed(rng, 3)
+        labels = [tuple(rng.randint(-2, 2) for _ in range(seed.m)) for _ in range(20)]
+        cases.append((seed, labels))
+    for seed, labels in cases:
+        table = TriangularTable(EBasis(seed))
+        oracle = EBasis(seed)
+        for a in labels:
+            assert table.p_row(a) == closure_row(oracle, a), (seed, a)
+
+
+def test_p_row_cap():
+    table = TriangularTable(EBasis(a11_seed(), expansion_cap=1))
+    with pytest.raises(ExpansionError):
+        table.p_row((-3, -3))
+
+
+def test_p_row_grading_check():
+    # A row label whose grading is not below the row's own label is an error.
+    basis = EBasis(a11_seed())
+    basis.grading = lambda a: 0
+    with pytest.raises(ArithmeticError):
+        TriangularTable(basis).p_row((-1, -1))
 
 
 def test_support_sharper_order_affine(affine_table):
@@ -164,3 +212,23 @@ def test_row_cache(tmp_path):
     # A different seed hash invalidates silently.
     cache3 = RowCache(str(tmp_path), "0" * 16)
     assert cache3.load((-2, -2)) is None
+    # A stored record holds the row only.
+    stored = json.loads(open(cache.path).read())
+    assert [set(rec) for rec in stored["rows"].values()] == [{"p"}]
+
+
+def test_row_cache_reads_element_payload(tmp_path):
+    # Files that also stored the element under "C" still load.
+    seed = a11_seed()
+    h = seed_hash(seed)
+    table = TriangularTable(EBasis(seed))
+    rec = {
+        "p": [{"a": [1, 1], "coeff": "-v^4"}],
+        "C": table.element((-1, -1)).to_records(),
+    }
+    (tmp_path / f"{h}.json").write_text(
+        json.dumps({"seed_hash": h, "rows": {"-1,-1": rec}})
+    )
+    cache = RowCache(str(tmp_path), h)
+    assert cache.load((-1, -1)) == table.p_row((-1, -1))
+    assert cache.hits == 1
