@@ -181,7 +181,7 @@ def cmd_basis(args) -> int:
     cached_before = False
     if args.kind == "c" and config.cache_dir:
         cache = RowCache(config.cache_dir, seed_hash(seed))
-        cached_before = cache.load(a) is not None
+        cached_before = a in cache
     table = TriangularTable(basis, cache=cache)
     if args.kind == "e":
         element = basis.element(a)
@@ -309,10 +309,12 @@ def _compare_chunk(payload):
 
 
 def _compare_bases_parallel(seed: QuantumSeed, labels, jobs: int) -> Report:
-    if jobs <= 1 or len(labels) < 2:
+    # One worker per core at most, and never more workers than labels.
+    jobs = min(jobs, os.cpu_count() or 1, len(labels))
+    if jobs <= 1:
         return compare_bases(EBasis(seed), labels)
     rep = Report(name="triangular basis agrees across mutation")
-    chunks = [labels[i::jobs] for i in range(jobs) if labels[i::jobs]]
+    chunks = [labels[i::jobs] for i in range(jobs)]
     payloads = [(seed_to_dict(seed), [list(a) for a in chunk]) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for checks, failures in pool.map(_compare_chunk, payloads):

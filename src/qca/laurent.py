@@ -4,6 +4,13 @@ A polynomial is stored sparsely as a map ``exponent -> coefficient`` with
 all coefficients nonzero, so equal polynomials always have identical term
 maps.  Coefficients are plain Python integers and therefore never overflow.
 
+For long products the torus layer uses a packed form (Kronecker
+substitution): a polynomial becomes the single integer
+``sum c_i * 2^(k*(i - lo))`` with signed ``k``-bit digits, so one big-integer
+product multiplies two polynomials.  The digit width is a whole number of
+bytes chosen from an exact bound on the digits, which makes the packed form
+decode back to exactly the same terms.
+
 The ring carries the involution ``v -> v^-1`` (:meth:`LaurentPoly.bar`),
 which is the scalar part of the bar-involution used everywhere else in this
 package, and the positive-part extraction ``[f]_+`` that drives the
@@ -14,8 +21,29 @@ the unique polynomial in ``v*Z[v]`` with ``p - bar(p) = f``.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 
-__all__ = ["LaurentPoly", "gaussian_binomial", "parse_laurent"]
+__all__ = ["LaurentPoly", "digit_width", "gaussian_binomial", "parse_laurent"]
+
+_BYTEORDER = sys.byteorder
+# Array and memoryview formats of native unsigned integers, by size in bytes.
+_FORMATS = {array(t).itemsize: t for t in "QLIHB"}
+
+
+def digit_width(bound: int) -> int:
+    """Bytes per packed digit so that every digit of absolute value at most
+    ``bound`` fits as a signed digit.  Widths up to 8 bytes are rounded up
+    to a native integer size, which is read without slicing."""
+    width = bound.bit_length() // 8 + 1
+    if width > 8:
+        return width
+    return next(w for w in (1, 2, 4, 8) if w >= width)
+
+
+def _bias(count: int, width: int) -> int:
+    """``2^(k-1)`` in each of ``count`` digits of ``k = 8*width`` bits."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
 class LaurentPoly:
@@ -205,6 +233,58 @@ class LaurentPoly:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
         return max(self._terms)
+
+    def l1(self) -> int:
+        """Sum of the absolute values of the coefficients."""
+        return sum(abs(c) for c in self._terms.values())
+
+    # -- packed form -----------------------------------------------------------
+
+    def packed(self, width: int):
+        """``(lo, n)`` with ``n = sum c_e * 2^(8*width*(e - lo))``.
+
+        Every coefficient must have absolute value below ``2^(8*width - 1)``
+        (see :func:`digit_width`).  The zero polynomial packs to ``(0, 0)``.
+        """
+        terms = self._terms
+        if not terms:
+            return 0, 0
+        lo, hi = min(terms), max(terms)
+        half = 1 << (8 * width - 1)
+        get = terms.get
+        digits = [get(e, 0) + half for e in range(lo, hi + 1)]
+        fmt = _FORMATS.get(width)
+        if fmt is None:
+            raw = b"".join(d.to_bytes(width, _BYTEORDER) for d in digits)
+        else:
+            raw = array(fmt, digits)
+        return lo, int.from_bytes(raw, _BYTEORDER) - _bias(len(digits), width)
+
+    @classmethod
+    def from_packed(cls, lo: int, n: int, width: int) -> "LaurentPoly":
+        """Inverse of :meth:`packed`.
+
+        Exact whenever every digit of ``n`` has absolute value below
+        ``2^(8*width - 1)``; a sum or product of packed polynomials decodes
+        to the sum or product as long as its coefficients meet that bound.
+        """
+        k = 8 * width
+        # A top digit at index t makes |n| > 2^(k*t - 1), so this many digits
+        # always covers n.
+        count = abs(n).bit_length() // k + 1
+        raw = (n + _bias(count, width)).to_bytes(count * width, _BYTEORDER)
+        fmt = _FORMATS.get(width)
+        if fmt is None:
+            digits = [
+                int.from_bytes(raw[i : i + width], _BYTEORDER)
+                for i in range(0, len(raw), width)
+            ]
+        else:
+            digits = memoryview(raw).cast(fmt)
+        half = 1 << (k - 1)
+        out = cls.__new__(cls)
+        out._terms = {lo + i: d - half for i, d in enumerate(digits) if d != half}
+        return out
 
     # -- exact division ------------------------------------------------------
 

@@ -175,6 +175,11 @@ class RowCache:
             a = tuple(int(x) for x in key.split(","))
             self._records[a] = rec
 
+    def __contains__(self, a) -> bool:
+        """Whether a row for ``a`` is stored; parses no row and counts no hit."""
+        self._load_all()
+        return tuple(a) in self._records
+
     def load(self, a):
         self._load_all()
         rec = self._records.get(tuple(a))

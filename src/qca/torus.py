@@ -11,8 +11,9 @@ greedy leading-term elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
-from .laurent import LaurentPoly, parse_laurent
+from .laurent import LaurentPoly, digit_width, parse_laurent
 
 __all__ = [
     "SkewForm",
@@ -79,6 +80,26 @@ def vec_restrict(a, keep):
 
 def basis_vector(m: int, i: int):
     return tuple(1 if j == i else 0 for j in range(m))
+
+
+# A product runs in packed form when it has at least this many torus term
+# pairs and its coefficients average at least this many Laurent term pairs
+# per torus pair.  Measured on a 2-core x86-64 machine with 20-64 torus
+# pairs: packed products run at 0.6-0.7x the dict loop's speed at 4 Laurent
+# pairs per torus pair, 0.8-0.95x at 16, 1.2-1.6x at 64 and 2-6x at 676;
+# on the affine worked case a threshold of 16 is as fast as 32, and 64 is
+# slower.
+_PACK_MIN_PAIRS = 16
+
+
+def _add_packed(acc, lo: int, n: int, k: int):
+    """Add ``n``, packed with ``k``-bit digits from ``v^lo`` up, into the
+    packed accumulator ``acc = [lo_acc, n_acc, ...]``."""
+    if lo >= acc[0]:
+        acc[1] += n << (k * (lo - acc[0]))
+    else:
+        acc[1] = (acc[1] << (k * (acc[0] - lo))) + n
+        acc[0] = lo
 
 
 class ContextMismatch(ValueError):
@@ -199,6 +220,12 @@ class TorusElement:
             c = LaurentPoly.from_int(c)
         if c.is_zero():
             return TorusElement(self.form, {})
+        if c.is_unit():  # +-v^k: an exponent shift
+            ((k, sign),) = c._terms.items()
+            terms = {e: x.shifted(k) for e, x in self.terms.items()}
+            if sign == -1:
+                terms = {e: -x for e, x in terms.items()}
+            return TorusElement(self.form, terms)
         return TorusElement(self.form, {e: x * c for e, x in self.terms.items()})
 
     # -- twisted multiplication -------------------------------------------------
@@ -207,24 +234,70 @@ class TorusElement:
         if isinstance(other, (int, LaurentPoly)):
             return self.scalar_mul(other)
         self._check(other)
+        pairs = len(self.terms) * len(other.terms)
+        if pairs >= _PACK_MIN_PAIRS:
+            laurent_pairs = sum(len(c._terms) for c in self.terms.values()) * sum(
+                len(c._terms) for c in other.terms.values()
+            )
+            if laurent_pairs >= _PACK_MIN_PAIRS * pairs:
+                return self._packed_mul(other)
         rows = self.form.rows
-        out: dict = {}
+        acc: dict = {}  # exponent -> {v-exponent: integer coefficient}
         # Precompute L*f for each right-hand exponent; then L(e, f) is a dot.
         for f, cf in other.terms.items():
             lf = tuple(
                 sum(row[j] * fj for j, fj in enumerate(f) if fj) for row in rows
             )
+            right = cf._terms.items()
             for e, ce in self.terms.items():
                 twist = sum(ei * lfi for ei, lfi in zip(e, lf) if ei)
                 g = vec_add(e, f)
-                contrib = (ce * cf).shifted(twist)
-                s = out.get(g)
-                s = contrib if s is None else s + contrib
-                if s:
-                    out[g] = s
+                out = acc.get(g)
+                if out is None:
+                    out = acc[g] = {}
+                get = out.get
+                for e1, c1 in ce._terms.items():
+                    s1 = e1 + twist
+                    for e2, c2 in right:
+                        k = s1 + e2
+                        out[k] = get(k, 0) + c1 * c2
+        terms = {}
+        for g, out in acc.items():
+            c = LaurentPoly(out)
+            if c:
+                terms[g] = c
+        return TorusElement(self.form, terms)
+
+    def _packed_mul(self, other):
+        """The product with every coefficient in packed form: one big-integer
+        product per term pair, accumulated per output exponent and decoded
+        once.  No output digit exceeds ``L1(self) * L1(other)``."""
+        bound = sum(c.l1() for c in self.terms.values()) * sum(
+            c.l1() for c in other.terms.values()
+        )
+        width = digit_width(bound)
+        k = 8 * width
+        rows = self.form.rows
+        left = [(e, *c.packed(width)) for e, c in self.terms.items()]
+        acc: dict = {}  # exponent -> [v-exponent of digit 0, packed sum]
+        for f, cf in other.terms.items():
+            lf = tuple(
+                sum(row[j] * fj for j, fj in enumerate(f) if fj) for row in rows
+            )
+            lo_f, n_f = cf.packed(width)
+            for e, lo_e, n_e in left:
+                lo = lo_e + lo_f + sum(ei * lfi for ei, lfi in zip(e, lf) if ei)
+                n = n_e * n_f
+                g = vec_add(e, f)
+                a = acc.get(g)
+                if a is None:
+                    acc[g] = [lo, n]
                 else:
-                    out.pop(g, None)
-        return TorusElement(self.form, out)
+                    _add_packed(a, lo, n, k)
+        terms = {
+            g: LaurentPoly.from_packed(lo, n, width) for g, (lo, n) in acc.items() if n
+        }
+        return TorusElement(self.form, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -436,37 +509,85 @@ def divide(
     one-monomial equation exactly, so the quotient is exact whenever division
     is possible.  Raises :class:`DivisionError` after ``cap`` steps or on a
     coefficient that does not divide.
+
+    The remainder is kept in place, in packed form, with its exponents on a
+    heap: each step adds ``-t X^g * q`` (or ``-q * t X^g``) below the popped
+    exponent, so a popped exponent never reappears, and only the popped
+    coefficient is decoded.  Each exponent carries an upper bound on the L1
+    norm of its coefficient; before a bound would reach the digit capacity
+    the whole remainder is re-packed at double width.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if q.is_zero():
         raise ZeroDivisionError("division by zero torus element")
     p._check(q)
-    form = p.form
+    rows = p.form.rows
+    sign = 1 if side == "right" else -1
+
+    def twist_vector(h):
+        # On this side, X^g times X^h is v^(g . twist_vector(h)) X^(g+h).
+        return tuple(sign * sum(r * hj for r, hj in zip(row, h)) for row in rows)
+
     gq, cq = q.leading_term(order)
-    rem = p
-    quot_terms: dict = {}
+    lead = twist_vector(gq)
+    # The terms of q below its leading term: exponent, twist vector,
+    # coefficient and its L1 norm.  q's leading term cancels by construction.
+    rest = [(h, twist_vector(h), c, c.l1()) for h, c in q.terms.items() if h != gq]
+    width = digit_width(max(c.l1() for c in (*p.terms.values(), *q.terms.values())))
+    rest_packed = [c.packed(width) for _, _, c, _ in rest]
+    # exponent -> [v-exponent of digit 0, packed coefficient, L1 bound]
+    rem = {e: [*c.packed(width), c.l1()] for e, c in p.terms.items()}
+    key = order.descending_key
+    heap = [(key(e), e) for e in rem]
+    heapify(heap)
+    quot: dict = {}
     steps = 0
-    while not rem.is_zero():
+    while heap:
+        gr = heappop(heap)[1]
+        lo, n, _ = rem.pop(gr)
+        if not n:
+            continue
         steps += 1
         if steps > cap:
             raise DivisionError("not divisible within cap")
-        gr, cr = rem.leading_term(order)
         g = vec_sub(gr, gq)
-        # Solve for the unknown coefficient t in  (t X^g)(c_q X^gq) = c_r X^gr
-        # (right division; the left case mirrors the twist).
-        if side == "right":
-            twist = form.skew(g, gq)
-        else:
-            twist = form.skew(gq, g)
+        cr = LaurentPoly.from_packed(lo, n, width)
         try:
-            t = cr.shifted(-twist).divide_exact(cq)
+            t = cr.shifted(-vec_dot(g, lead)).divide_exact(cq)
         except ValueError as exc:
             raise DivisionError("not divisible within cap") from exc
-        quot_terms[g] = quot_terms.get(g, LaurentPoly.zero()) + t
-        piece = form.monomial(g, t)
-        rem = rem - (piece * q if side == "right" else q * piece)
-    return form.element(quot_terms)
+        quot[g] = t
+        if not rest:
+            continue
+        l1_t = t.l1()
+        targets = [vec_add(g, h) for h, _, _, _ in rest]
+        top = max(
+            l1_t * l1_h + (rem[e][2] if e in rem else 0)
+            for e, (_, _, _, l1_h) in zip(targets, rest)
+        )
+        if top.bit_length() >= 8 * width:
+            wider = 2 * width
+            while top.bit_length() >= 8 * wider:
+                wider *= 2
+            for a in rem.values():
+                c = LaurentPoly.from_packed(a[0], a[1], width)
+                a[0], a[1] = c.packed(wider)
+                a[2] = c.l1()
+            rest_packed = [c.packed(wider) for _, _, c, _ in rest]
+            width = wider
+        k = 8 * width
+        lo_t, n_t = t.packed(width)
+        for e, (_, lh, _, l1_h), (lo_h, n_h) in zip(targets, rest, rest_packed):
+            lo = lo_t + lo_h + vec_dot(g, lh)
+            a = rem.get(e)
+            if a is None:
+                rem[e] = [lo, -n_t * n_h, l1_t * l1_h]
+                heappush(heap, (key(e), e))
+            else:
+                _add_packed(a, lo, -n_t * n_h, k)
+                a[2] += l1_t * l1_h
+    return TorusElement(p.form, quot)
 
 
 def quasi_commutes(x: TorusElement, y: TorusElement, t: int) -> bool:

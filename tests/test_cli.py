@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qca import cli
 from qca.cli import main
 from qca.kronecker import a11_seed
 from qca.laurent import parse_laurent
@@ -163,6 +164,40 @@ def test_verify_compare_bases_parallel(tmp_path, capsys):
     )
     assert code == 0
     assert "PASS" in out and "(9 checks)" in out
+
+
+def test_compare_bases_jobs_clamped(tmp_path, capsys, monkeypatch):
+    # Only the recorded worker count matters; the fake pool runs the chunks
+    # in this process, so no pool is ever started.
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return [fn(x) for x in payloads]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    bfile = tmp_path / "b.json"
+    bfile.write_text("[[0,-1],[1,0]]")
+    seed_path = str(tmp_path / "p.json")
+    run(capsys, "seed", "principal", "--B", str(bfile), "--d", "1,1", "-o", seed_path)
+    args = ("verify", "compare-bases", "--seed", seed_path, "--window", "1")
+    code, out = run(capsys, *args, "--jobs", "100000")
+    assert code == 0 and "(9 checks)" in out
+    assert requested == [4]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+    code, out = run(capsys, *args, "--jobs", "100000")
+    assert code == 0 and "(9 checks)" in out
+    assert requested == [4]
 
 
 def test_cache_env_override(a11_file, tmp_path, capsys, monkeypatch):

@@ -207,6 +207,8 @@ def test_row_cache(tmp_path):
     # Second table re-reads from disk.
     cache2 = RowCache(str(tmp_path), h)
     table2 = TriangularTable(EBasis(seed), cache=cache2)
+    assert (-2, -2) in cache2 and (-3, -3) not in cache2
+    assert cache2.hits == 0  # a membership probe neither parses nor counts
     assert table2.p_row((-2, -2)) == row
     assert cache2.hits == 1
     # A different seed hash invalidates silently.

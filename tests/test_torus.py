@@ -9,6 +9,7 @@ from qca.torus import (
     ContextMismatch,
     DivisionError,
     SkewForm,
+    TorusElement,
     WeightOrder,
     divide,
     plus_part,
@@ -148,6 +149,180 @@ def test_divide_failure_modes():
         divide(p, FORM.zero(), "left", ORDER)
     with pytest.raises(ValueError):
         divide(p, q, "middle", ORDER)
+
+
+# -- oracles: the monomial rule and the rescan-and-rebuild division ------------
+
+
+def naive_mul(x, y):
+    """``X^e X^f = v^L(e,f) X^(e+f)``, term pair by term pair."""
+    out = {}
+    for e, ce in x.terms.items():
+        for f, cf in y.terms.items():
+            g = tuple(a + b for a, b in zip(e, f))
+            out[g] = out.get(g, LaurentPoly.zero()) + (ce * cf).shifted(x.form.skew(e, f))
+    return x.form.element(out)
+
+
+def rebuild_divide(p, q, side, order, cap=10**6):
+    """Division that rescans the remainder for its leading term and rebuilds
+    it from a full product at every step."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if q.is_zero():
+        raise ZeroDivisionError("division by zero torus element")
+    form = p.form
+    gq, cq = q.leading_term(order)
+    rem = p
+    quot = {}
+    steps = 0
+    while not rem.is_zero():
+        steps += 1
+        if steps > cap:
+            raise DivisionError("not divisible within cap")
+        gr, cr = rem.leading_term(order)
+        g = tuple(a - b for a, b in zip(gr, gq))
+        twist = form.skew(g, gq) if side == "right" else form.skew(gq, g)
+        try:
+            t = cr.shifted(-twist).divide_exact(cq)
+        except ValueError as exc:
+            raise DivisionError("not divisible within cap") from exc
+        quot[g] = t
+        piece = form.monomial(g, t)
+        rem = rem - (naive_mul(piece, q) if side == "right" else naive_mul(q, piece))
+    return form.element(quot)
+
+
+FORM3 = SkewForm(((0, 2, -1), (-2, 0, 3), (1, -3, 0)))
+ORDER3 = WeightOrder((1, -2, 1))
+
+
+def random_element(rng, form, terms, coeff_terms, mag, spread=3):
+    """Up to ``terms`` terms, each with up to ``coeff_terms`` Laurent terms of
+    absolute value at most ``mag``."""
+    return form.element(
+        {
+            tuple(rng.randint(-spread, spread) for _ in range(form.m)): LaurentPoly(
+                {rng.randint(-12, 12): rng.randint(-mag, mag) for _ in range(coeff_terms)}
+            )
+            for _ in range(terms)
+        }
+    )
+
+
+# (torus terms, Laurent terms per coefficient): both sides of the dispatch
+# between the dict loop and the packed product.
+SHAPES = [(1, 1), (3, 2), (2, 12), (6, 2), (5, 10), (8, 16)]
+MAGNITUDES = [1, 40, 10**6, 10**30]
+
+
+def test_mul_matches_monomial_rule(monkeypatch):
+    calls = []
+    packed_mul = TorusElement._packed_mul
+
+    def spy(x, y):
+        calls.append(1)
+        return packed_mul(x, y)
+
+    monkeypatch.setattr(TorusElement, "_packed_mul", spy)
+    rng = random.Random(11)
+    products = 0
+    for form in (FORM, FORM3):
+        for shape_x in SHAPES:
+            for shape_y in SHAPES:
+                mag = rng.choice(MAGNITUDES)
+                x = random_element(rng, form, *shape_x, mag)
+                y = random_element(rng, form, *shape_y, rng.choice(MAGNITUDES))
+                assert x * y == naive_mul(x, y)
+                assert y * x == naive_mul(y, x)
+                products += 2
+    assert 0 < len(calls) < products  # both paths ran
+    empty = FORM.zero()
+    x = random_element(rng, FORM, 8, 16, 10**30)
+    assert x * empty == empty * x == empty
+
+
+def test_packed_product_cancels_to_zero():
+    rng = random.Random(12)
+    x = random_element(rng, FORM, 6, 12, 10**30)
+    y = random_element(rng, FORM, 6, 12, 50)
+    assert (x * y) + ((-x) * y) == FORM.zero()
+    assert x * y - x * y == FORM.zero()
+    assert (x - x) * y == FORM.zero()
+
+
+def test_divide_matches_rebuild_oracle(monkeypatch):
+    widths = []
+    packed = LaurentPoly.packed
+
+    def spy(self, width):
+        widths.append(width)
+        return packed(self, width)
+
+    monkeypatch.setattr(LaurentPoly, "packed", spy)
+    rng = random.Random(13)
+    repacked = 0
+    for form, order in ((FORM, ORDER), (FORM3, ORDER3)):
+        for shape_x in SHAPES[:5]:
+            for shape_q in SHAPES[:5]:
+                x = random_element(rng, form, *shape_x, rng.choice(MAGNITUDES), spread=2)
+                q = random_element(rng, form, *shape_q, rng.choice(MAGNITUDES), spread=2)
+                if q.is_zero():
+                    continue
+                for side in ("right", "left"):
+                    p = naive_mul(x, q) if side == "right" else naive_mul(q, x)
+                    widths.clear()
+                    got = divide(p, q, side, order)
+                    assert got == x == rebuild_divide(p, q, side, order)
+                    repacked += len(set(widths)) > 1
+    assert repacked  # some division grew its digit width mid-way
+
+
+def test_divide_bounds_sum_over_eliminations():
+    # With y = X^(0,-1), every coefficient of q and of p = x q fits in one
+    # byte, so the remainder starts one byte wide.  By the time an
+    # elimination calls for wider digits, earlier eliminations have pushed
+    # one remainder coefficient past a byte; re-packing decodes it exactly
+    # only because its bound counts every elimination that reached it.
+    flat = SkewForm(((0, 0), (0, 0)))
+    q = flat.element({(0, -k): c for k, c in enumerate((1, -1, -64, -2, 2))})
+    x = flat.element({(0, -k): c for k, c in enumerate((1, -1, 1, -2, 0, 0, 0, 1)) if c})
+    p = naive_mul(x, q)
+    assert max(coeff.l1() for coeff in p.terms.values()) < 128
+    for side in ("right", "left"):
+        assert divide(p, q, side, ORDER, cap=50) == x
+
+
+def test_divide_failures_match_rebuild_oracle():
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(60):
+        form, order = rng.choice(((FORM, ORDER), (FORM3, ORDER3)))
+        p = random_element(
+            rng, form, rng.randint(0, 4), rng.randint(1, 4), rng.choice(MAGNITUDES)
+        )
+        q = random_element(
+            rng, form, rng.randint(1, 3), rng.randint(1, 3), rng.choice([1, 3, 10**30])
+        )
+        if q.is_zero():
+            continue
+        side = rng.choice(("right", "left"))
+        cap = rng.randint(1, 12)
+        try:
+            want = rebuild_divide(p, q, side, order, cap)
+        except DivisionError:
+            with pytest.raises(DivisionError):
+                divide(p, q, side, order, cap)
+            outcomes.add("raises")
+        else:
+            assert divide(p, q, side, order, cap) == want
+            outcomes.add("divides")
+    assert outcomes == {"raises", "divides"}
+    # Empty operands.
+    q = random_element(rng, FORM, 3, 4, 10**30)
+    assert divide(FORM.zero(), q, "right", ORDER) == FORM.zero()
+    with pytest.raises(ZeroDivisionError):
+        divide(q, FORM.zero(), "left", ORDER)
 
 
 def test_quasi_commutes():
