@@ -9,6 +9,7 @@ default to a fixed one, so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -358,7 +359,10 @@ def _property_suite(rng, seeds: int, count: int):
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qca`` argument parser, built once per process: parsing reads it
+    and never changes it."""
     parser = argparse.ArgumentParser(
         prog="qca",
         description="Exact quantum cluster algebra computations: seeds, "

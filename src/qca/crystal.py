@@ -14,7 +14,7 @@ from .laurent import LaurentPoly, gaussian_binomial
 from .lusztig import TriangularTable
 from .report import Report
 from .seed import QuantumSeed, principal_seed
-from .torus import TorusElement
+from .torus import TorusElement, vec_scale
 
 __all__ = ["rank2_principal_seed", "Rank2Crystal"]
 
@@ -49,6 +49,10 @@ class Rank2Crystal:
             "x1pp": (-1, 0, 1, c),
         }
         self._monomials: dict = {}
+        # X1p^m1p * X^(0,m2,0,0) * X^(m1,0,0,0) by (m1p, m2, m1), and
+        # X2p^m2p * X1pp^m1pp by (m2p, m1pp).
+        self._heads = {(0, 0, 0): self.form.one()}
+        self._tails = {(0, 0): self.form.one()}
 
     # -- index set ----------------------------------------------------------
 
@@ -62,44 +66,67 @@ class Rank2Crystal:
         _, _, m1p, _, m1, _, m1pp = mm
         return m1p * m1 * m1pp == 0
 
+    def _head(self, m1p, m2, m1) -> TorusElement:
+        """``X1p^m1p * X^(0,m2,0,0) * X^(m1,0,0,0)``: a cached head times one
+        more factor."""
+        key = (m1p, m2, m1)
+        out = self._heads.get(key)
+        if out is None:
+            if m1:
+                out = self._head(m1p, m2, m1 - 1) * self.X1
+            elif m2:
+                out = self._head(m1p, m2 - 1, 0) * self.X2
+            else:
+                out = self._head(m1p - 1, 0, 0) * self.X1p
+            self._heads[key] = out
+        return out
+
+    def _tail(self, m2p, m1pp) -> TorusElement:
+        """``X2p^m2p * X1pp^m1pp``: a cached tail times one more factor."""
+        key = (m2p, m1pp)
+        out = self._tails.get(key)
+        if out is None:
+            if m1pp:
+                out = self._tail(m2p, m1pp - 1) * self.X1pp
+            else:
+                out = self._tail(m2p - 1, 0) * self.X2p
+            self._tails[key] = out
+        return out
+
+    def _ordered_product(self, mm, nu: int) -> TorusElement:
+        """``v^nu X^(0,0,m3,m4)`` times the head and the tail of the 7-tuple:
+        one unit-monomial shift and one product."""
+        if not self.in_index_set(mm):
+            raise ValueError(f"index {mm} outside the admissible set")
+        m3, m4, m1p, m2, m1, m2p, m1pp = mm
+        front = self.form.monomial((0, 0, m3, m4), LaurentPoly.v_power(nu))
+        return front * self._head(m1p, m2, m1) * self._tail(m2p, m1pp)
+
     def raw_monomial(self, mm) -> TorusElement:
         """The ordered product of generator powers for the 7-tuple."""
-        m3, m4, m1p, m2, m1, m2p, m1pp = mm
-        out = self.form.monomial((0, 0, m3, m4))
-        out = out * self.X1p**m1p
-        out = out * self.form.monomial((0, m2, 0, 0))
-        out = out * self.form.monomial((m1, 0, 0, 0))
-        out = out * self.X2p**m2p
-        out = out * self.X1pp**m1pp
-        return out
+        return self._ordered_product(mm, 0)
 
     def normalization_exponent(self, mm) -> int:
         """Normalizes the leading term up to the interior twist correction."""
         m3, m4, m1p, m2, m1, m2p, m1pp = mm
-        mon = self.form.monomial((0, 0, m3, m4))
-        for vec, power in (
-            (self._lt["x1p"], m1p),
-            ((0, 1, 0, 0), m2),
-            ((1, 0, 0, 0), m1),
-            (self._lt["x2p"], m2p),
-            (self._lt["x1pp"], m1pp),
-        ):
-            if power:
-                mon = mon * self.form.monomial(tuple(power * x for x in vec))
-        _, coeff = mon.monomial_term()
-        ((sigma, cc),) = coeff.items()
-        assert cc == 1
+        sigma = self.form.chain_twist(
+            (
+                (0, 0, m3, m4),
+                vec_scale(m1p, self._lt["x1p"]),
+                (0, m2, 0, 0),
+                (m1, 0, 0, 0),
+                vec_scale(m2p, self._lt["x2p"]),
+                vec_scale(m1pp, self._lt["x1pp"]),
+            )
+        )
         return self.c * m1p * m1pp - sigma
 
     def monomial(self, mm) -> TorusElement:
         """The normalized crystal monomial for an index in the set."""
         mm = tuple(mm)
-        if not self.in_index_set(mm):
-            raise ValueError(f"index {mm} outside the admissible set")
         cached = self._monomials.get(mm)
         if cached is None:
-            nu = self.normalization_exponent(mm)
-            cached = self.raw_monomial(mm).scalar_mul(LaurentPoly.v_power(nu))
+            cached = self._ordered_product(mm, self.normalization_exponent(mm))
             self._monomials[mm] = cached
         return cached
 

@@ -122,15 +122,9 @@ class EBasis:
 
     def normalization_exponent(self, a) -> int:
         """Power of ``v`` making the leading term bar-invariant."""
-        mon = self.form.monomial(self._base_exponent(a))
-        for k in self.seed.order:
-            qk = max(-a[k], 0)
-            if qk:
-                mon = mon * self.form.monomial(vec_scale(qk, self.e_prime(k)))
-        _, coeff = mon.monomial_term()
-        ((sigma, c),) = coeff.items()
-        assert c == 1
-        return -sigma
+        factors = [self._base_exponent(a)]
+        factors += [vec_scale(-a[k], self.e_prime(k)) for k in self.seed.order if a[k] < 0]
+        return -self.form.chain_twist(factors)
 
     def raw_standard_monomial(self, a) -> TorusElement:
         """The un-normalized ordered product for label ``a``."""
@@ -312,13 +306,9 @@ class MutatedBasis:
         n1 = self.k_mut
         if g[n1] < 0:
             raise ValueError("mutated generator is not invertible in the torus")
-        sigma = 0
-        lam2 = self.seed2.lam
-        for i in range(seed.m):
-            if g[i]:
-                for j in range(i + 1, seed.m):
-                    if g[j]:
-                        sigma += g[i] * g[j] * lam2[i][j]
+        sigma = self.form2.chain_twist(
+            vec_scale(g[i], basis_vector(seed.m, i)) for i in range(seed.m) if g[i]
+        )
         out = self.base.form.one()
         for i in range(seed.m):
             if not g[i]:
@@ -335,18 +325,10 @@ class MutatedBasis:
         seed = self.base.seed
         n, n1 = seed.n, self.k_mut
         factors = [tuple(x if i >= n else max(x, 0) for i, x in enumerate(a))]
-        qn = max(-a[n1], 0)
-        if qn:
-            factors.append(vec_scale(qn, self.e_dprime(n1)))
-        for k in range(n1):
-            qk = max(-a[k], 0)
-            if qk:
-                factors.append(vec_scale(qk, self.e_dprime(k)))
-        sigma = 0
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                sigma += self.form2.skew(factors[i], factors[j])
-        return -sigma
+        factors += [
+            vec_scale(-a[k], self.e_dprime(k)) for k in (n1, *range(n1)) if a[k] < 0
+        ]
+        return -self.form2.chain_twist(factors)
 
     def element(self, a) -> TorusElement:
         """The mutated-seed standard basis element, inside the original torus."""

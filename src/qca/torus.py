@@ -136,6 +136,16 @@ class SkewForm:
                 total += ei * sum(row[j] * fj for j, fj in enumerate(f) if fj)
         return total
 
+    def chain_twist(self, vectors) -> int:
+        """``sum_{i<j} L(u_i, u_j)``: the power of ``v`` in the ordered
+        product ``X^u_1 * ... * X^u_k`` of unit-coefficient monomials."""
+        total = 0
+        acc = (0,) * self.m
+        for u in vectors:
+            total += self.skew(acc, u)
+            acc = vec_add(acc, u)
+        return total
+
     def __eq__(self, other):
         return isinstance(other, SkewForm) and self.rows == other.rows
 
@@ -234,6 +244,15 @@ class TorusElement:
         if isinstance(other, (int, LaurentPoly)):
             return self.scalar_mul(other)
         self._check(other)
+        # A unit monomial +-v^k X^u on either side only shifts exponents.
+        if len(other.terms) == 1:
+            ((u, c),) = other.terms.items()
+            if c.is_unit():
+                return self._shift_by_unit(u, c, 1)
+        if len(self.terms) == 1:
+            ((u, c),) = self.terms.items()
+            if c.is_unit():
+                return other._shift_by_unit(u, c, -1)
         pairs = len(self.terms) * len(other.terms)
         if pairs >= _PACK_MIN_PAIRS:
             laurent_pairs = sum(len(c._terms) for c in self.terms.values()) * sum(
@@ -266,6 +285,19 @@ class TorusElement:
             c = LaurentPoly(out)
             if c:
                 terms[g] = c
+        return TorusElement(self.form, terms)
+
+    def _shift_by_unit(self, u, unit, side):
+        """This element times the unit monomial ``unit * X^u``, on the right
+        for ``side = 1`` and on the left for ``side = -1``: each term ``X^e``
+        moves to ``X^(e+u)`` and its coefficient is shifted by ``v^k`` and
+        the twist ``side * L(e, u)``, and negated when ``unit = -v^k``."""
+        ((k, sign),) = unit._terms.items()
+        lu = tuple(sum(r * uj for r, uj in zip(row, u) if uj) for row in self.form.rows)
+        terms = {}
+        for e, ce in self.terms.items():
+            ce = ce.shifted(k + side * sum(ei * li for ei, li in zip(e, lu) if ei))
+            terms[vec_add(e, u)] = ce if sign == 1 else -ce
         return TorusElement(self.form, terms)
 
     def _packed_mul(self, other):

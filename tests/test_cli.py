@@ -124,6 +124,28 @@ def test_basis_cache_hit(a11_file, tmp_path, capsys):
     assert code == 0 and "cached: yes" in out
 
 
+def test_parser_shared_across_calls(a11_file, tmp_path, monkeypatch, capsys):
+    # One parser serves every call in the process; no flag of one call may
+    # reach the next.
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("QCA_CACHE_DIR", str(cache))
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-2,-2", "--no-cache")
+    assert code == 0 and "cached: no" in out
+    assert not cache.exists()
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-2,-2")
+    assert code == 0 and "cached: no" in out
+    assert any(cache.iterdir())
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-2,-2")
+    assert code == 0 and "cached: yes" in out
+    code, out = run(capsys, "seed", "check", a11_file)
+    assert code == 0 and "valid" in out
+    assert cli.build_parser() is cli.build_parser()
+    args = cli.build_parser().parse_args(["seed", "check", a11_file])
+    assert not hasattr(args, "no_cache") and not hasattr(args, "a")
+    args = cli.build_parser().parse_args(["basis", "c", a11_file, "--a=0,0"])
+    assert args.no_cache is False and args.cache is None
+
+
 def test_verify_kronecker(capsys):
     code, out = run(capsys, "verify", "kronecker", "--rmax", "2", "--box", "2")
     assert code == 0

@@ -47,6 +47,36 @@ def test_monomial_simple_cases(cr11):
         assert cr11.monomial(mmp) == cr11.mutated.element(a)
 
 
+def uncached_chain(cr, mm):
+    """``v^nu X^(0,0,m3,m4) X1p^m1p X^(0,m2,0,0) X^(m1,0,0,0) X2p^m2p X1pp^m1pp``,
+    multiplied left to right from scratch, powers included, with ``nu`` from
+    the closed form."""
+    m3, m4, m1p, m2, m1, m2p, m1pp = mm
+    out = cr.form.monomial((0, 0, m3, m4), v(cr.nu_explicit(mm)))
+    for factor in (
+        cr.X1p**m1p,
+        cr.form.monomial((0, m2, 0, 0)),
+        cr.form.monomial((m1, 0, 0, 0)),
+        cr.X2p**m2p,
+        cr.X1pp**m1pp,
+    ):
+        out = out * factor
+    return out
+
+
+@pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+def test_monomial_matches_uncached_chain(b, c):
+    cr = Rank2Crystal(b, c)
+    for m3, m4 in itertools.product((-1, 0, 1), repeat=2):
+        for rest in itertools.product(range(3), repeat=5):
+            mm = (m3, m4, *rest)
+            expected = uncached_chain(cr, mm)
+            assert cr.monomial(mm) == expected, mm
+            assert cr.raw_monomial(mm) == expected.scalar_mul(v(-cr.nu_explicit(mm))), mm
+    with pytest.raises(ValueError):
+        cr.raw_monomial((0, 0, 0, 0, -1, 0, 0))
+
+
 def test_block_relations_all_pairs():
     for b, c in [(1, 1), (2, 1), (2, 2), (1, 3)]:
         rep = Rank2Crystal(b, c).verify_block_relations()

@@ -242,6 +242,54 @@ def test_mul_matches_monomial_rule(monkeypatch):
     assert x * empty == empty * x == empty
 
 
+def test_unit_monomial_dispatch(monkeypatch):
+    calls = []
+    shift_by_unit = TorusElement._shift_by_unit
+
+    def spy(x, u, unit, side):
+        calls.append(side)
+        return shift_by_unit(x, u, unit, side)
+
+    monkeypatch.setattr(TorusElement, "_shift_by_unit", spy)
+    rng = random.Random(13)
+    for form in (FORM, FORM3):
+        others = [random_element(rng, form, *shape, rng.choice(MAGNITUDES)) for shape in SHAPES]
+        others.append(form.zero())
+        for k in (-3, 0, 5):
+            for sign in (1, -1):
+                e = tuple(rng.randint(-3, 3) for _ in range(form.m))
+                u = form.monomial(e, v(k, sign))
+                for y in others:
+                    for x, z in ((u, y), (y, u)):
+                        calls.clear()
+                        assert x * z == naive_mul(x, z)
+                        assert len(calls) == 1
+        # Single terms whose coefficient is not a unit take the generic path.
+        generic = [
+            y for y in others if not (y.is_monomial() and y.monomial_term()[1].is_unit())
+        ]
+        for c in (v(3, 2), LaurentPoly({0: 1, 1: 1})):
+            w = form.monomial(tuple(rng.randint(-3, 3) for _ in range(form.m)), c)
+            for y in generic:
+                calls.clear()
+                assert w * y == naive_mul(w, y)
+                assert y * w == naive_mul(y, w)
+                assert not calls
+    assert FORM.zero() * mono((1, 2), v(1, -1)) == FORM.zero()
+
+
+def test_chain_twist_is_the_product_twist():
+    rng = random.Random(14)
+    for form in (FORM, FORM3):
+        for count in range(6):
+            vectors = [tuple(rng.randint(-3, 3) for _ in range(form.m)) for _ in range(count)]
+            product = form.one()
+            for u in vectors:
+                product = naive_mul(product, form.monomial(u))
+            total = tuple(sum(col) for col in zip(*vectors)) if vectors else (0,) * form.m
+            assert product == form.monomial(total, v(form.chain_twist(vectors)))
+
+
 def test_packed_product_cancels_to_zero():
     rng = random.Random(12)
     x = random_element(rng, FORM, 6, 12, 10**30)
