@@ -179,10 +179,8 @@ def cmd_basis(args) -> int:
         print(f"label must have {seed.m} entries", file=sys.stderr)
         return 2
     cache = None
-    cached_before = False
     if args.kind == "c" and config.cache_dir:
         cache = RowCache(config.cache_dir, seed_hash(seed))
-        cached_before = a in cache
     table = TriangularTable(basis, cache=cache)
     if args.kind == "e":
         element = basis.element(a)
@@ -192,6 +190,8 @@ def cmd_basis(args) -> int:
         element = table.element(a)
         coeffs = table.expansion(a)
         head_name = "C"
+    # The row came from the cache iff its one load hit; a corrupt record misses.
+    cached_before = cache is not None and cache.hits > 0
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(element.to_records(), fh)

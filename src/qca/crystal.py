@@ -254,7 +254,7 @@ class Rank2Crystal:
         rhs = self.form.monomial((0, 0, 0, 1)).scalar_mul(v(-b)) + self.X1**b
         rep.record(lhs == rhs, "second exchange product fails")
         lhs = self.X1 * self.X1pp
-        rhs = self.form.monomial((0, 0, 1, c)).scalar_mul(v(-c)) + self.X2p**c
+        rhs = self.form.monomial((0, 0, 1, c)).scalar_mul(v(-c)) + self.basis.x_prime_power(1, c)
         rep.record(lhs == rhs, "mutated exchange product fails")
         return rep
 

@@ -3,9 +3,12 @@
 For a label ``a`` in ``Z^m`` the raw standard monomial is the ordered
 product of a frozen/positive-part monomial with powers of the exchange
 binomials; the normalized element rescales it by the unique power of ``v``
-making its leading term bar-invariant.  Because the order is compatible
-with the sign pattern of the exchange matrix, the map from labels to
-leading exponents is unimodularly triangular, which gives an exact greedy
+making its leading term bar-invariant.  Each basis keeps a ladder of the
+powers of every exchange binomial, entry ``q`` built once as entry ``q - 1``
+times the binomial, and the rescaling rides on the leading monomial, so an
+element costs one product per nonzero exchange power.  Because the order is
+compatible with the sign pattern of the exchange matrix, the map from labels
+to leading exponents is unimodularly triangular, which gives an exact greedy
 expansion algorithm for any element of the spanned algebra.
 
 :class:`MutatedBasis` builds the same objects for the seed mutated at the
@@ -39,6 +42,15 @@ class ExpansionError(RuntimeError):
     """Raised when a sweep exceeds its step cap."""
 
 
+def _ladder_power(ladder: list, q: int) -> TorusElement:
+    """Entry ``q`` of ``ladder = [x^0, x^1, ...]``, extended as needed: each
+    new entry is the previous one times ``x``, so every power of ``x`` is
+    built once, by one product."""
+    while len(ladder) <= q:
+        ladder.append(ladder[-1] * ladder[1])
+    return ladder[q]
+
+
 class EBasis:
     """Standard-monomial machinery bound to one validated, ordered seed."""
 
@@ -55,7 +67,7 @@ class EBasis:
         self.form = seed.form()
         self.order = seed_weight_order(seed)
         self.expansion_cap = expansion_cap
-        self._x_prime: dict = {}
+        self._x_prime: dict = {}  # k -> [X'_k^0, X'_k^1, ...]
         self._elements: dict = {}
 
     # -- generators ----------------------------------------------------------
@@ -64,16 +76,24 @@ class EBasis:
         """Leading exponent of the k-th exchange binomial."""
         return exchange_vector(self.seed, k)
 
-    def x_prime(self, k: int) -> TorusElement:
-        """The two-term exchange element replacing generator ``k``."""
-        cached = self._x_prime.get(k)
-        if cached is None:
+    def _x_prime_ladder(self, k: int) -> list:
+        """``[1, x_prime(k)]`` and the powers built so far."""
+        ladder = self._x_prime.get(k)
+        if ladder is None:
             ep = self.e_prime(k)
-            cached = self.form.monomial(ep) + self.form.monomial(
+            x = self.form.monomial(ep) + self.form.monomial(
                 vec_sub(ep, self.seed.column(k))
             )
-            self._x_prime[k] = cached
-        return cached
+            ladder = self._x_prime[k] = [self.form.one(), x]
+        return ladder
+
+    def x_prime(self, k: int) -> TorusElement:
+        """The two-term exchange element replacing generator ``k``."""
+        return self._x_prime_ladder(k)[1]
+
+    def x_prime_power(self, k: int, q: int) -> TorusElement:
+        """``x_prime(k) ** q`` from this basis's ladder of its powers."""
+        return _ladder_power(self._x_prime_ladder(k), q)
 
     # -- labels and leading exponents ------------------------------------------
 
@@ -126,22 +146,25 @@ class EBasis:
         factors += [vec_scale(-a[k], self.e_prime(k)) for k in self.seed.order if a[k] < 0]
         return -self.form.chain_twist(factors)
 
+    def _ordered_product(self, a, nu: int) -> TorusElement:
+        """``v^nu X^[a]_+`` times the exchange powers of ``a`` in order: one
+        product per nonzero power."""
+        out = self.form.monomial(self._base_exponent(a), LaurentPoly.v_power(nu))
+        for k in self.seed.order:
+            if a[k] < 0:
+                out = out * self.x_prime_power(k, -a[k])
+        return out
+
     def raw_standard_monomial(self, a) -> TorusElement:
         """The un-normalized ordered product for label ``a``."""
-        out = self.form.monomial(self._base_exponent(a))
-        for k in self.seed.order:
-            qk = max(-a[k], 0)
-            if qk:
-                out = out * self.x_prime(k) ** qk
-        return out
+        return self._ordered_product(a, 0)
 
     def element(self, a) -> TorusElement:
         """The normalized standard basis element for label ``a``."""
         a = tuple(a)
         cached = self._elements.get(a)
         if cached is None:
-            nu = self.normalization_exponent(a)
-            cached = self.raw_standard_monomial(a).scalar_mul(LaurentPoly.v_power(nu))
+            cached = self._ordered_product(a, self.normalization_exponent(a))
             self._elements[a] = cached
         return cached
 
@@ -154,34 +177,43 @@ class EBasis:
         ``rule(c) * E(a)``, where ``a`` is the label led by ``g``.  That
         element has unit coefficient at ``g`` and all other terms strictly
         below it, so a visited coefficient never changes again and the terms
-        not yet visited form a heap.  Returns the nonzero multiples by label
-        and the resulting element.  Raises :class:`ExpansionError` when more
-        than ``expansion_cap`` multiples are needed.
+        not yet visited form a heap.  Each unvisited coefficient is a plain
+        ``{v-exponent: integer}`` accumulator updated in place; only the
+        popped coefficient becomes a :class:`LaurentPoly`.  Returns the
+        nonzero multiples by label and the resulting element.  Raises
+        :class:`ExpansionError` when more than ``expansion_cap`` multiples
+        are needed.
         """
         if x.form != self.form:
             raise ValueError("element lives in a different torus context")
         key = self.order.descending_key
-        terms = dict(x.terms)
+        terms = {e: dict(c._terms) for e, c in x.terms.items()}
         heap = [(key(e), e) for e in terms]
         heapify(heap)
         multiples: dict = {}
         result: dict = {}
         while heap:
             g = heappop(heap)[1]
-            p = rule(terms[g])
+            c = LaurentPoly(terms[g])
+            p = rule(c)
             if p:
                 if len(multiples) == self.expansion_cap:
                     raise ExpansionError(f"expansion exceeded {self.expansion_cap} steps")
                 a = self.leading_exponent_inverse(g)
                 multiples[a] = p
+                right = p._terms.items()
                 for e, ce in self.element(a).terms.items():
-                    s = terms.get(e)
-                    if s is None:
-                        terms[e] = ce * p
+                    acc = terms.get(e)
+                    if acc is None:
+                        acc = terms[e] = {}
                         heappush(heap, (key(e), e))
-                    else:
-                        terms[e] = s + ce * p
-            c = terms.pop(g)
+                    get = acc.get
+                    for e1, c1 in ce._terms.items():
+                        for e2, c2 in right:
+                            k = e1 + e2
+                            acc[k] = get(k, 0) + c1 * c2
+                c = LaurentPoly(terms[g])
+            del terms[g]
             if c:
                 result[g] = c
         return multiples, TorusElement(self.form, result)
@@ -241,7 +273,7 @@ class MutatedBasis:
         self.seed2 = replace(mutated, order=rotated)
         self.form2 = self.seed2.form()
         self.abstract = EBasis(self.seed2, expansion_cap=base.expansion_cap)
-        self._x_dprime: dict = {}
+        self._x_dprime: dict = {}  # k -> [X''_k^0, X''_k^1, ...]
         self._elements: dict = {}
 
     # -- mutated exchange data -------------------------------------------------
@@ -260,9 +292,17 @@ class MutatedBasis:
         otherwise it is a standard-basis combination with Gaussian-binomial
         coefficients in ``v^{2 d_last}``.
         """
-        cached = self._x_dprime.get(k)
-        if cached is not None:
-            return cached
+        return self._x_dprime_ladder(k)[1]
+
+    def x_dprime_power(self, k: int, q: int) -> TorusElement:
+        """``x_dprime(k) ** q`` from this basis's ladder of its powers."""
+        return _ladder_power(self._x_dprime_ladder(k), q)
+
+    def _x_dprime_ladder(self, k: int) -> list:
+        """``[1, x_dprime(k)]`` and the powers built so far."""
+        ladder = self._x_dprime.get(k)
+        if ladder is not None:
+            return ladder
         seed = self.base.seed
         n1 = self.k_mut
         if k == n1:
@@ -291,8 +331,8 @@ class MutatedBasis:
                 )
                 label = vec_sub(edpk, vec_scale(s, bn))
                 out = out - self.base.element(label).scalar_mul(coeff)
-        self._x_dprime[k] = out
-        return out
+        ladder = self._x_dprime[k] = [self.base.form.one(), out]
+        return ladder
 
     def prime_monomial(self, g) -> TorusElement:
         """The normalized monomial of the mutated torus, realized here.
@@ -302,6 +342,11 @@ class MutatedBasis:
         Requires a nonnegative entry at the mutation index, since the
         two-term exchange element is not invertible inside the torus.
         """
+        return self._prime_product(g, 0)
+
+    def _prime_product(self, g, nu: int) -> TorusElement:
+        """``v^nu`` times :meth:`prime_monomial`, the rescaling carried by the
+        leading unit monomial."""
         seed = self.base.seed
         n1 = self.k_mut
         if g[n1] < 0:
@@ -309,17 +354,17 @@ class MutatedBasis:
         sigma = self.form2.chain_twist(
             vec_scale(g[i], basis_vector(seed.m, i)) for i in range(seed.m) if g[i]
         )
-        out = self.base.form.one()
+        out = self.base.form.monomial((0,) * seed.m, LaurentPoly.v_power(nu - sigma))
         for i in range(seed.m):
             if not g[i]:
                 continue
             if i == n1:
-                out = out * self.base.x_prime(n1) ** g[i]
+                out = out * self.base.x_prime_power(n1, g[i])
             else:
                 out = out * self.base.form.monomial(
                     vec_scale(g[i], basis_vector(seed.m, i))
                 )
-        return out.scalar_mul(LaurentPoly.v_power(-sigma))
+        return out
 
     def normalization_exponent(self, a) -> int:
         seed = self.base.seed
@@ -339,17 +384,14 @@ class MutatedBasis:
         seed = self.base.seed
         n, n1 = seed.n, self.k_mut
         base_vec = tuple(x if i >= n else max(x, 0) for i, x in enumerate(a))
-        out = self.prime_monomial(base_vec)
-        qn = max(-a[n1], 0)
-        if qn:
+        out = self._prime_product(base_vec, self.normalization_exponent(a))
+        if a[n1] < 0:
             out = out * self.base.form.monomial(
-                vec_scale(qn, basis_vector(seed.m, n1))
+                vec_scale(-a[n1], basis_vector(seed.m, n1))
             )
         for k in range(n1):
-            qk = max(-a[k], 0)
-            if qk:
-                out = out * self.x_dprime(k) ** qk
-        out = out.scalar_mul(LaurentPoly.v_power(self.normalization_exponent(a)))
+            if a[k] < 0:
+                out = out * self.x_dprime_power(k, -a[k])
         self._elements[a] = out
         return out
 

@@ -359,9 +359,14 @@ def parse_laurent(text: str) -> LaurentPoly:
     """Parse the textual form produced by :meth:`LaurentPoly.__str__`.
 
     Accepts terms ``c*v^e`` joined by `` + `` / `` - ``, plus bare integers
-    and a bare ``v``.
+    and a bare ``v``.  Anything else, the empty string included, raises
+    ValueError.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a Laurent polynomial is text, not {type(text).__name__}")
     s = text.strip()
+    if not s:
+        raise ValueError("empty Laurent polynomial text")
     if s == "0":
         return LaurentPoly.zero()
     # Fold the joining "+"/"-" into a sign on each chunk.

@@ -169,27 +169,44 @@ class RowCache:
                 data = json.load(fh)
         except (OSError, ValueError):
             return
-        if data.get("seed_hash") != self.seed_hash:
+        # A corrupt file or row key is a miss; the row is recomputed.
+        if not isinstance(data, dict) or data.get("seed_hash") != self.seed_hash:
             return
-        for key, rec in data.get("rows", {}).items():
-            a = tuple(int(x) for x in key.split(","))
+        rows = data.get("rows")
+        if not isinstance(rows, dict):
+            return
+        for key, rec in rows.items():
+            try:
+                a = tuple(int(x) for x in key.split(","))
+            except ValueError:
+                continue
             self._records[a] = rec
 
     def __contains__(self, a) -> bool:
-        """Whether a row for ``a`` is stored; parses no row and counts no hit."""
+        """Whether a record for ``a`` is stored; parses no row and counts no
+        hit, so a malformed record still reads as stored until it is loaded."""
         self._load_all()
         return tuple(a) in self._records
 
     def load(self, a):
+        """The stored row for ``a``, or None; a malformed record is dropped
+        and reads as a miss."""
         self._load_all()
-        rec = self._records.get(tuple(a))
-        if rec is None:
+        a = tuple(a)
+        if a not in self._records:
+            return None
+        try:
+            row = {}
+            for item in self._records[a]["p"]:
+                label = tuple(int(x) for x in item["a"])
+                if len(label) != len(a):
+                    raise ValueError(f"label {label} does not match {a}")
+                row[label] = parse_laurent(item["coeff"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            del self._records[a]
             return None
         self.hits += 1
-        return {
-            tuple(int(x) for x in item["a"]): parse_laurent(item["coeff"])
-            for item in rec["p"]
-        }
+        return row
 
     def store(self, a, row: dict):
         self._load_all()

@@ -435,15 +435,18 @@ def seed_to_dict(seed: QuantumSeed) -> dict:
 def parse_seed(data: dict) -> QuantumSeed:
     """The seed a dict describes, not validated; malformed data raises ValueError."""
     try:
+        d = tuple(int(x) for x in data["d"])
         return QuantumSeed(
             m=int(data["m"]),
             n=int(data["n"]),
             btilde=tuple(tuple(int(x) for x in r) for r in data["B"]),
             lam=tuple(tuple(int(x) for x in r) for r in data["Lambda"]),
-            d=tuple(int(x) for x in data["d"]),
-            order=tuple(int(k) - 1 for k in data.get("order", range(1, int(data["n"]) + 1))),
+            d=d,
+            # The natural order has one entry per symmetrizer; sizing it by
+            # len(d) rather than "n" keeps a huge "n" from allocating it.
+            order=tuple(int(k) - 1 for k in data.get("order", range(1, len(d) + 1))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed seed data: {exc}") from exc
 
 

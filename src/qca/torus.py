@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import add, sub
 
 from .laurent import LaurentPoly, digit_width, parse_laurent
 
@@ -54,11 +55,15 @@ def r_of(a, n: int) -> int:
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vector lengths differ: {len(a)} != {len(b)}")
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vector lengths differ: {len(a)} != {len(b)}")
+    return tuple(map(sub, a, b))
 
 
 def vec_neg(a):
@@ -437,14 +442,18 @@ class TorusElement:
 
     @classmethod
     def from_records(cls, form: SkewForm, records) -> "TorusElement":
+        """Inverse of :meth:`to_records`; malformed records raise ValueError."""
         terms = {}
-        for rec in records:
-            e = tuple(int(x) for x in rec["exp"])
-            if len(e) != form.m:
-                raise ValueError("exponent length does not match context")
-            c = parse_laurent(rec["coeff"])
-            if c:
-                terms[e] = terms.get(e, LaurentPoly.zero()) + c
+        try:
+            for rec in records:
+                e = tuple(int(x) for x in rec["exp"])
+                if len(e) != form.m:
+                    raise ValueError("exponent length does not match context")
+                c = parse_laurent(rec["coeff"])
+                if c:
+                    terms[e] = terms.get(e, LaurentPoly.zero()) + c
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed torus element records: {exc!r}") from exc
         return cls(form, {e: c for e, c in terms.items() if c})
 
 

@@ -130,7 +130,6 @@ def check_principal_identities(seed: QuantumSeed) -> Report:
     last = n - 1
     e_last = basis_vector(m, last)
     e_top = basis_vector(m, m - 1)
-    xn_p = basis.x_prime(last)
     b_last = seed.column(last)
     for j in range(n):
         bj = seed.column(j)
@@ -154,9 +153,9 @@ def check_principal_identities(seed: QuantumSeed) -> Report:
             shifted = vec_add(above, vec_scale(bnj, vec_sub(e_top, e_last)))
             rhs = form.monomial(shifted).scalar_mul(v(-seed.d[j])) + form.monomial(
                 vec_neg(below)
-            ) * xn_p**bnj
+            ) * basis.x_prime_power(last, bnj)
             rep.record(xj * xjpp == rhs, f"mutated product identity at {j}")
-            expansion = basis.x_prime(j) * xn_p**bnj
+            expansion = basis.x_prime(j) * basis.x_prime_power(last, bnj)
             for s in range(1, bnj + 1):
                 coeff = (
                     gaussian_binomial(bnj, s)

@@ -8,7 +8,7 @@ from qca import cli
 from qca.cli import main
 from qca.kronecker import a11_seed
 from qca.laurent import parse_laurent
-from qca.seed import load_seed, save_seed
+from qca.seed import load_seed, save_seed, seed_hash
 from qca.torus import TorusElement
 
 
@@ -121,6 +121,29 @@ def test_basis_cache_hit(a11_file, tmp_path, capsys):
     code, out = run(capsys, "basis", "c", a11_file, "--a=-2,-2", "--cache", cache)
     assert code == 0 and "cached: no" in out
     code, out = run(capsys, "basis", "c", a11_file, "--a=-2,-2", "--cache", cache)
+    assert code == 0 and "cached: yes" in out
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        lambda h: [],
+        lambda h: {"seed_hash": h, "rows": []},
+        lambda h: {"seed_hash": h, "rows": {"x,y": {"p": []}}},
+    ],
+    ids=["list", "rows-list", "bad-key"],
+)
+def test_basis_c_corrupt_cache_file(a11_file, tmp_path, capsys, body):
+    h = seed_hash(a11_seed())
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"{h}.json").write_text(json.dumps(body(h)))
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-2,-2", "--cache", str(cache))
+    assert code == 0 and "cached: no" in out
+    code, fresh = run(capsys, "basis", "c", a11_file, "--a=-2,-2", "--no-cache")
+    assert code == 0
+    assert out.splitlines()[:2] == fresh.splitlines()[:2]
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-2,-2", "--cache", str(cache))
     assert code == 0 and "cached: yes" in out
 
 

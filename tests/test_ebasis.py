@@ -2,14 +2,16 @@
 
 import itertools
 import random
+from heapq import heapify, heappop, heappush
 
 import pytest
 
 from qca.ebasis import EBasis, ExpansionError, MutatedBasis
 from qca.kronecker import KroneckerAlgebra, a11_seed
 from qca.laurent import LaurentPoly, gaussian_binomial
+from qca.lusztig import _bar_correction
 from qca.seed import QuantumSeed, principal_seed
-from qca.torus import vec_add, vec_scale, vec_sub
+from qca.torus import TorusElement, basis_vector, vec_add, vec_scale, vec_sub
 from qca.verify import random_principal_seed
 
 v = LaurentPoly.v_power
@@ -354,3 +356,202 @@ def test_unit_coefficient_conditions(mutated21):
         assert all(
             cf.in_v_zv() for k, cf in coeffs.items() if k != units[0]
         )
+
+
+# -- exchange-power ladders and the in-place sweep -----------------------------
+
+
+# The Kronecker seed, rank-2 principal seeds and a random rank-3 one.
+LADDER_SEEDS = {
+    "kronecker": a11_seed(),
+    **{
+        f"principal-{b}-{c}": principal_seed(((0, -b), (c, 0)), (c, b))
+        for b, c in [(1, 1), (2, 1), (3, 2)]
+    },
+    "random-rank3": random_principal_seed(random.Random(4), 3),
+}
+
+
+def scratch_element(basis, a):
+    """``E(a)`` as the ordered product built from scratch with ``**`` and a
+    trailing ``v^nu``, plus the un-normalized product."""
+    n = basis.seed.n
+    raw = basis.form.monomial(tuple(x if i >= n else max(x, 0) for i, x in enumerate(a)))
+    for k in basis.seed.order:
+        if a[k] < 0:
+            raw = raw * basis.x_prime(k) ** -a[k]
+    return raw.scalar_mul(v(basis.normalization_exponent(a))), raw
+
+
+def scratch_prime_monomial(mut, g):
+    seed = mut.base.seed
+    sigma = mut.form2.chain_twist(
+        vec_scale(g[i], basis_vector(seed.m, i)) for i in range(seed.m) if g[i]
+    )
+    out = mut.base.form.one()
+    for i in range(seed.m):
+        if i == mut.k_mut:
+            out = out * mut.base.x_prime(i) ** g[i]
+        elif g[i]:
+            out = out * mut.base.form.monomial(vec_scale(g[i], basis_vector(seed.m, i)))
+    return out.scalar_mul(v(-sigma))
+
+
+def scratch_mutated_element(mut, a):
+    seed = mut.base.seed
+    n, n1 = seed.n, mut.k_mut
+    out = scratch_prime_monomial(mut, tuple(x if i >= n else max(x, 0) for i, x in enumerate(a)))
+    out = out * mut.base.form.monomial(vec_scale(max(-a[n1], 0), basis_vector(seed.m, n1)))
+    for k in range(n1):
+        out = out * mut.x_dprime(k) ** max(-a[k], 0)
+    return out.scalar_mul(v(mut.normalization_exponent(a)))
+
+
+def sample_labels(seed, rng, count):
+    """Labels with exchange entries in -3..1 and frozen entries in -1..1."""
+    return [
+        tuple(rng.randint(-3, 1) if i < seed.n else rng.randint(-1, 1) for i in range(seed.m))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed", list(LADDER_SEEDS.values()), ids=list(LADDER_SEEDS))
+def test_power_ladders_match_pow(seed):
+    basis = EBasis(seed)
+    mut = MutatedBasis(basis)
+    # Out of order, so the ladders are extended by several entries at once.
+    for q in (3, 0, 6, 1, 5, 2, 4):
+        for k in range(seed.n):
+            assert basis.x_prime_power(k, q) == basis.x_prime(k) ** q
+            assert mut.x_dprime_power(k, q) == mut.x_dprime(k) ** q
+
+
+@pytest.mark.parametrize("seed", list(LADDER_SEEDS.values()), ids=list(LADDER_SEEDS))
+def test_elements_match_scratch_products(seed):
+    basis = EBasis(seed)
+    mut = MutatedBasis(basis)
+    rng = random.Random(seed.m * 31 + sum(map(sum, seed.btilde)))
+    for a in sample_labels(seed, rng, 40):
+        element, raw = scratch_element(basis, a)
+        assert basis.element(a) == element
+        assert basis.raw_standard_monomial(a) == raw
+        assert mut.element(a) == scratch_mutated_element(mut, a)
+        g = a[:mut.k_mut] + (abs(a[mut.k_mut]),) + a[mut.k_mut + 1 :]
+        assert mut.prime_monomial(g) == scratch_prime_monomial(mut, g)
+
+
+def test_ladder_entries_built_once(monkeypatch):
+    seed = LADDER_SEEDS["random-rank3"]
+    xs = []
+    products = []  # (left, right); holding the operands keeps their ids unique
+    original_mul = TorusElement.__mul__
+
+    def spy_mul(self, other):
+        if any(other is x for x in xs):
+            products.append((self, other))
+        return original_mul(self, other)
+
+    def no_pow(self, k):
+        raise AssertionError("a power was built by __pow__")
+
+    monkeypatch.setattr(TorusElement, "__mul__", spy_mul)
+    monkeypatch.setattr(TorusElement, "__pow__", no_pow)
+    basis = EBasis(seed)
+    mut = MutatedBasis(basis)
+    xs += [basis.x_prime(k) for k in range(seed.n)]
+    # Building x_dprime(k) already takes powers of x_prime(n - 1).
+    xs += [mut.x_dprime(k) for k in range(seed.n)]
+    labels = sample_labels(seed, random.Random(12), 60) + [(-4, -4, -4, 0, 0, 0)]
+    for _ in range(2):
+        for a in labels:
+            basis.element(a)
+            mut.element(a)
+    monkeypatch.undo()
+    # The labels reach power 4 of every x_prime(k), and of every x_dprime(k)
+    # but the last (the mutated element uses a plain generator there).
+    ladders = [(basis.x_prime_power, k) for k in range(seed.n)]
+    ladders += [(mut.x_dprime_power, k) for k in range(mut.k_mut)]
+    for power, k in ladders:
+        entries = [power(k, q) for q in range(5)]
+        x = entries[1]
+        for q in range(2, 5):
+            built = [p for p in products if p[0] is entries[q - 1] and p[1] is x]
+            assert len(built) == 1, (power.__name__, k, q)
+        # No other product of a ladder entry with x happened.
+        assert sum(1 for p in products if p[1] is x and any(p[0] is e for e in entries)) == 3
+
+
+def object_sweep(basis, x, rule):
+    """The sweep with one LaurentPoly per term update (``ce * p``, then
+    ``s + ...``), kept as an oracle for :meth:`EBasis.sweep`."""
+    key = basis.order.descending_key
+    terms = dict(x.terms)
+    heap = [(key(e), e) for e in terms]
+    heapify(heap)
+    multiples: dict = {}
+    result: dict = {}
+    while heap:
+        g = heappop(heap)[1]
+        p = rule(terms[g])
+        if p:
+            if len(multiples) == basis.expansion_cap:
+                raise ExpansionError(f"expansion exceeded {basis.expansion_cap} steps")
+            a = basis.leading_exponent_inverse(g)
+            multiples[a] = p
+            for e, ce in basis.element(a).terms.items():
+                s = terms.get(e)
+                if s is None:
+                    terms[e] = ce * p
+                    heappush(heap, (key(e), e))
+                else:
+                    terms[e] = s + ce * p
+        c = terms.pop(g)
+        if c:
+            result[g] = c
+    return multiples, TorusElement(basis.form, result)
+
+
+def sweep_inputs(basis, rng):
+    """Standard elements, their bars, products, and random combinations."""
+    labels = sample_labels(basis.seed, rng, 12)
+    out = []
+    for a in labels:
+        e = basis.element(a)
+        out += [e, e.bar(), e.bar() - e]
+    for a, b in zip(labels, labels[1:]):
+        out.append(basis.element(a) * basis.element(b))
+    for _ in range(6):
+        x = basis.form.zero()
+        for a in rng.sample(labels, 4):
+            c = LaurentPoly({rng.randint(-3, 3): rng.randint(-5, 5) for _ in range(2)})
+            x = x + basis.element(a).scalar_mul(c)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("seed", list(LADDER_SEEDS.values()), ids=list(LADDER_SEEDS))
+def test_sweep_matches_object_oracle(seed):
+    basis = EBasis(seed)
+    rng = random.Random(seed.m * 17 + seed.d[0])
+    for x in sweep_inputs(basis, rng):
+        for rule in (lambda c: -c, _bar_correction):
+            assert basis.sweep(x, rule) == object_sweep(basis, x, rule)
+        assert basis.expand(x) == {a: -p for a, p in object_sweep(basis, x, lambda c: -c)[0].items()}
+
+
+def test_sweep_cap_matches_object_oracle():
+    basis = EBasis(principal_seed(((0, -2), (1, 0)), (1, 2)))
+    x = basis.element((-3, -2, 1, 0)).bar() + basis.element((-2, -3, 0, 1))
+    raised = 0
+    for cap in range(12):
+        basis.expansion_cap = cap
+        for rule in (lambda c: -c, _bar_correction):
+            try:
+                expected = object_sweep(basis, x, rule)
+            except ExpansionError:
+                with pytest.raises(ExpansionError):
+                    basis.sweep(x, rule)
+                raised += 1
+            else:
+                assert basis.sweep(x, rule) == expected
+    assert 0 < raised < 24

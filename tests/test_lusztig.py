@@ -234,3 +234,54 @@ def test_row_cache_reads_element_payload(tmp_path):
     cache = RowCache(str(tmp_path), h)
     assert cache.load((-1, -1)) == table.p_row((-1, -1))
     assert cache.hits == 1
+
+
+# Corrupt row files: each reads as a miss, and the row is recomputed.
+CORRUPT_FILES = {
+    "list": lambda h: [],
+    "rows-list": lambda h: {"seed_hash": h, "rows": []},
+    "bad-key": lambda h: {"seed_hash": h, "rows": {"x,y": {"p": []}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPT_FILES))
+def test_row_cache_corrupt_file_is_a_miss(tmp_path, name):
+    seed = a11_seed()
+    h = seed_hash(seed)
+    (tmp_path / f"{h}.json").write_text(json.dumps(CORRUPT_FILES[name](h)))
+    cache = RowCache(str(tmp_path), h)
+    assert cache.load((-2, -2)) is None and cache.hits == 0
+    row = TriangularTable(EBasis(seed), cache=cache).p_row((-2, -2))
+    assert row == TriangularTable(EBasis(seed)).p_row((-2, -2))
+    # The rewritten file is well formed and serves the row.
+    again = RowCache(str(tmp_path), h)
+    assert again.load((-2, -2)) == row and again.hits == 1
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        None,
+        [],
+        {"p": 5},
+        {"p": [{"a": [1, 1]}]},
+        {"p": [{"coeff": "-v^4"}]},
+        {"p": [{"a": [1], "coeff": "-v^4"}]},
+        {"p": [{"a": ["x", 1], "coeff": "-v^4"}]},
+        {"p": [{"a": [1, 1], "coeff": "-v^x"}]},
+        {"p": [{"a": [1, 1], "coeff": 4}]},
+        {"p": [7]},
+    ],
+)
+def test_row_cache_malformed_record_is_a_miss(tmp_path, rec):
+    seed = a11_seed()
+    h = seed_hash(seed)
+    good = {"p": [{"a": [1, 1], "coeff": "-v^4"}]}
+    (tmp_path / f"{h}.json").write_text(
+        json.dumps({"seed_hash": h, "rows": {"-1,-1": rec, "-1,0": good}})
+    )
+    cache = RowCache(str(tmp_path), h)
+    assert cache.load((-1, -1)) is None and cache.hits == 0
+    assert (-1, -1) not in cache
+    # The other record of the file still loads.
+    assert cache.load((-1, 0)) == {(1, 1): -v(4)} and cache.hits == 1

@@ -15,6 +15,8 @@ from qca.torus import (
     plus_part,
     quasi_commutes,
     r_of,
+    vec_add,
+    vec_sub,
 )
 
 v = LaurentPoly.v_power
@@ -392,3 +394,14 @@ def test_monomial_inverse_and_negative_power():
     assert x ** (-2) * x**2 == FORM.one()
     with pytest.raises(ValueError):
         (mono((1, 0)) + 1) ** (-1)
+
+
+def test_vec_add_sub_lengths():
+    assert vec_add((1, -2, 3), (4, 5, -6)) == (5, 3, -3)
+    assert vec_sub((1, -2, 3), (4, 5, -6)) == (-3, -7, 9)
+    assert vec_add((), ()) == ()
+    for a, b in [((1, 2), (1, 2, 3)), ((1, 2, 3), (1,)), ((), (0,))]:
+        with pytest.raises(ValueError):
+            vec_add(a, b)
+        with pytest.raises(ValueError):
+            vec_sub(a, b)
