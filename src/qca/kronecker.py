@@ -44,6 +44,7 @@ class KroneckerAlgebra:
         self.horizon = horizon
         self.division_cap = division_cap
         self.form = self.basis.form
+        self._chebyshev: list = []  # [S_0, S_1, ...], built on demand
         self._vars = {
             1: self.form.monomial((1, 0)),
             2: self.form.monomial((0, 1)),
@@ -79,16 +80,19 @@ class KroneckerAlgebra:
 
     def chebyshev(self, r: int) -> TorusElement:
         """Normalized second-kind Chebyshev evaluation at the imaginary-root
-        element, via the three-term recurrence."""
+        element, via the three-term recurrence ``S_r = z S_{r-1} - S_{r-2}``
+        with ``z = x_delta()``.  The algebra keeps the ladder
+        ``[S_0, S_1, ...]``, so each ``S_r`` is built once, by one product."""
         if r < 0:
             if r == -1:
                 return self.form.zero()
             raise ValueError("only r >= -1 supported")
-        prev, cur = self.form.zero(), self.form.one()
-        z = self.x_delta()
-        for _ in range(r):
-            prev, cur = cur, z * cur - prev
-        return cur
+        ladder = self._chebyshev
+        if not ladder:
+            ladder += (self.form.one(), self.x_delta())
+        while len(ladder) <= r:
+            ladder.append(ladder[1] * ladder[-1] - ladder[-2])
+        return ladder[r]
 
     def cluster_monomial(self, m: int, a1: int, a2: int) -> TorusElement:
         """The bar-invariant monomial on the cluster ``(m, m+1)``."""

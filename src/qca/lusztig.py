@@ -94,8 +94,11 @@ class TriangularTable:
 
 
 def _bar_correction(c: LaurentPoly) -> LaurentPoly:
-    """The multiple in ``v Z[v]`` whose sum with ``c`` is bar-invariant."""
-    return (c.bar() - c).positive_part()
+    """The multiple in ``v Z[v]`` whose sum with ``c`` is bar-invariant:
+    ``[bar(c) - c]_+``, whose coefficient at ``v^e`` (``e >= 1``) is
+    ``c[-e] - c[e]``, read straight from the terms of ``c``."""
+    get = c._terms.get
+    return LaurentPoly({e: get(-e, 0) - get(e, 0) for e in map(abs, c._terms) if e})
 
 
 def cluster_monomial_check(table: TriangularTable, a) -> bool:
@@ -181,12 +184,6 @@ class RowCache:
             except ValueError:
                 continue
             self._records[a] = rec
-
-    def __contains__(self, a) -> bool:
-        """Whether a record for ``a`` is stored; parses no row and counts no
-        hit, so a malformed record still reads as stored until it is loaded."""
-        self._load_all()
-        return tuple(a) in self._records
 
     def load(self, a):
         """The stored row for ``a``, or None; a malformed record is dropped

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, sub
+from operator import add, mul, sub
 
 from .laurent import LaurentPoly, digit_width, parse_laurent
 
@@ -116,9 +116,13 @@ class DivisionError(ValueError):
 
 
 class SkewForm:
-    """A skew-symmetric m x m integer bilinear form; the torus context."""
+    """A skew-symmetric m x m integer bilinear form; the torus context.
 
-    __slots__ = ("m", "rows")
+    Every twist in the package goes through :meth:`lvec`, which memoizes
+    ``L . f`` per form object; ``L(e, f)`` is then one dot product.
+    """
+
+    __slots__ = ("m", "rows", "_lvec")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
@@ -131,15 +135,21 @@ class SkewForm:
                     raise ValueError(f"matrix is not skew-symmetric at ({i}, {j})")
         self.m = m
         self.rows = rows
+        self._lvec = {}  # exponent tuple -> L . f
+
+    def lvec(self, f):
+        """``L . f`` as a tuple, so that ``L(e, f) = e . lvec(f)``; ``f`` is a
+        tuple of length ``m``.  Memoized on this form, keyed by ``f``."""
+        lf = self._lvec.get(f)
+        if lf is None:
+            if len(f) != self.m:
+                raise ValueError(f"exponent length {len(f)} != m = {self.m}")
+            lf = self._lvec[f] = tuple(sum(map(mul, row, f)) for row in self.rows)
+        return lf
 
     def skew(self, e, f) -> int:
         """Evaluate the form on two lattice vectors."""
-        total = 0
-        for i, ei in enumerate(e):
-            if ei:
-                row = self.rows[i]
-                total += ei * sum(row[j] * fj for j, fj in enumerate(f) if fj)
-        return total
+        return sum(map(mul, e, self.lvec(f)))
 
     def chain_twist(self, vectors) -> int:
         """``sum_{i<j} L(u_i, u_j)``: the power of ``v`` in the ordered
@@ -265,17 +275,14 @@ class TorusElement:
             )
             if laurent_pairs >= _PACK_MIN_PAIRS * pairs:
                 return self._packed_mul(other)
-        rows = self.form.rows
+        lvec = self.form.lvec
         acc: dict = {}  # exponent -> {v-exponent: integer coefficient}
-        # Precompute L*f for each right-hand exponent; then L(e, f) is a dot.
         for f, cf in other.terms.items():
-            lf = tuple(
-                sum(row[j] * fj for j, fj in enumerate(f) if fj) for row in rows
-            )
+            lf = lvec(f)
             right = cf._terms.items()
             for e, ce in self.terms.items():
-                twist = sum(ei * lfi for ei, lfi in zip(e, lf) if ei)
-                g = vec_add(e, f)
+                twist = sum(map(mul, e, lf))
+                g = tuple(map(add, e, f))
                 out = acc.get(g)
                 if out is None:
                     out = acc[g] = {}
@@ -298,11 +305,11 @@ class TorusElement:
         moves to ``X^(e+u)`` and its coefficient is shifted by ``v^k`` and
         the twist ``side * L(e, u)``, and negated when ``unit = -v^k``."""
         ((k, sign),) = unit._terms.items()
-        lu = tuple(sum(r * uj for r, uj in zip(row, u) if uj) for row in self.form.rows)
+        lu = self.form.lvec(u)
         terms = {}
         for e, ce in self.terms.items():
-            ce = ce.shifted(k + side * sum(ei * li for ei, li in zip(e, lu) if ei))
-            terms[vec_add(e, u)] = ce if sign == 1 else -ce
+            ce = ce.shifted(k + side * sum(map(mul, e, lu)))
+            terms[tuple(map(add, e, u))] = ce if sign == 1 else -ce
         return TorusElement(self.form, terms)
 
     def _packed_mul(self, other):
@@ -314,18 +321,16 @@ class TorusElement:
         )
         width = digit_width(bound)
         k = 8 * width
-        rows = self.form.rows
+        lvec = self.form.lvec
         left = [(e, *c.packed(width)) for e, c in self.terms.items()]
         acc: dict = {}  # exponent -> [v-exponent of digit 0, packed sum]
         for f, cf in other.terms.items():
-            lf = tuple(
-                sum(row[j] * fj for j, fj in enumerate(f) if fj) for row in rows
-            )
+            lf = lvec(f)
             lo_f, n_f = cf.packed(width)
             for e, lo_e, n_e in left:
-                lo = lo_e + lo_f + sum(ei * lfi for ei, lfi in zip(e, lf) if ei)
+                lo = lo_e + lo_f + sum(map(mul, e, lf))
                 n = n_e * n_f
-                g = vec_add(e, f)
+                g = tuple(map(add, e, f))
                 a = acc.get(g)
                 if a is None:
                     acc[g] = [lo, n]
@@ -360,8 +365,8 @@ class TorusElement:
         (exp, coeff) = next(iter(c.items()))
         if abs(coeff) != 1:
             raise ValueError("coefficient is not a unit")
-        twist = self.form.skew(e, vec_neg(e))
-        return self.form.monomial(vec_neg(e), LaurentPoly.v_power(-exp - twist, coeff))
+        # X^e X^-e = v^L(e,-e) X^0 = X^0, since L(e, e) = 0 for a skew form.
+        return self.form.monomial(vec_neg(e), LaurentPoly.v_power(-exp, coeff))
 
     # -- involution --------------------------------------------------------------
 
@@ -563,12 +568,12 @@ def divide(
     if q.is_zero():
         raise ZeroDivisionError("division by zero torus element")
     p._check(q)
-    rows = p.form.rows
+    lvec = p.form.lvec
     sign = 1 if side == "right" else -1
 
     def twist_vector(h):
         # On this side, X^g times X^h is v^(g . twist_vector(h)) X^(g+h).
-        return tuple(sign * sum(r * hj for r, hj in zip(row, h)) for row in rows)
+        return tuple(sign * x for x in lvec(h))
 
     gq, cq = q.leading_term(order)
     lead = twist_vector(gq)
@@ -592,17 +597,17 @@ def divide(
         steps += 1
         if steps > cap:
             raise DivisionError("not divisible within cap")
-        g = vec_sub(gr, gq)
+        g = tuple(map(sub, gr, gq))
         cr = LaurentPoly.from_packed(lo, n, width)
         try:
-            t = cr.shifted(-vec_dot(g, lead)).divide_exact(cq)
+            t = cr.shifted(-sum(map(mul, g, lead))).divide_exact(cq)
         except ValueError as exc:
             raise DivisionError("not divisible within cap") from exc
         quot[g] = t
         if not rest:
             continue
         l1_t = t.l1()
-        targets = [vec_add(g, h) for h, _, _, _ in rest]
+        targets = [tuple(map(add, g, h)) for h, _, _, _ in rest]
         top = max(
             l1_t * l1_h + (rem[e][2] if e in rem else 0)
             for e, (_, _, _, l1_h) in zip(targets, rest)
@@ -620,7 +625,7 @@ def divide(
         k = 8 * width
         lo_t, n_t = t.packed(width)
         for e, (_, lh, _, l1_h), (lo_h, n_h) in zip(targets, rest, rest_packed):
-            lo = lo_t + lo_h + vec_dot(g, lh)
+            lo = lo_t + lo_h + sum(map(mul, g, lh))
             a = rem.get(e)
             if a is None:
                 rem[e] = [lo, -n_t * n_h, l1_t * l1_h]

@@ -64,6 +64,25 @@ def test_chebyshev_initial(alg):
         assert s.bar() == s
 
 
+def test_chebyshev_ladder_matches_the_recurrence():
+    # A fresh algebra, asked out of order, against the recurrence run from
+    # scratch for every r.
+    alg = KroneckerAlgebra()
+    z = alg.x_delta()
+
+    def from_scratch(r):
+        prev, cur = alg.form.zero(), alg.form.one()
+        for _ in range(r):
+            prev, cur = cur, z * cur - prev
+        return cur
+
+    for r in (7, 2, 12, 0, 5, 12, 1, 11, 3):
+        assert alg.chebyshev(r) == from_scratch(r)
+    assert alg.chebyshev(-1) == alg.form.zero()
+    with pytest.raises(ValueError):
+        alg.chebyshev(-2)
+
+
 def test_chebyshev_family_report(alg):
     rep = alg.verify_chebyshev_family(4)
     assert rep.ok, rep.summary()

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qca.crystal import rank2_principal_seed
 from qca.ebasis import EBasis, ExpansionError, MutatedBasis
@@ -13,6 +14,7 @@ from qca.laurent import LaurentPoly
 from qca.lusztig import (
     RowCache,
     TriangularTable,
+    _bar_correction,
     cluster_monomial_check,
     compare_bases,
     phi_rank2_principal,
@@ -44,6 +46,32 @@ def test_chebyshev_oracle(affine_table):
     alg = KroneckerAlgebra()
     for r in (1, 2, 3):
         assert affine_table.element((-r, -r)) == alg.chebyshev(r)
+
+
+@st.composite
+def correction_inputs(draw):
+    """Laurent polynomials of five shapes: arbitrary, zero, bar-invariant,
+    and supported on one side of ``v^0`` only."""
+    c = LaurentPoly(draw(st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=6)))
+    shape = draw(st.sampled_from(["any", "zero", "symmetric", "positive", "negative"]))
+    if shape == "zero":
+        return LaurentPoly.zero()
+    if shape == "symmetric":
+        return c + c.bar()
+    if shape == "positive":
+        return LaurentPoly({e: x for e, x in c.items() if e > 0})
+    if shape == "negative":
+        return LaurentPoly({e: x for e, x in c.items() if e < 0})
+    return c
+
+
+@settings(deadline=None, max_examples=200)
+@given(correction_inputs())
+def test_bar_correction_is_the_positive_part(c):
+    # Equality compares term maps, so it also rules out stored zeros.
+    p = _bar_correction(c)
+    assert p == (c.bar() - c).positive_part()
+    assert p.in_v_zv() and (c + p).bar() == c + p
 
 
 def test_verify_report(affine_table):
@@ -207,10 +235,9 @@ def test_row_cache(tmp_path):
     # Second table re-reads from disk.
     cache2 = RowCache(str(tmp_path), h)
     table2 = TriangularTable(EBasis(seed), cache=cache2)
-    assert (-2, -2) in cache2 and (-3, -3) not in cache2
-    assert cache2.hits == 0  # a membership probe neither parses nor counts
+    assert cache2.load((-3, -3)) is None and cache2.hits == 0
     assert table2.p_row((-2, -2)) == row
-    assert cache2.hits == 1
+    assert cache2.hits == 1  # the row was read from disk, not recomputed
     # A different seed hash invalidates silently.
     cache3 = RowCache(str(tmp_path), "0" * 16)
     assert cache3.load((-2, -2)) is None
@@ -282,6 +309,7 @@ def test_row_cache_malformed_record_is_a_miss(tmp_path, rec):
     )
     cache = RowCache(str(tmp_path), h)
     assert cache.load((-1, -1)) is None and cache.hits == 0
-    assert (-1, -1) not in cache
+    # The malformed record was dropped: it stays a miss.
+    assert cache.load((-1, -1)) is None and cache.hits == 0
     # The other record of the file still loads.
     assert cache.load((-1, 0)) == {(1, 1): -v(4)} and cache.hits == 1

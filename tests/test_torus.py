@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qca.laurent import LaurentPoly
 from qca.torus import (
@@ -28,6 +29,13 @@ ORDER = WeightOrder((-1, 1))
 
 def mono(e, c=1):
     return FORM.monomial(e, c)
+
+
+def oracle_skew(form, e, f):
+    """``sum_ij e_i L_ij f_j`` straight from the rows of the form, independent
+    of the memoized twist kernel."""
+    rows = form.rows
+    return sum(e[i] * rows[i][j] * f[j] for i in range(form.m) for j in range(form.m))
 
 
 def test_lattice_helpers():
@@ -78,7 +86,7 @@ def test_monomial_rule_matches_form():
         e = (rng.randint(-3, 3), rng.randint(-3, 3))
         f = (rng.randint(-3, 3), rng.randint(-3, 3))
         prod = mono(e) * mono(f)
-        twist = FORM.skew(e, f)
+        twist = oracle_skew(FORM, e, f)
         assert prod == FORM.monomial(
             tuple(x + y for x, y in zip(e, f)), v(twist)
         )
@@ -162,7 +170,7 @@ def naive_mul(x, y):
     for e, ce in x.terms.items():
         for f, cf in y.terms.items():
             g = tuple(a + b for a, b in zip(e, f))
-            out[g] = out.get(g, LaurentPoly.zero()) + (ce * cf).shifted(x.form.skew(e, f))
+            out[g] = out.get(g, LaurentPoly.zero()) + (ce * cf).shifted(oracle_skew(x.form, e, f))
     return x.form.element(out)
 
 
@@ -184,7 +192,7 @@ def rebuild_divide(p, q, side, order, cap=10**6):
             raise DivisionError("not divisible within cap")
         gr, cr = rem.leading_term(order)
         g = tuple(a - b for a, b in zip(gr, gq))
-        twist = form.skew(g, gq) if side == "right" else form.skew(gq, g)
+        twist = oracle_skew(form, g, gq) if side == "right" else oracle_skew(form, gq, g)
         try:
             t = cr.shifted(-twist).divide_exact(cq)
         except ValueError as exc:
@@ -290,6 +298,55 @@ def test_chain_twist_is_the_product_twist():
                 product = naive_mul(product, form.monomial(u))
             total = tuple(sum(col) for col in zip(*vectors)) if vectors else (0,) * form.m
             assert product == form.monomial(total, v(form.chain_twist(vectors)))
+
+
+@st.composite
+def twist_cases(draw):
+    """A skew form, a second form whose rows differ from it (for m >= 2),
+    exponent vectors and two scalars."""
+    m = draw(st.integers(1, 4))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(m) for j in range(i + 1, m)}
+    rows = [[upper.get((i, j), 0) - upper.get((j, i), 0) for j in range(m)] for i in range(m)]
+    other = [list(row) for row in rows]
+    if m >= 2:
+        k = draw(st.integers(-3, 3).filter(bool))
+        other[0][1] += k
+        other[1][0] -= k
+    vectors = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * m), min_size=3, max_size=6))
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    return SkewForm(rows), SkewForm(other), vectors, a, b
+
+
+@settings(deadline=None, max_examples=60)
+@given(twist_cases())
+def test_twist_kernel_matches_the_double_sum(case):
+    form, other, vectors, a, b = case
+    units = [tuple(int(i == j) for j in range(form.m)) for i in range(form.m)]
+    for _ in range(2):  # the second pass reads the memo
+        for x in vectors:
+            for y in vectors:
+                # The other form is asked first, so a shared memo would leak
+                # its entries into the first form's answers.
+                assert other.skew(x, y) == oracle_skew(other, x, y)
+                assert form.skew(x, y) == oracle_skew(form, x, y)
+                assert form.skew(x, y) == -form.skew(y, x)
+            assert form.lvec(x) == tuple(oracle_skew(form, u, x) for u in units)
+            assert other.lvec(x) == tuple(oracle_skew(other, u, x) for u in units)
+    e, f, g = vectors[:3]
+    ae_bf = tuple(a * x + b * y for x, y in zip(e, f))
+    assert form.skew(ae_bf, g) == a * form.skew(e, g) + b * form.skew(f, g)
+    assert form.skew(g, ae_bf) == a * form.skew(g, e) + b * form.skew(g, f)
+    chain = sum(
+        oracle_skew(form, vectors[i], vectors[j])
+        for i in range(len(vectors))
+        for j in range(i + 1, len(vectors))
+    )
+    assert form.chain_twist(vectors) == chain
+
+
+def test_lvec_rejects_a_wrong_length():
+    with pytest.raises(ValueError):
+        FORM.lvec((1, 2, 3))
 
 
 def test_packed_product_cancels_to_zero():
