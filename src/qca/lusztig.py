@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 from .ebasis import EBasis, MutatedBasis
 from .laurent import LaurentPoly, parse_laurent
@@ -151,16 +150,20 @@ def compare_bases(basis: EBasis, labels) -> Report:
 class RowCache:
     """On-disk store of computed rows, keyed by the seed content hash.
 
-    One JSON file per seed hash; a mismatched header invalidates the file.
-    Writes go through a temp file and rename so concurrent readers never see
-    a torn file.
+    One append-only log per seed hash.  Each row is one line, ``label key``
+    (e.g. ``-1,-1``), a tab, and the compact JSON ``{"p": [...]}``, written
+    with a single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
+    writers on one host never drop each other's rows.  Every record starts
+    with a newline, so a torn earlier line cannot swallow it.  The newest
+    record of a label that decodes wins; a line that is not a record (a torn
+    one, or a file in another format) reads as a miss.
     """
 
     def __init__(self, directory: str, seed_hash: str):
         self.directory = directory
         self.seed_hash = seed_hash
         self.path = os.path.join(directory, f"{seed_hash}.json")
-        self._records = None  # label -> {"p": [...]}
+        self._records = None  # label key (bytes) -> raw record bodies, oldest first
         self.hits = 0
 
     def _load_all(self):
@@ -168,61 +171,52 @@ class RowCache:
             return
         self._records = {}
         try:
-            with open(self.path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
+            with open(self.path, "rb") as fh:
+                data = fh.read()
+        except OSError:
             return
-        # A corrupt file or row key is a miss; the row is recomputed.
-        if not isinstance(data, dict) or data.get("seed_hash") != self.seed_hash:
-            return
-        rows = data.get("rows")
-        if not isinstance(rows, dict):
-            return
-        for key, rec in rows.items():
-            try:
-                a = tuple(int(x) for x in key.split(","))
-            except ValueError:
-                continue
-            self._records[a] = rec
+        for line in data.split(b"\n"):
+            key, tab, body = line.partition(b"\t")
+            if tab:
+                self._records.setdefault(key, []).append(body)
 
     def load(self, a):
-        """The stored row for ``a``, or None; a malformed record is dropped
-        and reads as a miss."""
+        """The stored row for ``a``, or None.  Records are decoded newest
+        first; a malformed one is dropped and the next older one is tried."""
         self._load_all()
         a = tuple(a)
-        if a not in self._records:
-            return None
-        try:
-            row = {}
-            for item in self._records[a]["p"]:
-                label = tuple(int(x) for x in item["a"])
-                if len(label) != len(a):
-                    raise ValueError(f"label {label} does not match {a}")
-                row[label] = parse_laurent(item["coeff"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            del self._records[a]
-            return None
-        self.hits += 1
-        return row
+        bodies = self._records.get(_label_key(a), [])
+        while bodies:
+            try:
+                row = {}
+                for item in json.loads(bodies[-1])["p"]:
+                    label = tuple(int(x) for x in item["a"])
+                    if len(label) != len(a):
+                        raise ValueError(f"label {label} does not match {a}")
+                    row[label] = parse_laurent(item["coeff"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                bodies.pop()
+                continue
+            self.hits += 1
+            return row
+        return None
 
     def store(self, a, row: dict):
-        self._load_all()
-        self._records[tuple(a)] = {
-            "p": [{"a": list(lbl), "coeff": str(c)} for lbl, c in sorted(row.items())],
-        }
+        """Append the row for ``a`` as one record line, in one write."""
+        key = _label_key(a)
+        body = json.dumps(
+            {"p": [{"a": list(lbl), "coeff": str(c)} for lbl, c in sorted(row.items())]},
+            separators=(",", ":"),
+        ).encode()
         os.makedirs(self.directory, exist_ok=True)
-        payload = {
-            "seed_hash": self.seed_hash,
-            "rows": {
-                ",".join(str(x) for x in label): rec
-                for label, rec in self._records.items()
-            },
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path)
+            os.write(fd, b"\n" + key + b"\t" + body + b"\n")
         finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.close(fd)
+        if self._records is not None:
+            self._records.setdefault(key, []).append(body)
+
+
+def _label_key(a) -> bytes:
+    return ",".join(map(str, a)).encode()

@@ -73,7 +73,13 @@ class QuantumSeed:
         return tuple(self.btilde[i][k] for i in range(self.m))
 
     def form(self) -> SkewForm:
-        return SkewForm(self.lam)
+        """The skew form of ``lam``, built once per seed object.  It is kept
+        in ``__dict__`` rather than as a field, so ``==``, ``hash`` and
+        ``replace`` ignore it."""
+        form = self.__dict__.get("_form")
+        if form is None:
+            form = self.__dict__["_form"] = SkewForm(self.lam)
+        return form
 
     def skew(self, e, f) -> int:
         return self.form().skew(e, f)
@@ -318,11 +324,14 @@ def principal_seed(exchange_rows, d) -> QuantumSeed:
     The compatible form is the block matrix ``[[0, -D], [D, -DB]]``; raises
     if ``DB`` is not skew-symmetric.
     """
-    B = tuple(tuple(int(x) for x in row) for row in exchange_rows)
+    try:
+        B = tuple(tuple(int(x) for x in row) for row in exchange_rows)
+        d = tuple(int(x) for x in d)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed exchange matrix or symmetrizers: {exc}") from exc
     n = len(B)
     if any(len(r) != n for r in B):
         raise ValueError("exchange matrix must be square")
-    d = tuple(int(x) for x in d)
     if len(d) != n or any(x <= 0 for x in d):
         raise ValueError("need n positive symmetrizers")
     for i in range(n):

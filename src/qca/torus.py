@@ -107,6 +107,20 @@ def _add_packed(acc, lo: int, n: int, k: int):
         acc[0] = lo
 
 
+def _unit_times(c: LaurentPoly, k: int, sign: int) -> LaurentPoly:
+    """``sign * v^k * c`` for a unit ``sign * v^k``: each coefficient is
+    built once, with the sign folded in."""
+    if sign == 1:
+        if k == 0:
+            return c
+        terms = {e + k: x for e, x in c._terms.items()}
+    else:
+        terms = {e + k: -x for e, x in c._terms.items()}
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = terms
+    return out
+
+
 class ContextMismatch(ValueError):
     """Raised when torus elements from different contexts are combined."""
 
@@ -247,9 +261,7 @@ class TorusElement:
             return TorusElement(self.form, {})
         if c.is_unit():  # +-v^k: an exponent shift
             ((k, sign),) = c._terms.items()
-            terms = {e: x.shifted(k) for e, x in self.terms.items()}
-            if sign == -1:
-                terms = {e: -x for e, x in terms.items()}
+            terms = {e: _unit_times(x, k, sign) for e, x in self.terms.items()}
             return TorusElement(self.form, terms)
         return TorusElement(self.form, {e: x * c for e, x in self.terms.items()})
 
@@ -308,8 +320,8 @@ class TorusElement:
         lu = self.form.lvec(u)
         terms = {}
         for e, ce in self.terms.items():
-            ce = ce.shifted(k + side * sum(map(mul, e, lu)))
-            terms[tuple(map(add, e, u))] = ce if sign == 1 else -ce
+            twist = side * sum(map(mul, e, lu))
+            terms[tuple(map(add, e, u))] = _unit_times(ce, k + twist, sign)
         return TorusElement(self.form, terms)
 
     def _packed_mul(self, other):

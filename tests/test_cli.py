@@ -72,6 +72,18 @@ def test_seed_principal_and_double(tmp_path, capsys):
     assert load_seed(dbl_path).m == 8
 
 
+@pytest.mark.parametrize("text", ["5", "[[0,null],[1,0]]", "[[0,-1],[1,Infinity]]"])
+def test_seed_principal_malformed_matrix(tmp_path, capsys, text):
+    bfile = tmp_path / "b.json"
+    bfile.write_text(text)
+    out_path = tmp_path / "p.json"
+    code = main(["seed", "principal", "--B", str(bfile), "--d", "1,1", "-o", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_basis_c_output(a11_file, tmp_path, capsys):
     elt_path = str(tmp_path / "c.json")
     exp_path = str(tmp_path / "c_exp.json")

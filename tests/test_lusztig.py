@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -241,13 +243,14 @@ def test_row_cache(tmp_path):
     # A different seed hash invalidates silently.
     cache3 = RowCache(str(tmp_path), "0" * 16)
     assert cache3.load((-2, -2)) is None
-    # A stored record holds the row only.
-    stored = json.loads(open(cache.path).read())
-    assert [set(rec) for rec in stored["rows"].values()] == [{"p"}]
+    # A stored line holds the label key and the row only.
+    lines = [line for line in (tmp_path / f"{h}.json").read_text().split("\n") if line]
+    assert [line.split("\t")[0] for line in lines] == ["-2,-2"]
+    assert [set(json.loads(line.split("\t")[1])) for line in lines] == [{"p"}]
 
 
 def test_row_cache_reads_element_payload(tmp_path):
-    # Files that also stored the element under "C" still load.
+    # A record that also holds the element under "C" still loads.
     seed = a11_seed()
     h = seed_hash(seed)
     table = TriangularTable(EBasis(seed))
@@ -255,9 +258,7 @@ def test_row_cache_reads_element_payload(tmp_path):
         "p": [{"a": [1, 1], "coeff": "-v^4"}],
         "C": table.element((-1, -1)).to_records(),
     }
-    (tmp_path / f"{h}.json").write_text(
-        json.dumps({"seed_hash": h, "rows": {"-1,-1": rec}})
-    )
+    (tmp_path / f"{h}.json").write_text(f"\n-1,-1\t{json.dumps(rec)}\n")
     cache = RowCache(str(tmp_path), h)
     assert cache.load((-1, -1)) == table.p_row((-1, -1))
     assert cache.hits == 1
@@ -305,7 +306,7 @@ def test_row_cache_malformed_record_is_a_miss(tmp_path, rec):
     h = seed_hash(seed)
     good = {"p": [{"a": [1, 1], "coeff": "-v^4"}]}
     (tmp_path / f"{h}.json").write_text(
-        json.dumps({"seed_hash": h, "rows": {"-1,-1": rec, "-1,0": good}})
+        f"\n-1,-1\t{json.dumps(rec)}\n\n-1,0\t{json.dumps(good)}\n"
     )
     cache = RowCache(str(tmp_path), h)
     assert cache.load((-1, -1)) is None and cache.hits == 0
@@ -313,3 +314,87 @@ def test_row_cache_malformed_record_is_a_miss(tmp_path, rec):
     assert cache.load((-1, -1)) is None and cache.hits == 0
     # The other record of the file still loads.
     assert cache.load((-1, 0)) == {(1, 1): -v(4)} and cache.hits == 1
+
+
+def _store_disjoint_labels(directory, h, first, barrier):
+    cache = RowCache(directory, h)
+    cache.load((first, 0))  # both writers read the log before either stores
+    barrier.wait(timeout=60)
+    for i in range(first, first + 40):
+        cache.store((i, 0), {(1, 1): v(i + 1)})
+
+
+def test_row_cache_concurrent_writers_keep_every_row(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    h = "a" * 16
+    writers = [
+        ctx.Process(target=_store_disjoint_labels, args=(str(tmp_path), h, first, barrier))
+        for first in (0, 40)
+    ]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=120)
+    assert [w.exitcode for w in writers] == [0, 0]
+    cache = RowCache(str(tmp_path), h)
+    kept = [i for i in range(80) if cache.load((i, 0)) == {(1, 1): v(i + 1)}]
+    assert len(kept) == 80 and cache.hits == 80
+
+
+def test_row_cache_later_row_wins(tmp_path):
+    cache = RowCache(str(tmp_path), "a" * 16)
+    cache.store((-1, -1), {(1, 1): v(2)})
+    cache.store((-1, -1), {(1, 1): -v(4)})
+    assert cache.load((-1, -1)) == {(1, 1): -v(4)}
+    assert RowCache(str(tmp_path), "a" * 16).load((-1, -1)) == {(1, 1): -v(4)}
+
+
+def test_row_cache_store_is_one_write_per_row(tmp_path, monkeypatch):
+    writes = []
+    real_write = os.write
+
+    def spy(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", spy)
+    cache = RowCache(str(tmp_path), "a" * 16)
+    rows = {(-1, -1): {(1, 1): -v(4)}, (-2, -2): {(0, 0): v(1), (2, 2): v(3)}, (1, 1): {}}
+    for a, row in rows.items():
+        cache.store(a, row)
+    monkeypatch.undo()
+    assert [w.split(b"\t")[0] for w in writes] == [b"\n-1,-1", b"\n-2,-2", b"\n1,1"]
+    assert all(w.endswith(b"\n") and w.count(b"\n") == 2 for w in writes)
+    assert b"".join(writes) == (tmp_path / f"{'a' * 16}.json").read_bytes()
+    fresh = RowCache(str(tmp_path), "a" * 16)
+    assert {a: fresh.load(a) for a in rows} == rows
+
+
+def test_row_cache_torn_line(tmp_path):
+    seed = a11_seed()
+    h = seed_hash(seed)
+    table = TriangularTable(EBasis(seed))
+    old, new = {(1, 1): v(2)}, table.p_row((-1, -1))
+    path = tmp_path / f"{h}.json"
+    cache = RowCache(str(tmp_path), h)
+    cache.store((-1, -1), old)
+    cache.store((-2, -2), table.p_row((-2, -2)))
+    cache.store((-1, -1), new)
+    # Cut the newest line of (-1,-1) mid-record: the older line serves it.
+    path.write_bytes(path.read_bytes()[:-8])
+    cache = RowCache(str(tmp_path), h)
+    assert cache.load((-1, -1)) == old
+    assert cache.load((-2, -2)) == table.p_row((-2, -2))
+    # Cut the only line of (-3,-3): it misses and is recomputed and appended,
+    # and the torn line swallows neither the new record nor the others.
+    cache.store((-3, -3), table.p_row((-3, -3)))
+    path.write_bytes(path.read_bytes()[:-8])
+    cache = RowCache(str(tmp_path), h)
+    assert cache.load((-3, -3)) is None and cache.hits == 0
+    row = TriangularTable(EBasis(seed), cache=cache).p_row((-3, -3))
+    assert row == table.p_row((-3, -3))
+    again = RowCache(str(tmp_path), h)
+    assert again.load((-3, -3)) == row
+    assert again.load((-2, -2)) == table.p_row((-2, -2))
+    assert again.load((-1, -1)) == old and again.hits == 3

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qca.kronecker import a11_seed
 from qca.laurent import parse_laurent
-from qca.seed import parse_seed, seed_to_dict
+from qca.seed import parse_seed, principal_seed, seed_to_dict
 from qca.torus import SkewForm, TorusElement
 
 json_values = st.recursive(
@@ -47,6 +47,19 @@ FORM = SkewForm(((0, -1), (1, 0)))
 def test_parse_seed_raises_only_value_error(data):
     try:
         parse_seed(data)
+    except ValueError:
+        pass
+
+
+@settings(deadline=None)
+@given(matrices | json_values, vectors | json_values)
+@example(5, [1, 1])
+@example([[0, None], [1, 0]], [1, 1])
+@example([[0, -1], [1, float("inf")]], [1, 1])
+@example([[0, -1], [1, 0]], [float("inf"), 1])
+def test_principal_seed_raises_only_value_error(rows, d):
+    try:
+        principal_seed(rows, d)
     except ValueError:
         pass
 

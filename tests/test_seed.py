@@ -2,9 +2,11 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from qca.ebasis import EBasis
 from qca.kronecker import a11_seed
 from qca.seed import (
     QuantumSeed,
@@ -221,6 +223,18 @@ def test_bullet_generators():
                 dform.skew(exps[n + i], exps[n + j]) == s.d[j] * s.btilde[j][i]
             )
     assert integer_rank(exps) == 2 * n
+
+
+def test_form_built_once_per_seed():
+    s = a11_seed()
+    assert s.form() is s.form()
+    assert EBasis(s).form is s.form()
+    # The form is not a field: equality, hashing, replace and the JSON dict
+    # see only the seed data.
+    t = a11_seed()
+    assert t == s and hash(t) == hash(s) and t.form() is not s.form()
+    assert replace(s).form() is not s.form() and replace(s) == s
+    assert set(seed_to_dict(s)) == {"m", "n", "B", "Lambda", "d", "order"}
 
 
 def test_seed_json_roundtrip(tmp_path):

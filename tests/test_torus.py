@@ -288,6 +288,25 @@ def test_unit_monomial_dispatch(monkeypatch):
     assert FORM.zero() * mono((1, 2), v(1, -1)) == FORM.zero()
 
 
+def test_scalar_mul_by_unit_matches_termwise_product():
+    rng = random.Random(15)
+    for form in (FORM, FORM3):
+        elements = [random_element(rng, form, *shape, rng.choice(MAGNITUDES)) for shape in SHAPES]
+        elements.append(form.zero())
+        for x in elements:
+            before = {e: dict(c._terms) for e, c in x.terms.items()}
+            for k in (-3, 0, 5):
+                for sign in (1, -1):
+                    unit = v(k, sign)
+                    # From scratch: each coefficient times the unit by the
+                    # Laurent product.
+                    want = form.element({e: c * unit for e, c in x.terms.items()})
+                    assert x.scalar_mul(unit) == x * unit == unit * x == want
+            assert x.scalar_mul(-1) == form.element({e: c * -1 for e, c in x.terms.items()})
+            # Shifting by v^0 may share coefficients; none of them changed.
+            assert {e: dict(c._terms) for e, c in x.terms.items()} == before
+
+
 def test_chain_twist_is_the_product_twist():
     rng = random.Random(14)
     for form in (FORM, FORM3):
