@@ -16,7 +16,6 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .crystal import Rank2Crystal, rank2_principal_seed
 from .ebasis import EBasis, ExpansionError, MutatedBasis
@@ -42,41 +41,23 @@ from . import verify as suites
 DEFAULT_RNG_SEED = 12345
 
 
-@dataclass
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    output_format: str = "text"
-    division_cap: int = 10**6
-    expansion_cap: int = 10**5
-    cache_dir: str | None = None
-    rng_seed: int = DEFAULT_RNG_SEED
-    jobs: int = 1
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cache = getattr(args, "cache", None)
-        if cache is None and not getattr(args, "no_cache", False):
-            cache = os.environ.get("QCA_CACHE_DIR", ".qca_cache")
-        if getattr(args, "no_cache", False):
-            cache = None
-        return cls(
-            output_format=getattr(args, "format", "text"),
-            division_cap=getattr(args, "division_cap", 10**6),
-            expansion_cap=getattr(args, "expansion_cap", 10**5),
-            cache_dir=cache,
-            rng_seed=getattr(args, "random_seed", DEFAULT_RNG_SEED),
-            jobs=getattr(args, "jobs", 1),
-        )
+def _cache_dir(args) -> str | None:
+    """The row-cache directory: ``--cache``, else ``QCA_CACHE_DIR``, else
+    ``.qca_cache``; None with ``--no-cache``."""
+    if args.no_cache:
+        return None
+    if args.cache is not None:
+        return args.cache
+    return os.environ.get("QCA_CACHE_DIR", ".qca_cache")
 
 
 def _parse_vector(text: str):
     return tuple(int(x) for x in text.split(","))
 
 
-def _emit_reports(config: RunConfig, command: str, reports) -> int:
+def _emit_reports(args, command: str, reports) -> int:
     status = 0 if all(r.ok for r in reports) else 1
-    if config.output_format == "machine":
+    if args.format == "machine":
         print(
             json.dumps(
                 {
@@ -124,13 +105,12 @@ def _expansion_string(basis: EBasis, head, coeffs: dict) -> str:
 
 
 def cmd_seed(args) -> int:
-    config = RunConfig.from_args(args)
     if args.seed_cmd == "check":
         # Parsed but not validated, so that check can report on invalid seeds.
         with open(args.seedfile, encoding="utf-8") as fh:
             seed = parse_seed(json.load(fh))
         report = validate(seed)
-        if config.output_format == "machine":
+        if args.format == "machine":
             print(json.dumps(report.to_dict()))
         else:
             print("; ".join(report.lines()[:3]))
@@ -171,16 +151,16 @@ def _derived_name(path: str, tag: str) -> str:
 
 
 def cmd_basis(args) -> int:
-    config = RunConfig.from_args(args)
     seed = load_seed(args.seedfile)
-    basis = EBasis(seed, expansion_cap=config.expansion_cap)
+    basis = EBasis(seed, expansion_cap=args.expansion_cap)
     a = _parse_vector(args.a)
     if len(a) != seed.m:
         print(f"label must have {seed.m} entries", file=sys.stderr)
         return 2
     cache = None
-    if args.kind == "c" and config.cache_dir:
-        cache = RowCache(config.cache_dir, seed_hash(seed))
+    cache_dir = _cache_dir(args)
+    if args.kind == "c" and cache_dir:
+        cache = RowCache(cache_dir, seed_hash(seed))
     table = TriangularTable(basis, cache=cache)
     if args.kind == "e":
         element = basis.element(a)
@@ -196,26 +176,19 @@ def cmd_basis(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(element.to_records(), fh)
             fh.write("\n")
+    expansion = [{"a": list(k), "coeff": str(c)} for k, c in sorted(coeffs.items())]
     if args.expansion_out:
         with open(args.expansion_out, "w", encoding="utf-8") as fh:
-            json.dump(
-                [
-                    {"a": list(k), "coeff": str(c)}
-                    for k, c in sorted(coeffs.items())
-                ],
-                fh,
-            )
+            json.dump(expansion, fh)
             fh.write("\n")
-    if config.output_format == "machine":
+    if args.format == "machine":
         print(
             json.dumps(
                 {
                     "kind": args.kind,
                     "a": list(a),
                     "element": element.to_records(),
-                    "expansion": [
-                        {"a": list(k), "coeff": str(c)} for k, c in sorted(coeffs.items())
-                    ],
+                    "expansion": expansion,
                     "cached": cached_before,
                 }
             )
@@ -233,18 +206,20 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig.from_args(args)
-    rng = random.Random(config.rng_seed)
     name = args.verify_cmd
     reports: list[Report] = []
     if name == "kronecker":
-        alg = KroneckerAlgebra(division_cap=config.division_cap)
+        # The cluster-monomial check reaches index 4, the family index rmax + 2.
+        alg = KroneckerAlgebra(
+            horizon=max(args.rmax + 2, 4), division_cap=args.division_cap
+        )
         reports.append(alg.verify_chebyshev_family(args.rmax))
         reports.append(alg.verify_cluster_monomial_labels())
         reports.append(alg.verify_e_times_x0(args.box))
     elif name == "rank2-principal":
         reports.append(_rank2_principal_report(args.b, args.c, args.box))
     elif name == "identities":
+        rng = random.Random(args.random_seed)
         reports.append(suites.check_qbinomial_products(args.rmax))
         rel = Report(name=f"exchange relations on {args.seeds} random principal seeds")
         prin = Report(name="principal product identities on the same seeds")
@@ -260,6 +235,7 @@ def cmd_verify(args) -> int:
             reports.append(cr.verify_identities(bound=args.bound))
             reports.append(cr.verify_nu_agreement(200, rng))
     elif name == "psi":
+        rng = random.Random(args.random_seed)
         seed = load_seed(args.seedfile)
         n2 = 2 * seed.n
         samples = [
@@ -275,12 +251,13 @@ def cmd_verify(args) -> int:
                 range(-args.window, args.window + 1), repeat=seed.n
             )
         ]
-        reports.append(_compare_bases_parallel(seed, labels, config.jobs))
+        reports.append(_compare_bases_parallel(seed, labels, args.jobs))
     elif name == "properties":
+        rng = random.Random(args.random_seed)
         reports.extend(_property_suite(rng, args.seeds, args.count))
     else:
         raise AssertionError(name)
-    return _emit_reports(config, f"verify {name}", reports)
+    return _emit_reports(args, f"verify {name}", reports)
 
 
 def _rank2_principal_report(b: int, c: int, box: int) -> Report:

@@ -11,9 +11,10 @@ compatible with the sign pattern of the exchange matrix, the map from labels
 to leading exponents is unimodularly triangular, which gives an exact greedy
 expansion algorithm for any element of the spanned algebra.
 
-:class:`MutatedBasis` builds the same objects for the seed mutated at the
-order-last exchange index and realizes them inside the original torus,
-which is what the basis-independence comparisons consume.
+:class:`MutatedBasis` takes the seed mutated at the order-last exchange
+index, whose own :class:`EBasis` supplies every label datum, and only
+realizes the mutated generators inside the original torus, which is what
+the basis-independence comparisons consume.
 """
 
 from __future__ import annotations
@@ -258,8 +259,11 @@ class MutatedBasis:
 
     Mutation happens at the order-last exchange index, which must be the
     last index of a seed in natural order (the only case the expansion
-    formulas cover).  The mutated seed gets the rotated order that keeps it
-    sign-compatible.
+    formulas cover).  The mutated seed, with the rotated order that keeps it
+    sign-compatible, has its own :class:`EBasis`, ``abstract``, which holds
+    every label datum: exchange vectors, columns, base exponents,
+    normalization and factor order.  This class only realizes the mutated
+    generators inside the original torus and multiplies them out.
     """
 
     def __init__(self, base: EBasis):
@@ -267,23 +271,15 @@ class MutatedBasis:
         if not seed.is_natural_order():
             raise ValueError("mutated-basis machinery needs the natural order")
         self.base = base
+        self.form = base.form
         self.k_mut = seed.n - 1
-        mutated = mutate(seed, self.k_mut)
         rotated = (self.k_mut,) + tuple(range(self.k_mut))
-        self.seed2 = replace(mutated, order=rotated)
-        self.form2 = self.seed2.form()
-        self.abstract = EBasis(self.seed2, expansion_cap=base.expansion_cap)
+        mutated = replace(mutate(seed, self.k_mut), order=rotated)
+        self.abstract = EBasis(mutated, expansion_cap=base.expansion_cap)
         self._x_dprime: dict = {}  # k -> [X''_k^0, X''_k^1, ...]
         self._elements: dict = {}
 
-    # -- mutated exchange data -------------------------------------------------
-
-    def b_prime_column(self, k: int):
-        return self.seed2.column(k)
-
-    def e_dprime(self, k: int):
-        """Leading exponent of the k-th exchange binomial after mutation."""
-        return exchange_vector(self.seed2, k)
+    # -- mutated generators, realized ------------------------------------------
 
     def x_dprime(self, k: int) -> TorusElement:
         """The k-th mutated exchange element, expanded in the original torus.
@@ -306,7 +302,7 @@ class MutatedBasis:
         seed = self.base.seed
         n1 = self.k_mut
         if k == n1:
-            out = self.base.form.monomial(basis_vector(seed.m, n1))
+            out = self.form.generator(n1)
         else:
             bnk = seed.btilde[n1][k]
             ek = basis_vector(seed.m, k)
@@ -315,13 +311,13 @@ class MutatedBasis:
             phi_vec = vec_add(
                 vec_add(vec_neg(ek), vec_scale(-bnk, en)),
                 vec_sub(
-                    vec_restrict(plus_part(vec_neg(self.b_prime_column(k))), frozen),
+                    vec_restrict(plus_part(vec_neg(self.abstract.seed.column(k))), frozen),
                     vec_restrict(plus_part(vec_neg(seed.column(k))), frozen),
                 ),
             )
             out = self.base.element(phi_vec)
             dn = seed.d[n1]
-            edpk = self.e_dprime(k)
+            edpk = self.abstract.e_prime(k)
             bn = seed.column(n1)
             for s in range(1, bnk + 1):
                 coeff = (
@@ -331,7 +327,7 @@ class MutatedBasis:
                 )
                 label = vec_sub(edpk, vec_scale(s, bn))
                 out = out - self.base.element(label).scalar_mul(coeff)
-        ladder = self._x_dprime[k] = [self.base.form.one(), out]
+        ladder = self._x_dprime[k] = [self.form.one(), out]
         return ladder
 
     def prime_monomial(self, g) -> TorusElement:
@@ -347,60 +343,44 @@ class MutatedBasis:
     def _prime_product(self, g, nu: int) -> TorusElement:
         """``v^nu`` times :meth:`prime_monomial`, the rescaling carried by the
         leading unit monomial."""
-        seed = self.base.seed
+        m = self.base.seed.m
         n1 = self.k_mut
         if g[n1] < 0:
             raise ValueError("mutated generator is not invertible in the torus")
-        sigma = self.form2.chain_twist(
-            vec_scale(g[i], basis_vector(seed.m, i)) for i in range(seed.m) if g[i]
+        sigma = self.abstract.form.chain_twist(
+            vec_scale(g[i], basis_vector(m, i)) for i in range(m) if g[i]
         )
-        out = self.base.form.monomial((0,) * seed.m, LaurentPoly.v_power(nu - sigma))
-        for i in range(seed.m):
+        out = self.form.monomial((0,) * m, LaurentPoly.v_power(nu - sigma))
+        for i in range(m):
             if not g[i]:
                 continue
             if i == n1:
                 out = out * self.base.x_prime_power(n1, g[i])
             else:
-                out = out * self.base.form.monomial(
-                    vec_scale(g[i], basis_vector(seed.m, i))
-                )
+                out = out * self.form.monomial(vec_scale(g[i], basis_vector(m, i)))
         return out
 
-    def normalization_exponent(self, a) -> int:
-        seed = self.base.seed
-        n, n1 = seed.n, self.k_mut
-        factors = [tuple(x if i >= n else max(x, 0) for i, x in enumerate(a))]
-        factors += [
-            vec_scale(-a[k], self.e_dprime(k)) for k in (n1, *range(n1)) if a[k] < 0
-        ]
-        return -self.form2.chain_twist(factors)
+    # -- elements ----------------------------------------------------------------
 
     def element(self, a) -> TorusElement:
-        """The mutated-seed standard basis element, inside the original torus."""
+        """The mutated-seed standard basis element, inside the original torus:
+        the ordered product of :meth:`EBasis.element` for ``abstract``, with
+        every mutated generator realized by :meth:`x_dprime`."""
         a = tuple(a)
         cached = self._elements.get(a)
-        if cached is not None:
-            return cached
-        seed = self.base.seed
-        n, n1 = seed.n, self.k_mut
-        base_vec = tuple(x if i >= n else max(x, 0) for i, x in enumerate(a))
-        out = self._prime_product(base_vec, self.normalization_exponent(a))
-        if a[n1] < 0:
-            out = out * self.base.form.monomial(
-                vec_scale(-a[n1], basis_vector(seed.m, n1))
+        if cached is None:
+            abstract = self.abstract
+            cached = self._prime_product(
+                abstract._base_exponent(a), abstract.normalization_exponent(a)
             )
-        for k in range(n1):
-            if a[k] < 0:
-                out = out * self.x_dprime_power(k, -a[k])
-        self._elements[a] = out
-        return out
+            for k in abstract.seed.order:
+                if a[k] < 0:
+                    cached = cached * self.x_dprime_power(k, -a[k])
+            self._elements[a] = cached
+        return cached
 
-    def realize(self, coeffs: dict) -> TorusElement:
-        """Map a mutated-basis expansion into the original torus."""
-        out = self.base.form.zero()
-        for a, c in coeffs.items():
-            out = out + self.element(a).scalar_mul(c)
-        return out
+    # The same loop as EBasis.assemble, over the realized elements.
+    assemble = EBasis.assemble
 
     def expansion_in_base(self, a) -> dict:
         """Coefficients of the realized mutated element in the original basis."""

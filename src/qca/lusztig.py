@@ -139,7 +139,7 @@ def compare_bases(basis: EBasis, labels) -> Report:
             rep.record(False, f"a={a}: {exc}")
             continue
         expected = table.element(phi_a)
-        realized = mut.realize(table2.expansion(a))
+        realized = mut.assemble(table2.expansion(a))
         rep.record(
             realized == expected,
             f"a={a}: mutated element differs from original at {phi_a}",

@@ -13,12 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from functools import cached_property
 
 from .torus import (
     SkewForm,
     basis_vector,
     plus_part,
+    row_reduce,
     vec_add,
     vec_neg,
     vec_restrict,
@@ -104,13 +105,19 @@ def _order_violations(seed: QuantumSeed):
 
 @dataclass
 class SeedReport:
+    seed: QuantumSeed
     skew_violations: list
     compat_violations: list
     order_violations: list
     acyclic: bool
-    compatible_orders: list
     sink_source_exchange: list
     sink_source_extended: list
+
+    @cached_property
+    def compatible_orders(self) -> list:
+        """Every compatible order of an acyclic seed.  There can be n! of
+        them, so they are listed only when a report is rendered."""
+        return compatible_orders(self.seed) if self.acyclic else []
 
     @property
     def valid(self) -> bool:
@@ -180,14 +187,12 @@ def validate(seed: QuantumSeed) -> SeedReport:
                 want = seed.d[j] if i == j else 0
                 if form.skew(bj, basis_vector(seed.m, i)) != want:
                     compat_bad.append((i, j))
-    acyc = is_acyclic(seed)
-    orders = compatible_orders(seed) if acyc else []
     return SeedReport(
+        seed=seed,
         skew_violations=skew_bad,
         compat_violations=compat_bad,
         order_violations=_order_violations(seed),
-        acyclic=acyc,
-        compatible_orders=orders,
+        acyclic=is_acyclic(seed),
         sink_source_exchange=[
             sink_or_source(seed, k, extended=False) for k in range(seed.n)
         ],
@@ -403,22 +408,8 @@ def bullet_generators(seed: QuantumSeed):
 
 def integer_rank(vectors) -> int:
     """Rank of a list of integer vectors (fraction-exact elimination)."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    vectors = list(vectors)
+    return len(row_reduce(vectors, len(vectors[0]) if vectors else 0)[1])
 
 
 def seed_weight_order(seed: QuantumSeed):

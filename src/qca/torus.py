@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 from operator import add, mul, sub
 
 from .laurent import LaurentPoly, digit_width, parse_laurent
@@ -31,6 +32,7 @@ __all__ = [
     "vec_dot",
     "vec_restrict",
     "basis_vector",
+    "row_reduce",
     "weight_order_for_columns",
     "divide",
     "quasi_commutes",
@@ -496,22 +498,14 @@ class WeightOrder:
         return f"WeightOrder({self.weights})"
 
 
-def weight_order_for_columns(columns, m: int, rng=None, attempts: int = 2000):
-    """An integer weight vector ``w`` with ``w . b > 0`` for every column ``b``.
-
-    Solves ``w . b = 1`` by fraction-exact elimination (free coordinates set
-    to zero) and clears denominators; falls back to randomized search.  The
-    columns of a compatible seed are linearly independent, so a solution
-    exists.
-    """
-    cols = [tuple(col) for col in columns]
-    if not cols:
-        return WeightOrder((0,) * m)
-    # Row-reduce the n x m system [cols | 1] over Q.
-    rows = [[Fraction(x) for x in col] + [Fraction(1)] for col in cols]
+def row_reduce(vectors, width: int):
+    """Reduced echelon form over Q of the integer rows ``vectors``, pivoting
+    in their first ``width`` columns only: the reduced Fraction rows and the
+    pivot column of each nonzero one."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
     pivots = []
-    rank = 0
-    for col in range(m):
+    for col in range(width):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if piv is None:
             continue
@@ -523,33 +517,25 @@ def weight_order_for_columns(columns, m: int, rng=None, attempts: int = 2000):
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
-    if rank == len(cols):
-        w = [Fraction(0)] * m
-        for r, col in enumerate(pivots):
-            w[col] = rows[r][m]
-        denom = 1
-        for x in w:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-        cand = tuple(int(x * denom) for x in w)
-        if all(vec_dot(cand, b) > 0 for b in cols):
-            return WeightOrder(cand)
-    # Randomized fallback (kept deterministic by callers passing a seeded rng).
-    if rng is None:
-        import random
-
-        rng = random.Random(0)
-    for _ in range(attempts):
-        cand = tuple(rng.randint(-6, 6) for _ in range(m))
-        if all(vec_dot(cand, b) > 0 for b in cols):
-            return WeightOrder(cand)
-    raise ValueError("could not find a positive weight vector for the columns")
+    return rows, pivots
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
+def weight_order_for_columns(columns, m: int):
+    """An integer weight vector ``w`` with ``w . b > 0`` for every column ``b``.
+
+    Solves ``w . b = 1`` by fraction-exact elimination (free coordinates set
+    to zero) and clears denominators.  The columns of a compatible seed are
+    linearly independent, so a solution exists; dependent columns raise
+    ValueError.
+    """
+    rows, pivots = row_reduce([(*col, 1) for col in columns], m)
+    if len(pivots) < len(rows):
+        raise ValueError("exchange columns are linearly dependent")
+    w = [0] * m
+    for row, col in zip(rows, pivots):
+        w[col] = row[m]
+    denom = lcm(*(x.denominator for x in w))
+    return WeightOrder(x * denom for x in w)
 
 
 def divide(

@@ -8,7 +8,7 @@ from qca import cli
 from qca.cli import main
 from qca.kronecker import a11_seed
 from qca.laurent import parse_laurent
-from qca.seed import load_seed, save_seed, seed_hash
+from qca.seed import load_seed, principal_seed, save_seed, seed_hash
 from qca.torus import TorusElement
 
 
@@ -185,6 +185,25 @@ def test_verify_kronecker(capsys):
     code, out = run(capsys, "verify", "kronecker", "--rmax", "2", "--box", "2")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_verify_kronecker_past_default_horizon(capsys):
+    # The Chebyshev family reaches variable rmax + 2 = 9.
+    code, out = run(capsys, "verify", "kronecker", "--rmax", "7", "--box", "1")
+    assert code == 0
+    assert out.count("PASS") == 3
+
+
+def test_seed_check_lists_orders_of_small_seed(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    save_seed(principal_seed(((0, 0, 0),) * 3, (1, 1, 1)), str(path))
+    code, out = run(capsys, "seed", "check", str(path))
+    assert code == 0
+    orders = "[1,2,3], [1,3,2], [2,1,3], [2,3,1], [3,1,2], [3,2,1]"
+    assert out.splitlines()[0] == f"valid; acyclic; compatible orders: {orders}"
+    code, out = run(capsys, "--format", "machine", "seed", "check", str(path))
+    assert code == 0
+    assert len(json.loads(out)["compatible_orders"]) == 6
 
 
 def test_verify_rank2_principal(capsys):

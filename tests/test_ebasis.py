@@ -246,7 +246,7 @@ def test_prime_monomial_cases(mutated21):
 
 def test_prime_monomial_multiplicative(mutated21):
     rng = random.Random(11)
-    lam2 = mutated21.seed2.form()
+    lam2 = mutated21.abstract.seed.form()
     for _ in range(40):
         g = tuple(rng.randint(-2, 2) for _ in range(4))
         h = tuple(rng.randint(-2, 2) for _ in range(4))
@@ -278,9 +278,9 @@ def test_x_dprime_rank2_closed_form():
             closed = closed - form.monomial((b * s - 1, 0, 1, c - s)).scalar_mul(coeff)
         assert got == closed
         # Mutated two-term shape, realized through normalized monomials.
-        e2 = mut.e_dprime(0)
+        e2 = mut.abstract.e_prime(0)
         two_term = mut.prime_monomial(e2) + mut.prime_monomial(
-            vec_sub(e2, mut.b_prime_column(0))
+            vec_sub(e2, mut.abstract.seed.column(0))
         )
         assert got == two_term
         # Exchange product with the original generator.
@@ -385,7 +385,7 @@ def scratch_element(basis, a):
 
 def scratch_prime_monomial(mut, g):
     seed = mut.base.seed
-    sigma = mut.form2.chain_twist(
+    sigma = mut.abstract.form.chain_twist(
         vec_scale(g[i], basis_vector(seed.m, i)) for i in range(seed.m) if g[i]
     )
     out = mut.base.form.one()
@@ -404,7 +404,7 @@ def scratch_mutated_element(mut, a):
     out = out * mut.base.form.monomial(vec_scale(max(-a[n1], 0), basis_vector(seed.m, n1)))
     for k in range(n1):
         out = out * mut.x_dprime(k) ** max(-a[k], 0)
-    return out.scalar_mul(v(mut.normalization_exponent(a)))
+    return out.scalar_mul(v(mut.abstract.normalization_exponent(a)))
 
 
 def sample_labels(seed, rng, count):
@@ -467,10 +467,10 @@ def test_ladder_entries_built_once(monkeypatch):
             basis.element(a)
             mut.element(a)
     monkeypatch.undo()
-    # The labels reach power 4 of every x_prime(k), and of every x_dprime(k)
-    # but the last (the mutated element uses a plain generator there).
+    # The labels reach power 4 of every x_prime(k) and every x_dprime(k); at
+    # the mutation index x_dprime is the plain generator, on a ladder too.
     ladders = [(basis.x_prime_power, k) for k in range(seed.n)]
-    ladders += [(mut.x_dprime_power, k) for k in range(mut.k_mut)]
+    ladders += [(mut.x_dprime_power, k) for k in range(seed.n)]
     for power, k in ladders:
         entries = [power(k, q) for q in range(5)]
         x = entries[1]

@@ -2,10 +2,12 @@
 
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
+from qca.crystal import rank2_principal_seed
 from qca.ebasis import EBasis
 from qca.kronecker import a11_seed
 from qca.seed import (
@@ -20,10 +22,11 @@ from qca.seed import (
     principal_seed,
     seed_from_dict,
     seed_to_dict,
+    seed_weight_order,
     sink_or_source,
     validate,
 )
-from qca.torus import quasi_commutes
+from qca.torus import quasi_commutes, vec_dot, weight_order_for_columns
 from qca.verify import random_principal_seed
 
 
@@ -246,3 +249,35 @@ def test_seed_json_roundtrip(tmp_path):
         bad = dict(data)
         bad["Lambda"] = [[0, 1], [1, 0]]
         seed_from_dict(bad)
+
+
+def test_ebasis_on_edgeless_seed_lists_no_orders():
+    # The zero 10 x 10 exchange matrix has 10! compatible orders; building a
+    # basis must not list them.
+    s = principal_seed(tuple((0,) * 10 for _ in range(10)), (1,) * 10)
+    t0 = time.perf_counter()
+    EBasis(s)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_weight_order_positive_on_random_principal_seeds():
+    rng = random.Random(21)
+    for _ in range(30):
+        s = random_principal_seed(rng, rng.randint(1, 4))
+        w = seed_weight_order(s).weights
+        assert all(vec_dot(w, s.column(k)) > 0 for k in range(s.n))
+
+
+def test_weight_order_rejects_dependent_columns():
+    with pytest.raises(ValueError):
+        weight_order_for_columns([(1, 0, 1), (2, 0, 2)], 3)
+    with pytest.raises(ValueError):
+        weight_order_for_columns([(1, -1, 0), (0, 1, 1), (1, 0, 1)], 3)
+    # Dependent but consistent: w = (1, 0) would do, yet it is refused.
+    with pytest.raises(ValueError):
+        weight_order_for_columns([(1, 0), (1, 0)], 2)
+
+
+def test_weight_order_pinned():
+    assert seed_weight_order(a11_seed()).weights == (-1, 1)
+    assert seed_weight_order(rank2_principal_seed(3, 2)).weights == (-2, 3, 0, 0)
