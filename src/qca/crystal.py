@@ -27,7 +27,15 @@ def rank2_principal_seed(b: int, c: int) -> QuantumSeed:
 
 
 class Rank2Crystal:
-    """Crystal-monomial machinery bound to one (b, c) principal seed."""
+    """Crystal-monomial machinery bound to one (b, c) principal seed.
+
+    Each non-frozen index ``(m'1, m2, m1, m'2, m''1)`` costs one ordered
+    product, cached as the monomial with frozen part ``(0, 0)``.  Every
+    other frozen part is a left unit-monomial shift of that entry; since the
+    frozen vectors pair to zero with every exchange column, the shift leaves
+    each coefficient unchanged and the two entries share their
+    :class:`LaurentPoly` objects.
+    """
 
     def __init__(self, b: int, c: int):
         self.b = b
@@ -122,13 +130,32 @@ class Rank2Crystal:
         return self.c * m1p * m1pp - sigma
 
     def monomial(self, mm) -> TorusElement:
-        """The normalized crystal monomial for an index in the set."""
+        """The normalized crystal monomial for an index in the set.
+
+        Only the base index ``(0, 0, m'1, m2, m1, m'2, m''1)`` is an ordered
+        product.  Any other frozen part ``f = (0, 0, m3, m4)`` is the unit
+        shift ``v^(-L(f, l)) X^f`` times the base, where ``l`` is the sum of
+        the five leading vectors that follow ``f`` in
+        :meth:`normalization_exponent`.
+        """
         mm = tuple(mm)
-        cached = self._monomials.get(mm)
-        if cached is None:
-            cached = self._ordered_product(mm, self.normalization_exponent(mm))
-            self._monomials[mm] = cached
-        return cached
+        out = self._monomials.get(mm)
+        if out is None:
+            if not self.in_index_set(mm):
+                raise ValueError(f"index {mm} outside the admissible set")
+            base = (0, 0, *mm[2:])
+            out = self._monomials.get(base)
+            if out is None:
+                out = self._ordered_product(base, self.normalization_exponent(base))
+                self._monomials[base] = out
+            if mm != base:
+                m3, m4, m1p, m2, m1, m2p, m1pp = mm
+                f = (0, 0, m3, m4)
+                lead = (m1 - m1p - m1pp, m2 - m2p, m1pp, m2p + self.c * m1pp)
+                shift = LaurentPoly.v_power(-self.form.skew(f, lead))
+                out = self.form.monomial(f, shift) * out
+                self._monomials[mm] = out
+        return out
 
     def nu_explicit(self, mm) -> int:
         """Closed form of the normalization exponent."""

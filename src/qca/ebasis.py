@@ -56,9 +56,11 @@ class EBasis:
     """Standard-monomial machinery bound to one validated, ordered seed."""
 
     def __init__(self, seed: QuantumSeed, expansion_cap: int = 10**5):
+        if expansion_cap < 0:
+            raise ValueError(f"expansion cap must be nonnegative, got {expansion_cap}")
         report = validate(seed)
         if not report.valid:
-            raise ValueError("seed fails validation: " + "; ".join(report.lines()))
+            raise ValueError("seed fails validation: " + "; ".join(report.violations()))
         if not report.order_compatible:
             raise ValueError(
                 "seed order is not sign-compatible with the exchange matrix; "

@@ -127,13 +127,20 @@ class SeedReport:
     def order_compatible(self) -> bool:
         return not self.order_violations
 
+    def violations(self):
+        """One line per skew-symmetry or compatibility violation."""
+        return [
+            f"skew-symmetry violated at ({i + 1}, {j + 1})"
+            for i, j in self.skew_violations
+        ] + [
+            f"compatibility violated at (i={i + 1}, j={j + 1})"
+            for i, j in self.compat_violations
+        ]
+
     def lines(self):
         out = []
         out.append("valid" if self.valid else "INVALID")
-        for i, j in self.skew_violations:
-            out.append(f"  skew-symmetry violated at ({i + 1}, {j + 1})")
-        for i, j in self.compat_violations:
-            out.append(f"  compatibility violated at (i={i + 1}, j={j + 1})")
+        out.extend("  " + line for line in self.violations())
         out.append("acyclic" if self.acyclic else "not acyclic")
         if self.acyclic:
             orders = ", ".join(
@@ -454,7 +461,7 @@ def seed_from_dict(data: dict) -> QuantumSeed:
     seed = parse_seed(data)
     report = validate(seed)
     if not report.valid:
-        raise ValueError("seed file fails validation: " + "; ".join(report.lines()))
+        raise ValueError("seed file fails validation: " + "; ".join(report.violations()))
     return seed
 
 

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior and file round-trips."""
 
 import json
+import time
 
 import pytest
 
 from qca import cli
 from qca.cli import main
+from qca.crystal import rank2_principal_seed
 from qca.kronecker import a11_seed
 from qca.laurent import parse_laurent
 from qca.seed import load_seed, principal_seed, save_seed, seed_hash
@@ -119,6 +121,39 @@ def test_basis_c_expansion_cap(a11_file, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_basis_c_negative_expansion_cap(tmp_path, capsys):
+    path = str(tmp_path / "p32.json")
+    save_seed(rank2_principal_seed(3, 2), path)
+    for cap in ("1", "-1"):
+        argv = ["basis", "c", path, "--a=-2,-2,0,0", "--no-cache", "--expansion-cap", cap]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, cap
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_basis_e_invalid_edgeless_seed(tmp_path, capsys):
+    # An edgeless exchange graph has n! compatible orders; the error names
+    # only the violations.
+    m, n = 16, 8
+    data = dict(
+        m=m,
+        n=n,
+        B=[[0] * n for _ in range(n)] + [[int(i == j) for j in range(n)] for i in range(n)],
+        Lambda=[[0] * m for _ in range(m)],
+        d=[1] * n,
+    )
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    code = main(["basis", "e", str(path), "--a=" + ",".join("0" * m), "--no-cache"])
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 1000
 
 
 def test_basis_e_single_monomial(a11_file, capsys):

@@ -67,14 +67,40 @@ def uncached_chain(cr, mm):
 @pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
 def test_monomial_matches_uncached_chain(b, c):
     cr = Rank2Crystal(b, c)
-    for m3, m4 in itertools.product((-1, 0, 1), repeat=2):
-        for rest in itertools.product(range(3), repeat=5):
-            mm = (m3, m4, *rest)
-            expected = uncached_chain(cr, mm)
-            assert cr.monomial(mm) == expected, mm
-            assert cr.raw_monomial(mm) == expected.scalar_mul(v(-cr.nu_explicit(mm))), mm
+    # Reverse order: every shifted index is asked for before its base.
+    indices = list(itertools.product(range(-2, 3), range(-2, 3), *[range(3)] * 5))
+    for mm in reversed(indices):
+        expected = uncached_chain(cr, mm)
+        assert cr.monomial(mm) == expected, mm
+        assert cr.raw_monomial(mm) == expected.scalar_mul(v(-cr.nu_explicit(mm))), mm
     with pytest.raises(ValueError):
         cr.raw_monomial((0, 0, 0, 0, -1, 0, 0))
+
+
+def test_monomial_rejects_index_outside_set():
+    cr = Rank2Crystal(1, 1)
+    with pytest.raises(ValueError):
+        cr.monomial((1, 0, 0, 0, -1, 0, 0))
+    with pytest.raises(ValueError):
+        cr.monomial((0, 0, 0, 0, -1, 0, 0))
+    assert cr._monomials == {}
+
+
+def test_one_ordered_product_per_nonfrozen_index(monkeypatch):
+    cr = Rank2Crystal(2, 1)
+    built = []
+    ordered_product = Rank2Crystal._ordered_product
+
+    def spy(self, mm, nu):
+        built.append(mm)
+        return ordered_product(self, mm, nu)
+
+    monkeypatch.setattr(Rank2Crystal, "_ordered_product", spy)
+    assert cr.verify_identities(bound=2, frozen_range=(0, 1)).ok
+    # Only frozen part (0, 0) is built; the other frozen parts are shifts.
+    assert len(built) == len(set(built)) == 403
+    assert all(mm[:2] == (0, 0) for mm in built)
+    assert {mm[2:] for mm in cr._monomials} == {mm[2:] for mm in built}
 
 
 def test_block_relations_all_pairs():

@@ -176,6 +176,15 @@ def test_expand_cap():
         basis.expand(x)
 
 
+def test_expansion_cap_nonnegative():
+    with pytest.raises(ValueError):
+        EBasis(a11_seed(), expansion_cap=-1)
+    # A zero cap admits no multiple at all.
+    basis = EBasis(a11_seed(), expansion_cap=0)
+    with pytest.raises(ExpansionError):
+        basis.expand(basis.element((1, 1)))
+
+
 def test_r_rows(affine):
     assert affine.r_row((2, 3)) == {}
     assert affine.r_row((0, 0)) == {}

@@ -19,6 +19,7 @@ from qca.seed import (
     integer_rank,
     is_acyclic,
     mutate,
+    parse_seed,
     principal_seed,
     seed_from_dict,
     seed_to_dict,
@@ -258,6 +259,30 @@ def test_ebasis_on_edgeless_seed_lists_no_orders():
     t0 = time.perf_counter()
     EBasis(s)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_invalid_edgeless_seed_error_names_violations_only():
+    # The 8 x 8 zero block has 8! compatible orders; the errors list only the
+    # 8 compatibility violations of the zero Lambda.
+    m, n = 16, 8
+    data = dict(
+        m=m,
+        n=n,
+        B=[[0] * n for _ in range(n)] + [[int(i == j) for j in range(n)] for i in range(n)],
+        Lambda=[[0] * m for _ in range(m)],
+        d=[1] * n,
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as seed_err:
+        seed_from_dict(data)
+    with pytest.raises(ValueError) as basis_err:
+        EBasis(parse_seed(data))
+    assert time.perf_counter() - t0 < 1.0
+    for exc in (seed_err, basis_err):
+        message = str(exc.value)
+        assert len(message) < 1000
+        assert message.count("compatibility violated") == n
+        assert "compatible orders" not in message
 
 
 def test_weight_order_positive_on_random_principal_seeds():
