@@ -119,6 +119,8 @@ def cmd_seed(args) -> int:
         return 0 if report.valid else 1
     if args.seed_cmd == "mutate":
         seed = load_seed(args.seedfile)
+        if not 1 <= args.k <= seed.n:
+            raise ValueError(f"mutation index {args.k} out of range [1, {seed.n}]")
         mutated = mutate(seed, args.k - 1)
         out = args.output or _derived_name(args.seedfile, f"mu{args.k}")
         save_seed(mutated, out)

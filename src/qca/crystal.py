@@ -30,7 +30,8 @@ class Rank2Crystal:
     """Crystal-monomial machinery bound to one (b, c) principal seed.
 
     Each non-frozen index ``(m'1, m2, m1, m'2, m''1)`` costs one ordered
-    product, cached as the monomial with frozen part ``(0, 0)``.  Every
+    product of a head and a tail read off the power ladders of ``basis`` and
+    ``mutated``, cached as the monomial with frozen part ``(0, 0)``.  Every
     other frozen part is a left unit-monomial shift of that entry; since the
     frozen vectors pair to zero with every exchange column, the shift leaves
     each coefficient unchanged and the two entries share their
@@ -59,8 +60,8 @@ class Rank2Crystal:
         self._monomials: dict = {}
         # X1p^m1p * X^(0,m2,0,0) * X^(m1,0,0,0) by (m1p, m2, m1), and
         # X2p^m2p * X1pp^m1pp by (m2p, m1pp).
-        self._heads = {(0, 0, 0): self.form.one()}
-        self._tails = {(0, 0): self.form.one()}
+        self._heads: dict = {}
+        self._tails: dict = {}
 
     # -- index set ----------------------------------------------------------
 
@@ -74,41 +75,22 @@ class Rank2Crystal:
         _, _, m1p, _, m1, _, m1pp = mm
         return m1p * m1 * m1pp == 0
 
-    def _head(self, m1p, m2, m1) -> TorusElement:
-        """``X1p^m1p * X^(0,m2,0,0) * X^(m1,0,0,0)``: a cached head times one
-        more factor."""
-        key = (m1p, m2, m1)
-        out = self._heads.get(key)
-        if out is None:
-            if m1:
-                out = self._head(m1p, m2, m1 - 1) * self.X1
-            elif m2:
-                out = self._head(m1p, m2 - 1, 0) * self.X2
-            else:
-                out = self._head(m1p - 1, 0, 0) * self.X1p
-            self._heads[key] = out
-        return out
-
-    def _tail(self, m2p, m1pp) -> TorusElement:
-        """``X2p^m2p * X1pp^m1pp``: a cached tail times one more factor."""
-        key = (m2p, m1pp)
-        out = self._tails.get(key)
-        if out is None:
-            if m1pp:
-                out = self._tail(m2p, m1pp - 1) * self.X1pp
-            else:
-                out = self._tail(m2p - 1, 0) * self.X2p
-            self._tails[key] = out
-        return out
-
     def _ordered_product(self, mm, nu: int) -> TorusElement:
-        """``v^nu X^(0,0,m3,m4)`` times the head and the tail of the 7-tuple:
-        one unit-monomial shift and one product."""
+        """``v^nu X^(0,0,m3,m4)`` times the stored head and tail of the
+        7-tuple, each built once from the bases' power ladders."""
         if not self.in_index_set(mm):
             raise ValueError(f"index {mm} outside the admissible set")
         m3, m4, m1p, m2, m1, m2p, m1pp = mm
+        head = self._heads.get((m1p, m2, m1))
+        if head is None:
+            head = self.basis.x_prime_power(0, m1p) * self.X2**m2 * self.X1**m1
+            self._heads[(m1p, m2, m1)] = head
+        tail = self._tails.get((m2p, m1pp))
+        if tail is None:
+            tail = self.basis.x_prime_power(1, m2p) * self.mutated.x_dprime_power(0, m1pp)
+            self._tails[(m2p, m1pp)] = tail
         front = self.form.monomial((0, 0, m3, m4), LaurentPoly.v_power(nu))
-        return front * self._head(m1p, m2, m1) * self._tail(m2p, m1pp)
+        return front * head * tail
 
     def raw_monomial(self, mm) -> TorusElement:
         """The ordered product of generator powers for the 7-tuple."""

@@ -22,19 +22,9 @@ from __future__ import annotations
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 
-from .laurent import LaurentPoly, gaussian_binomial
+from .laurent import LaurentPoly
 from .seed import QuantumSeed, exchange_vector, mutate, seed_weight_order, validate
-from .torus import (
-    TorusElement,
-    basis_vector,
-    plus_part,
-    r_of,
-    vec_add,
-    vec_neg,
-    vec_restrict,
-    vec_scale,
-    vec_sub,
-)
+from .torus import TorusElement, basis_vector, r_of, vec_add, vec_scale, vec_sub
 
 __all__ = ["EBasis", "MutatedBasis", "ExpansionError"]
 
@@ -265,7 +255,8 @@ class MutatedBasis:
     sign-compatible, has its own :class:`EBasis`, ``abstract``, which holds
     every label datum: exchange vectors, columns, base exponents,
     normalization and factor order.  This class only realizes the mutated
-    generators inside the original torus and multiplies them out.
+    generators inside the original torus and multiplies them out; the one
+    step that depends on the mutation is :meth:`prime_monomial`.
     """
 
     def __init__(self, base: EBasis):
@@ -284,11 +275,13 @@ class MutatedBasis:
     # -- mutated generators, realized ------------------------------------------
 
     def x_dprime(self, k: int) -> TorusElement:
-        """The k-th mutated exchange element, expanded in the original torus.
+        """The k-th mutated exchange element, realized in the original torus.
 
         For the mutation index itself this is just the original generator;
-        otherwise it is a standard-basis combination with Gaussian-binomial
-        coefficients in ``v^{2 d_last}``.
+        otherwise it is the mutated seed's own exchange binomial
+        ``X'^e + X'^(e - b_k)`` of ``abstract``, realized by
+        :meth:`prime_monomial`.  Its Gaussian-binomial expansion is checked
+        in :func:`qca.verify.check_principal_identities`.
         """
         return self._x_dprime_ladder(k)[1]
 
@@ -301,34 +294,13 @@ class MutatedBasis:
         ladder = self._x_dprime.get(k)
         if ladder is not None:
             return ladder
-        seed = self.base.seed
-        n1 = self.k_mut
-        if k == n1:
-            out = self.form.generator(n1)
+        if k == self.k_mut:
+            out = self.form.generator(k)
         else:
-            bnk = seed.btilde[n1][k]
-            ek = basis_vector(seed.m, k)
-            en = basis_vector(seed.m, n1)
-            frozen = lambda i: i >= seed.n
-            phi_vec = vec_add(
-                vec_add(vec_neg(ek), vec_scale(-bnk, en)),
-                vec_sub(
-                    vec_restrict(plus_part(vec_neg(self.abstract.seed.column(k))), frozen),
-                    vec_restrict(plus_part(vec_neg(seed.column(k))), frozen),
-                ),
+            e = self.abstract.e_prime(k)
+            out = self.prime_monomial(e) + self.prime_monomial(
+                vec_sub(e, self.abstract.seed.column(k))
             )
-            out = self.base.element(phi_vec)
-            dn = seed.d[n1]
-            edpk = self.abstract.e_prime(k)
-            bn = seed.column(n1)
-            for s in range(1, bnk + 1):
-                coeff = (
-                    gaussian_binomial(bnk, s)
-                    .substitute_power(2 * dn)
-                    .shifted(s * s * dn)
-                )
-                label = vec_sub(edpk, vec_scale(s, bn))
-                out = out - self.base.element(label).scalar_mul(coeff)
         ladder = self._x_dprime[k] = [self.form.one(), out]
         return ladder
 

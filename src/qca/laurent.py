@@ -13,9 +13,10 @@ decode back to exactly the same terms.
 
 The ring carries the involution ``v -> v^-1`` (:meth:`LaurentPoly.bar`),
 which is the scalar part of the bar-involution used everywhere else in this
-package, and the positive-part extraction ``[f]_+`` that drives the
-triangular-basis elimination: whenever ``f + bar(f) = 0``, ``p = [f]_+`` is
-the unique polynomial in ``v*Z[v]`` with ``p - bar(p) = f``.
+package, and the positive-part extraction ``[f]_+``, the test oracle of the
+triangular elimination (which reads ``c[-e] - c[e]`` directly): whenever
+``f + bar(f) = 0``, ``p = [f]_+`` is the unique polynomial in ``v*Z[v]``
+with ``p - bar(p) = f``.
 """
 
 from __future__ import annotations

@@ -594,13 +594,13 @@ def divide(
             continue
         steps += 1
         if steps > cap:
-            raise DivisionError("not divisible within cap")
+            raise DivisionError(f"division exceeded {cap} steps")
         g = tuple(map(sub, gr, gq))
         cr = LaurentPoly.from_packed(lo, n, width)
         try:
             t = cr.shifted(-sum(map(mul, g, lead))).divide_exact(cq)
         except ValueError as exc:
-            raise DivisionError("not divisible within cap") from exc
+            raise DivisionError("not divisible") from exc
         quot[g] = t
         if not rest:
             continue

@@ -155,6 +155,7 @@ def check_principal_identities(seed: QuantumSeed) -> Report:
                 vec_neg(below)
             ) * basis.x_prime_power(last, bnj)
             rep.record(xj * xjpp == rhs, f"mutated product identity at {j}")
+            # The Gaussian-binomial lemma; x_dprime is the mutated binomial.
             expansion = basis.x_prime(j) * basis.x_prime_power(last, bnj)
             for s in range(1, bnj + 1):
                 coeff = (

@@ -60,6 +60,14 @@ def test_seed_mutate(a11_file, tmp_path, capsys):
     assert mutated.btilde == ((0, 2), (-2, 0))
 
 
+@pytest.mark.parametrize("k", ["0", "3"])
+def test_seed_mutate_index_out_of_range(a11_file, capsys, k):
+    code = main(["seed", "mutate", a11_file, "-k", k])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: mutation index {k} out of range [1, 2]\n"
+
+
 def test_seed_principal_and_double(tmp_path, capsys):
     bfile = tmp_path / "b.json"
     bfile.write_text("[[0,-1],[1,0]]")
@@ -220,6 +228,13 @@ def test_verify_kronecker(capsys):
     code, out = run(capsys, "verify", "kronecker", "--rmax", "2", "--box", "2")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_verify_kronecker_division_cap_message(capsys):
+    # The operand divides; only the step cap is hit.
+    code = main(["verify", "kronecker", "--division-cap", "1", "--rmax", "1", "--box", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: division exceeded 1 steps\n"
 
 
 def test_verify_kronecker_past_default_horizon(capsys):

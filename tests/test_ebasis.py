@@ -10,8 +10,18 @@ from qca.ebasis import EBasis, ExpansionError, MutatedBasis
 from qca.kronecker import KroneckerAlgebra, a11_seed
 from qca.laurent import LaurentPoly, gaussian_binomial
 from qca.lusztig import _bar_correction
-from qca.seed import QuantumSeed, principal_seed
-from qca.torus import TorusElement, basis_vector, vec_add, vec_scale, vec_sub
+from qca.crystal import rank2_principal_seed
+from qca.seed import QuantumSeed, double_seed, principal_seed
+from qca.torus import (
+    TorusElement,
+    basis_vector,
+    plus_part,
+    vec_add,
+    vec_neg,
+    vec_restrict,
+    vec_scale,
+    vec_sub,
+)
 from qca.verify import random_principal_seed
 
 v = LaurentPoly.v_power
@@ -381,6 +391,50 @@ LADDER_SEEDS = {
 }
 
 
+# Seeds on which x_dprime is also checked against its Gaussian-binomial
+# expansion.  Besides a doubled and a wild rank-3 seed, the rank-2 seed (3, 2)
+# with frozen coordinates changed by ((1, 0), (-1, 1)) has a frozen entry -1
+# that the mutation lifts to 1, so the frozen correction in the expansion is
+# nonzero there.
+X_DPRIME_SEEDS = {
+    **LADDER_SEEDS,
+    "double-principal-3-2": double_seed(rank2_principal_seed(3, 2)),
+    "wild-rank3": principal_seed(((0, -2, -2), (2, 0, -2), (2, 2, 0)), (1, 1, 1)),
+    "frozen-twisted-3-2": QuantumSeed(
+        m=4,
+        n=2,
+        btilde=((0, -3), (2, 0), (1, 0), (-1, 1)),
+        lam=((0, 0, -2, 0), (0, 0, -3, -3), (2, 3, 0, 6), (0, 3, -6, 0)),
+        d=(2, 3),
+        order=(0, 1),
+    ),
+}
+
+
+def gaussian_x_dprime(mut, k):
+    """``x_dprime(k)`` for ``k != k_mut`` as a combination of original
+    standard elements with Gaussian-binomial coefficients in ``v^(2 d_last)``:
+    a closed form of the mutated exchange binomial, kept as an oracle."""
+    seed = mut.base.seed
+    n1 = mut.k_mut
+    bnk = seed.btilde[n1][k]
+    frozen = lambda i: i >= seed.n
+    phi = vec_add(
+        vec_add(vec_neg(basis_vector(seed.m, k)), vec_scale(-bnk, basis_vector(seed.m, n1))),
+        vec_sub(
+            vec_restrict(plus_part(vec_neg(mut.abstract.seed.column(k))), frozen),
+            vec_restrict(plus_part(vec_neg(seed.column(k))), frozen),
+        ),
+    )
+    out = mut.base.element(phi)
+    dn = seed.d[n1]
+    for s in range(1, bnk + 1):
+        coeff = gaussian_binomial(bnk, s).substitute_power(2 * dn).shifted(s * s * dn)
+        label = vec_sub(mut.abstract.e_prime(k), vec_scale(s, seed.column(n1)))
+        out = out - mut.base.element(label).scalar_mul(coeff)
+    return out
+
+
 def scratch_element(basis, a):
     """``E(a)`` as the ordered product built from scratch with ``**`` and a
     trailing ``v^nu``, plus the un-normalized product."""
@@ -424,10 +478,12 @@ def sample_labels(seed, rng, count):
     ]
 
 
-@pytest.mark.parametrize("seed", list(LADDER_SEEDS.values()), ids=list(LADDER_SEEDS))
+@pytest.mark.parametrize("seed", list(X_DPRIME_SEEDS.values()), ids=list(X_DPRIME_SEEDS))
 def test_power_ladders_match_pow(seed):
     basis = EBasis(seed)
     mut = MutatedBasis(basis)
+    for k in range(mut.k_mut):
+        assert mut.x_dprime(k) == gaussian_x_dprime(mut, k)
     # Out of order, so the ladders are extended by several entries at once.
     for q in (3, 0, 6, 1, 5, 2, 4):
         for k in range(seed.n):

@@ -159,6 +159,12 @@ def test_divide_failure_modes():
         divide(p, FORM.zero(), "left", ORDER)
     with pytest.raises(ValueError):
         divide(p, q, "middle", ORDER)
+    # Divisible, but the quotient needs two steps.
+    with pytest.raises(DivisionError, match=r"^division exceeded 1 steps$"):
+        divide((mono((1, 1)) + mono((2, 0))) * p, p, "right", ORDER, cap=1)
+    # A leading coefficient 1 over 2 is not in Z[v, v^-1].
+    with pytest.raises(DivisionError, match=r"^not divisible$"):
+        divide(p, p.scalar_mul(2), "right", ORDER)
 
 
 # -- oracles: the monomial rule and the rescan-and-rebuild division ------------
@@ -189,14 +195,14 @@ def rebuild_divide(p, q, side, order, cap=10**6):
     while not rem.is_zero():
         steps += 1
         if steps > cap:
-            raise DivisionError("not divisible within cap")
+            raise DivisionError(f"division exceeded {cap} steps")
         gr, cr = rem.leading_term(order)
         g = tuple(a - b for a, b in zip(gr, gq))
         twist = oracle_skew(form, g, gq) if side == "right" else oracle_skew(form, gq, g)
         try:
             t = cr.shifted(-twist).divide_exact(cq)
         except ValueError as exc:
-            raise DivisionError("not divisible within cap") from exc
+            raise DivisionError("not divisible") from exc
         quot[g] = t
         piece = form.monomial(g, t)
         rem = rem - (naive_mul(piece, q) if side == "right" else naive_mul(q, piece))
