@@ -154,11 +154,10 @@ def _derived_name(path: str, tag: str) -> str:
 
 def cmd_basis(args) -> int:
     seed = load_seed(args.seedfile)
-    basis = EBasis(seed, expansion_cap=args.expansion_cap)
     a = _parse_vector(args.a)
     if len(a) != seed.m:
-        print(f"label must have {seed.m} entries", file=sys.stderr)
-        return 2
+        raise ValueError(f"label must have {seed.m} entries")
+    basis = EBasis(seed, expansion_cap=args.expansion_cap)
     cache = None
     cache_dir = _cache_dir(args)
     if args.kind == "c" and cache_dir:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .ebasis import EBasis, MutatedBasis
 from .laurent import LaurentPoly, gaussian_binomial
-from .lusztig import TriangularTable
 from .report import Report
 from .seed import QuantumSeed, principal_seed
 from .torus import TorusElement, vec_scale
@@ -44,7 +43,6 @@ class Rank2Crystal:
         self.seed = rank2_principal_seed(b, c)
         self.basis = EBasis(self.seed)
         self.mutated = MutatedBasis(self.basis)
-        self.table = TriangularTable(self.basis)
         self.form = self.basis.form
         self.X1 = self.form.monomial((1, 0, 0, 0))
         self.X2 = self.form.monomial((0, 1, 0, 0))

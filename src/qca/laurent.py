@@ -230,11 +230,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return min(self._terms)
 
-    def max_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
-
     def l1(self) -> int:
         """Sum of the absolute values of the coefficients."""
         return sum(abs(c) for c in self._terms.values())

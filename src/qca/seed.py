@@ -17,13 +17,12 @@ from functools import cached_property
 
 from .torus import (
     SkewForm,
+    WeightOrder,
     basis_vector,
     plus_part,
-    row_reduce,
     vec_add,
     vec_neg,
     vec_restrict,
-    weight_order_for_columns,
 )
 
 __all__ = [
@@ -414,14 +413,23 @@ def bullet_generators(seed: QuantumSeed):
 
 
 def integer_rank(vectors) -> int:
-    """Rank of a list of integer vectors (fraction-exact elimination)."""
-    vectors = list(vectors)
-    return len(row_reduce(vectors, len(vectors[0]) if vectors else 0)[1])
+    """Rank of a list of integer vectors, by fraction-free forward elimination."""
+    rows = [list(v) for v in vectors if any(v)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next(i for i, x in enumerate(pivot) if x)
+        p = pivot[col]
+        rows = [r for r in ([p * x - r[col] * y for x, y in zip(r, pivot)] for r in rows) if any(r)]
+        rank += 1
+    return rank
 
 
 def seed_weight_order(seed: QuantumSeed):
-    """A term order whose weight is positive on every exchange column."""
-    return weight_order_for_columns([seed.column(k) for k in range(seed.n)], seed.m)
+    """The term order of weight ``w = L u``, ``u`` the indicator of the
+    exchange indices.  Compatibility gives ``w . b_k = L(b_k, u) = d_k > 0``
+    on every exchange column ``b_k``."""
+    return WeightOrder(seed.form().lvec((1,) * seed.n + (0,) * (seed.m - seed.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,7 @@ greedy leading-term elimination.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
 from operator import add, mul, sub
 
 from .laurent import LaurentPoly, digit_width, parse_laurent
@@ -32,8 +30,6 @@ __all__ = [
     "vec_dot",
     "vec_restrict",
     "basis_vector",
-    "row_reduce",
-    "weight_order_for_columns",
     "divide",
     "quasi_commutes",
 ]
@@ -404,9 +400,6 @@ class TorusElement:
     def coefficient(self, e) -> LaurentPoly:
         return self.terms.get(tuple(e), LaurentPoly.zero())
 
-    def support(self):
-        return set(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
             if isinstance(other, int):
@@ -491,51 +484,8 @@ class WeightOrder:
         """A key whose ascending order is this order reversed (for a min-heap)."""
         return (-vec_dot(self.weights, e), vec_neg(e))
 
-    def less(self, e, f) -> bool:
-        return self.key(e) < self.key(f)
-
     def __repr__(self):
         return f"WeightOrder({self.weights})"
-
-
-def row_reduce(vectors, width: int):
-    """Reduced echelon form over Q of the integer rows ``vectors``, pivoting
-    in their first ``width`` columns only: the reduced Fraction rows and the
-    pivot column of each nonzero one."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    pivots = []
-    for col in range(width):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots
-
-
-def weight_order_for_columns(columns, m: int):
-    """An integer weight vector ``w`` with ``w . b > 0`` for every column ``b``.
-
-    Solves ``w . b = 1`` by fraction-exact elimination (free coordinates set
-    to zero) and clears denominators.  The columns of a compatible seed are
-    linearly independent, so a solution exists; dependent columns raise
-    ValueError.
-    """
-    rows, pivots = row_reduce([(*col, 1) for col in columns], m)
-    if len(pivots) < len(rows):
-        raise ValueError("exchange columns are linearly dependent")
-    w = [0] * m
-    for row, col in zip(rows, pivots):
-        w[col] = row[m]
-    denom = lcm(*(x.denominator for x in w))
-    return WeightOrder(x * denom for x in w)
 
 
 def divide(

@@ -142,6 +142,20 @@ def test_basis_c_negative_expansion_cap(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["e", "c"])
+def test_basis_label_length(kind, tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "p32.json")
+    save_seed(rank2_principal_seed(3, 2), path)
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("basis built before the label was checked")
+
+    monkeypatch.setattr(cli, "EBasis", no_basis)
+    code = main(["basis", kind, path, "--a=1,2", "--no-cache"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: label must have 4 entries\n"
+
+
 def test_basis_e_invalid_edgeless_seed(tmp_path, capsys):
     # An edgeless exchange graph has n! compatible orders; the error names
     # only the violations.

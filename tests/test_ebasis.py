@@ -9,9 +9,9 @@ import pytest
 from qca.ebasis import EBasis, ExpansionError, MutatedBasis
 from qca.kronecker import KroneckerAlgebra, a11_seed
 from qca.laurent import LaurentPoly, gaussian_binomial
-from qca.lusztig import _bar_correction
+from qca.lusztig import _bar_correction, compare_bases
 from qca.crystal import rank2_principal_seed
-from qca.seed import QuantumSeed, double_seed, principal_seed
+from qca.seed import QuantumSeed, double_seed, principal_seed, seed_weight_order
 from qca.torus import (
     TorusElement,
     basis_vector,
@@ -20,9 +20,10 @@ from qca.torus import (
     vec_neg,
     vec_restrict,
     vec_scale,
+    vec_dot,
     vec_sub,
 )
-from qca.verify import random_principal_seed
+from qca.verify import check_bar_triangularity, random_principal_seed
 
 v = LaurentPoly.v_power
 
@@ -199,6 +200,16 @@ def test_r_rows(affine):
     assert affine.r_row((2, 3)) == {}
     assert affine.r_row((0, 0)) == {}
     assert affine.r_row((-1, -1)) == {(1, 1): v(-4) - v(4)}
+
+
+def test_bar_triangularity_failure_is_reported(monkeypatch):
+    # With every label at one grading, each nonzero row breaks triangularity:
+    # r_row still returns it, and the check records a failure.
+    basis = EBasis(a11_seed())
+    monkeypatch.setattr(basis, "grading", lambda a: 0)
+    assert basis.r_row((-1, -1)) == {(1, 1): v(-4) - v(4)}
+    rep = check_bar_triangularity(basis, random.Random(1), 20)
+    assert rep.checks == 20 and not rep.ok
 
 
 def test_r_row_closure_identity(affine):
@@ -409,6 +420,20 @@ X_DPRIME_SEEDS = {
         order=(0, 1),
     ),
 }
+
+
+@pytest.mark.parametrize("seed", list(X_DPRIME_SEEDS.values()), ids=list(X_DPRIME_SEEDS))
+def test_weight_order_pairs_to_symmetrizers(seed):
+    w = seed_weight_order(seed).weights
+    assert [vec_dot(w, seed.column(k)) for k in range(seed.n)] == list(seed.d)
+
+
+def test_compare_bases_frozen_twisted():
+    # The one seed here whose mutation changes the sign of a frozen entry.
+    basis = EBasis(X_DPRIME_SEEDS["frozen-twisted-3-2"])
+    ex, fr = range(-2, 3), range(-1, 2)
+    rep = compare_bases(basis, itertools.product(ex, ex, fr, fr))
+    assert rep.ok and rep.checks == 225, rep.summary()
 
 
 def gaussian_x_dprime(mut, k):

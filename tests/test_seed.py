@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qca.crystal import rank2_principal_seed
 from qca.ebasis import EBasis
@@ -27,7 +28,7 @@ from qca.seed import (
     sink_or_source,
     validate,
 )
-from qca.torus import quasi_commutes, vec_dot, weight_order_for_columns
+from qca.torus import quasi_commutes, vec_dot
 from qca.verify import random_principal_seed
 
 
@@ -285,24 +286,24 @@ def test_invalid_edgeless_seed_error_names_violations_only():
         assert "compatible orders" not in message
 
 
-def test_weight_order_positive_on_random_principal_seeds():
-    rng = random.Random(21)
-    for _ in range(30):
-        s = random_principal_seed(rng, rng.randint(1, 4))
-        w = seed_weight_order(s).weights
-        assert all(vec_dot(w, s.column(k)) > 0 for k in range(s.n))
-
-
-def test_weight_order_rejects_dependent_columns():
-    with pytest.raises(ValueError):
-        weight_order_for_columns([(1, 0, 1), (2, 0, 2)], 3)
-    with pytest.raises(ValueError):
-        weight_order_for_columns([(1, -1, 0), (0, 1, 1), (1, 0, 1)], 3)
-    # Dependent but consistent: w = (1, 0) would do, yet it is refused.
-    with pytest.raises(ValueError):
-        weight_order_for_columns([(1, 0), (1, 0)], 2)
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(), st.integers(1, 4))
+def test_weight_order_pairs_to_symmetrizers_on_random_principal_seeds(rng, n):
+    s = random_principal_seed(rng, n)
+    w = seed_weight_order(s).weights
+    assert [vec_dot(w, s.column(k)) for k in range(n)] == list(s.d)
 
 
 def test_weight_order_pinned():
     assert seed_weight_order(a11_seed()).weights == (-1, 1)
-    assert seed_weight_order(rank2_principal_seed(3, 2)).weights == (-2, 3, 0, 0)
+    assert seed_weight_order(rank2_principal_seed(3, 2)).weights == (0, 0, 2, 3)
+    wild = principal_seed(((0, -2, -2), (2, 0, -2), (2, 2, 0)), (1, 1, 1))
+    assert seed_weight_order(wild).weights == (0, 0, 0, 1, 1, 1)
+
+
+def test_integer_rank():
+    assert integer_rank([]) == 0
+    assert integer_rank([(0, 0, 0), (0, 0, 0)]) == 0
+    assert integer_rank([(1, 2, 0), (0, 3, -1), (2, 0, 5)]) == 3
+    assert integer_rank([(2, 4, -6), (0, 0, 0), (-1, -2, 3), (0, 1, 1), (2, 5, -5)]) == 2
+    assert integer_rank([(0, 0), (3, 0), (0, 0), (0, -2)]) == 2
