@@ -55,6 +55,15 @@ def _parse_vector(text: str):
     return tuple(int(x) for x in text.split(","))
 
 
+def _parse_pair(text: str):
+    """One ``b,c`` entry of ``--pairs``."""
+    try:
+        b, c = _parse_vector(text)
+    except ValueError:
+        raise ValueError(f"--pairs entry {text!r} is not two integers b,c") from None
+    return b, c
+
+
 def _emit_reports(args, command: str, reports) -> int:
     status = 0 if all(r.ok for r in reports) else 1
     if args.format == "machine":
@@ -220,6 +229,9 @@ def cmd_verify(args) -> int:
     elif name == "rank2-principal":
         reports.append(_rank2_principal_report(args.b, args.c, args.box))
     elif name == "identities":
+        if args.nmax < 1:
+            raise ValueError("--nmax must be at least 1")
+        pairs = [_parse_pair(pair) for pair in args.pairs.split(";")]
         rng = random.Random(args.random_seed)
         reports.append(suites.check_qbinomial_products(args.rmax))
         rel = Report(name=f"exchange relations on {args.seeds} random principal seeds")
@@ -230,8 +242,7 @@ def cmd_verify(args) -> int:
             if s.n >= 2:
                 prin.absorb(suites.check_principal_identities(s))
         reports.extend([rel, prin])
-        for pair in args.pairs.split(";"):
-            b, c = (int(x) for x in pair.split(","))
+        for b, c in pairs:
             cr = Rank2Crystal(b, c)
             reports.append(cr.verify_identities(bound=args.bound))
             reports.append(cr.verify_nu_agreement(200, rng))

@@ -107,28 +107,20 @@ class EBasis:
     def leading_exponent_inverse(self, t):
         """The unique label whose leading exponent is ``t``.
 
-        Solved row by row along the order: compatibility zeroes the positive
-        parts above the diagonal, so each exchange row determines one label
-        entry, and the frozen rows then follow directly.
+        ``leading_exponent(a) = a + sum_k [-a_k]_+ [b_k]_+``, so one sweep
+        along the order subtracts each column's positive part as soon as its
+        label entry is known: compatibility puts every positive entry of
+        column ``k`` in a later row or a frozen row, so ``a_k`` is final when
+        the sweep reaches it.
         """
         seed = self.seed
-        a = [0] * seed.m
-        q: dict = {}
+        a = list(t)
         for k in seed.order:
-            s = t[k]
-            for kp, qk in q.items():
-                bkkp = seed.btilde[k][kp]
-                if bkkp > 0:
-                    s -= qk * bkkp
-            a[k] = s
-            q[k] = max(-s, 0)
-        for i in range(seed.n, seed.m):
-            s = t[i]
-            for kp, qk in q.items():
-                bik = seed.btilde[i][kp]
-                if bik > 0:
-                    s -= qk * bik
-            a[i] = s
+            q = -a[k]
+            if q > 0:
+                for i, bik in enumerate(seed.column(k)):
+                    if bik > 0:
+                        a[i] -= q * bik
         return tuple(a)
 
     # -- normalization -----------------------------------------------------------

@@ -130,16 +130,15 @@ class KroneckerAlgebra:
             )
         return rep
 
-    def verify_cluster_monomial_labels(
-        self, m_range=(-1, 3), a_max: int = 2
-    ) -> Report:
-        """Cluster monomials appear in the triangular basis at the labels
-        built from the variable-label vectors."""
-        rep = Report(name=f"cluster monomial labels m in {m_range}, a <= {a_max}")
-        for m in range(m_range[0], m_range[1] + 1):
+    def verify_cluster_monomial_labels(self) -> Report:
+        """Cluster monomials with exponents up to 2 appear in the triangular
+        basis at the labels built from the variable-label vectors, for the
+        clusters ``m = -1..3``."""
+        rep = Report(name="cluster monomial labels m in (-1, 3), a <= 2")
+        for m in range(-1, 4):
             al, ar = self.alpha(m), self.alpha(m + 1)
-            for a1 in range(a_max + 1):
-                for a2 in range(a_max + 1):
+            for a1 in range(3):
+                for a2 in range(3):
                     label = (a1 * al[0] + a2 * ar[0], a1 * al[1] + a2 * ar[1])
                     got = self.table.element(label)
                     want = self.cluster_monomial(m, a1, a2)

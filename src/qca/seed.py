@@ -81,9 +81,6 @@ class QuantumSeed:
             form = self.__dict__["_form"] = SkewForm(self.lam)
         return form
 
-    def skew(self, e, f) -> int:
-        return self.form().skew(e, f)
-
     def exchange_matrix(self):
         """The top n x n block."""
         return tuple(tuple(row[:]) for row in (r[: self.n] for r in self.btilde[: self.n]))

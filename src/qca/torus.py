@@ -397,9 +397,6 @@ class TorusElement:
             raise ValueError("element is not a monomial")
         return next(iter(self.terms.items()))
 
-    def coefficient(self, e) -> LaurentPoly:
-        return self.terms.get(tuple(e), LaurentPoly.zero())
-
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
             if isinstance(other, int):

@@ -373,3 +373,14 @@ def test_verify_machine_format(capsys):
 def test_error_exit_code(tmp_path, capsys):
     code, _ = run(capsys, "seed", "check", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--pairs", "1,1,1"), ("--pairs", "1,1;2"), ("--pairs", "2,x"), ("--nmax", "0")]
+)
+def test_verify_identities_bad_flag_is_named(flag, value, capsys):
+    code = main(["verify", "identities", "--seeds", "1", flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag in err, err

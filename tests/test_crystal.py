@@ -96,11 +96,29 @@ def test_one_ordered_product_per_nonfrozen_index(monkeypatch):
         return ordered_product(self, mm, nu)
 
     monkeypatch.setattr(Rank2Crystal, "_ordered_product", spy)
-    assert cr.verify_identities(bound=2, frozen_range=(0, 1)).ok
+    rep = cr.verify_identities(bound=2, frozen_range=(0, 1))
+    # The identity_suite digest pins this check count.
+    assert rep.ok and rep.checks == 1515, rep.summary()
     # Only frozen part (0, 0) is built; the other frozen parts are shifts.
     assert len(built) == len(set(built)) == 403
     assert all(mm[:2] == (0, 0) for mm in built)
     assert {mm[2:] for mm in cr._monomials} == {mm[2:] for mm in built}
+
+
+def test_identity_failures_name_the_identity(monkeypatch):
+    # Dropping the last right-hand term breaks every applicable identity.
+    identity_terms = Rank2Crystal._identity_terms
+
+    def truncated(self, mm):
+        return [(name, terms[:-1]) for name, terms in identity_terms(self, mm)]
+
+    monkeypatch.setattr(Rank2Crystal, "_identity_terms", truncated)
+    rep = Rank2Crystal(1, 1).verify_identities(bound=1, frozen_range=(0, 0))
+    assert rep.checks == 3 + len(rep.failures)
+    assert rep.failures[0] == "fourth identity fails at (0, 0, 0, 0, 0, 0, 1)"
+    assert "first identity fails at (0, 0, 1, 0, 1, 0, 0)" in rep.failures
+    names = {f.split(" identity fails at ")[0] for f in rep.failures}
+    assert names == {"first", "second", "third", "fourth"}
 
 
 def test_block_relations_all_pairs():
@@ -117,7 +135,7 @@ def test_identity_example(cr11):
 @pytest.mark.parametrize("b,c", [(1, 1), (2, 1)])
 def test_identities_window(b, c):
     rep = Rank2Crystal(b, c).verify_identities(bound=2, frozen_range=(-1, 1))
-    assert rep.ok, rep.summary()
+    assert rep.ok and rep.checks == 3405, rep.summary()
 
 
 def test_nu_explicit_agreement():
@@ -178,6 +196,33 @@ def test_reduction_chain_preserves_pi(b, c):
         m3, m4, m1p, m2, m1, m2p, m1pp = cur
         assert m1p * m1 == 0 and m2 * m2p == 0 and m1pp == 0
         assert cr.monomial(cur) == cr.basis.element(target)
+
+
+def reduction_step_oracle(cr, mm):
+    """First term of the first applicable identity, written out by hand in
+    the priority third, fourth, second, first."""
+    c = cr.c
+    m3, m4, m1p, m2, m1, m2p, m1pp = mm
+    if m1 * m1pp > 0:
+        return (m3 + 1, m4 + c, m1p, m2, m1 - 1, m2p, m1pp - 1)
+    if m1 == 0 and m1pp > 0:
+        return (m3, m4, m1p + 1, m2, 0, m2p + c, m1pp - 1)
+    if m2 * m2p > 0:
+        return (m3, m4 + 1, m1p, m2 - 1, m1, m2p - 1, m1pp)
+    if m1p * m1 > 0:
+        return (m3, m4, m1p - 1, m2, m1 - 1, m2p, m1pp)
+    return None
+
+
+@pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (1, 2)])
+def test_reduction_step_matches_oracle(b, c):
+    cr = Rank2Crystal(b, c)
+    steps = [
+        (cr.reduction_step(mm), reduction_step_oracle(cr, mm))
+        for mm in itertools.product(range(-1, 2), range(-1, 2), *[range(3)] * 5)
+    ]
+    assert all(got == want for got, want in steps)
+    assert any(got is None for got, _ in steps)
 
 
 def test_standard_correspondence_suite(cr11):

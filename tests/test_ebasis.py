@@ -166,6 +166,23 @@ def test_lead_roundtrip_property():
             assert basis.leading_exponent_inverse(basis.leading_exponent(b)) == b
 
 
+def test_lead_roundtrip_on_mutated_seeds():
+    # The mutated seed of MutatedBasis sweeps in the rotated order
+    # (n-1, 0, ..., n-2), so a sweep in index order would solve the wrong rows.
+    rng = random.Random(11)
+    seeds = [rank2_principal_seed(3, 2), X_DPRIME_SEEDS["wild-rank3"]]
+    seeds += [random_principal_seed(rng, 3) for _ in range(5)]
+    for seed in seeds:
+        basis = MutatedBasis(EBasis(seed)).abstract
+        n = basis.seed.n
+        assert basis.seed.order == (n - 1, *range(n - 1))
+        for _ in range(100):
+            t = tuple(rng.randint(-4, 4) for _ in range(basis.seed.m))
+            assert basis.leading_exponent(basis.leading_exponent_inverse(t)) == t
+            b = tuple(rng.randint(-4, 4) for _ in range(basis.seed.m))
+            assert basis.leading_exponent_inverse(basis.leading_exponent(b)) == b
+
+
 def test_expand_basis_element_is_delta(affine):
     rng = random.Random(8)
     for _ in range(50):
