@@ -61,7 +61,26 @@ def _parse_pair(text: str):
         b, c = _parse_vector(text)
     except ValueError:
         raise ValueError(f"--pairs entry {text!r} is not two integers b,c") from None
+    if min(b, c) < 1:
+        raise ValueError(f"--pairs entry {text!r} needs b and c at least 1")
     return b, c
+
+
+# The least value of each size flag of the verify suites: a radius may be 0,
+# while a smaller count or rank-2 parameter would leave a suite vacuous.
+_FLAG_MINIMUM = {
+    **dict.fromkeys(("rmax", "box", "window", "bound", "division_cap"), 0),
+    **dict.fromkeys(("seeds", "samples", "count", "nmax", "jobs", "b", "c"), 1),
+}
+
+
+def _check_flag_minimums(args) -> None:
+    """Reject a size flag below its least value, naming the flag."""
+    for dest, least in _FLAG_MINIMUM.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
 def _emit_reports(args, command: str, reports) -> int:
@@ -217,6 +236,7 @@ def cmd_basis(args) -> int:
 
 def cmd_verify(args) -> int:
     name = args.verify_cmd
+    _check_flag_minimums(args)
     reports: list[Report] = []
     if name == "kronecker":
         # The cluster-monomial check reaches index 4, the family index rmax + 2.
@@ -229,8 +249,6 @@ def cmd_verify(args) -> int:
     elif name == "rank2-principal":
         reports.append(_rank2_principal_report(args.b, args.c, args.box))
     elif name == "identities":
-        if args.nmax < 1:
-            raise ValueError("--nmax must be at least 1")
         pairs = [_parse_pair(pair) for pair in args.pairs.split(";")]
         rng = random.Random(args.random_seed)
         reports.append(suites.check_qbinomial_products(args.rmax))

@@ -37,7 +37,6 @@ __all__ = [
     "principal_seed",
     "double_seed",
     "bullet_exponents",
-    "bullet_generators",
     "seed_to_dict",
     "parse_seed",
     "seed_from_dict",
@@ -401,12 +400,6 @@ def bullet_exponents(seed: QuantumSeed):
         bot = vec_neg(vec_restrict(bj, lambda i: i < n))
         out.append(top + bot)
     return out
-
-
-def bullet_generators(seed: QuantumSeed):
-    """The 2n generators as elements of the doubled torus."""
-    form = double_seed(seed).form()
-    return [form.monomial(e) for e in bullet_exponents(seed)]
 
 
 def integer_rank(vectors) -> int:

@@ -4,6 +4,11 @@ Everything here is exact: a suite either reproduces a stated identity as an
 equality of torus elements or reports the first counterexample.  Random
 sampling is driven by a caller-supplied ``random.Random`` so runs are
 reproducible.
+
+The embedding suite maps a seed's principal seed into its doubled seed by
+the bullet exponents and reads the matching labels ``psi`` and ``psi'`` off
+leading exponents; one lattice map carries both the labels and the
+elements.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .seed import (
     bullet_exponents,
     double_seed,
     integer_rank,
-    mutate,
     principal_seed,
 )
 from .torus import (
@@ -177,83 +181,62 @@ def check_principal_identities(seed: QuantumSeed) -> Report:
 # The doubled-seed embeddings.
 
 
-def _psi_generator_images(seed: QuantumSeed, primed: bool):
-    """Images of the +-basis vectors of the 2n-lattice in the 2m-lattice."""
-    m, n = seed.m, seed.n
-    frozen = lambda i: i >= n
-    cluster = lambda i: i < n
-    last = n - 1
-    images_pos = {}
-    images_neg = {}
-    images_frozen = {}
-    for k in range(n):
-        bk = seed.column(k)
-        ek = basis_vector(m, k)
-        images_frozen[k] = vec_restrict(bk, frozen) + vec_neg(vec_restrict(bk, cluster))
-        if not primed:
-            images_pos[k] = ek + ek
-            images_neg[k] = vec_sub(
-                vec_neg(ek), vec_restrict(plus_part(vec_neg(bk)), frozen)
-            ) + vec_add(vec_neg(ek), vec_restrict(plus_part(vec_neg(bk)), cluster))
-            continue
-        if k < last:
-            images_pos[k] = ek + ek
-        else:
-            bn = seed.column(last)
-            images_pos[k] = vec_sub(
-                ek, vec_restrict(plus_part(vec_neg(bn)), frozen)
-            ) + vec_sub(vec_neg(ek), vec_restrict(bn, cluster))
-            images_neg[k] = vec_neg(ek) + ek
-    if primed:
-        mutated = mutate(seed, last)
-        bn = seed.column(last)
-        for k in range(last):
-            bk = seed.column(k)
-            bpk = mutated.column(k)
-            bnk = seed.btilde[last][k]
-            ek = basis_vector(m, k)
-            first = vec_sub(
-                vec_sub(vec_neg(ek), vec_restrict(plus_part(vec_neg(bpk)), frozen)),
-                vec_scale(bnk, vec_restrict(plus_part(vec_neg(bn)), frozen)),
-            )
-            second = vec_sub(
-                vec_add(vec_neg(ek), vec_restrict(plus_part(vec_neg(bk)), cluster)),
-                vec_add(
-                    vec_scale(bnk, vec_restrict(bn, cluster)),
-                    vec_scale(bnk, basis_vector(m, last)),
-                ),
-            )
-            images_neg[k] = first + second
-    return images_pos, images_neg, images_frozen
-
-
-def _orthant_linear(seed: QuantumSeed, a, primed: bool):
-    n = seed.n
-    pos, neg, frz = _psi_generator_images(seed, primed)
-    out = (0,) * (2 * seed.m)
-    for k in range(n):
-        if a[k] > 0:
-            out = vec_add(out, vec_scale(a[k], pos[k]))
-        elif a[k] < 0:
-            out = vec_add(out, vec_scale(-a[k], neg[k]))
-    for k in range(n):
-        coeff = a[n + k]
-        if coeff:
-            out = vec_add(out, vec_scale(coeff, frz[k]))
+def _lattice_map(g, images):
+    """``sum_i g_i images[i]``: the lattice map sending ``e_i`` to ``images[i]``."""
+    out = (0,) * len(images[0])
+    for gi, img in zip(g, images):
+        if gi:
+            out = vec_add(out, vec_scale(gi, img))
     return out
+
+
+def _embedding_bases(seed: QuantumSeed):
+    """The bullet exponents and the mutated bases of the principal and the
+    doubled seed, each holding its unmutated basis as ``base``."""
+    pbasis = EBasis(principal_seed(seed.exchange_matrix(), seed.d))
+    dbasis = EBasis(double_seed(seed))
+    return bullet_exponents(seed), MutatedBasis(pbasis), MutatedBasis(dbasis)
+
+
+def _label_maps(exps, pmut: MutatedBasis, dmut: MutatedBasis):
+    """The label maps ``psi`` and ``psi'`` as leading-exponent transport.
+
+    A standard monomial is determined by its leading exponent, so ``psi(a)``
+    is the doubled label led by the bullet image ``phi`` of the principal
+    leading exponent of ``a``.  ``psi'`` transports between the two mutated
+    seeds through ``phi'``, which differs from ``phi`` only at the mutation
+    index ``k``.  Since ``phi`` sends the principal exchange column ``b_k`` to
+    the doubled one, the embedded ``X'_k`` is the doubled seed's ``X'_k``
+    times one monomial, of exponent ``phi`` of the principal ``e'_k`` minus
+    the doubled ``e'_k``.
+    """
+    k = pmut.k_mut
+    pbasis, dbasis = pmut.base, dmut.base
+    primed = list(exps)
+    primed[k] = vec_add(
+        basis_vector(dbasis.seed.m, k),
+        vec_sub(_lattice_map(pbasis.e_prime(k), exps), dbasis.e_prime(k)),
+    )
+
+    def transport(src: EBasis, dst: EBasis, images):
+        return lambda a: dst.leading_exponent_inverse(
+            _lattice_map(src.leading_exponent(a), images)
+        )
+
+    return transport(pbasis, dbasis, exps), transport(pmut.abstract, dmut.abstract, primed)
 
 
 def psi_label(seed: QuantumSeed, a):
     """Label of the doubled-seed element matching a principal-seed element."""
-    return _orthant_linear(seed, a, primed=False)
+    return _label_maps(*_embedding_bases(seed))[0](a)
 
 
 def psi_prime_label(seed: QuantumSeed, a):
     """Mutated-side counterpart of :func:`psi_label`."""
-    return _orthant_linear(seed, a, primed=True)
+    return _label_maps(*_embedding_bases(seed))[1](a)
 
 
-def check_bullet_embedding(seed: QuantumSeed, samples, rng=None) -> Report:
+def check_bullet_embedding(seed: QuantumSeed, samples) -> Report:
     """Exact embedding of the principal-seed bases into the doubled seed.
 
     Checks the Gram identity of the embedded generators, linear independence
@@ -262,51 +245,40 @@ def check_bullet_embedding(seed: QuantumSeed, samples, rng=None) -> Report:
     """
     rep = Report(name="principal-in-double embedding")
     n = seed.n
-    exps = bullet_exponents(seed)
-    dbl = double_seed(seed)
-    dform = dbl.form()
-    pseed = principal_seed(seed.exchange_matrix(), seed.d)
-    pform = pseed.form()
+    exps, pmut, dmut = _embedding_bases(seed)
+    pbasis, dbasis = pmut.base, dmut.base
     rep.record(
         integer_rank(exps) == 2 * n, "bullet exponents are linearly dependent"
     )
     for i in range(2 * n):
         for j in range(2 * n):
             rep.record(
-                dform.skew(exps[i], exps[j]) == pform.skew(
+                dbasis.form.skew(exps[i], exps[j]) == pbasis.form.skew(
                     basis_vector(2 * n, i), basis_vector(2 * n, j)
                 ),
                 f"gram mismatch at ({i}, {j})",
             )
-    pbasis = EBasis(pseed)
-    pmut = MutatedBasis(pbasis)
-    dbasis = EBasis(dbl)
-    dmut = MutatedBasis(dbasis)
+    psi, psi_prime = _label_maps(exps, pmut, dmut)
 
     def embed(elt):
-        terms = {}
-        for g, cf in elt.terms.items():
-            target = (0,) * (2 * seed.m)
-            for i, gi in enumerate(g):
-                if gi:
-                    target = vec_add(target, vec_scale(gi, exps[i]))
-            terms[target] = cf
-        return dform.element(terms)
+        return dbasis.form.element(
+            {_lattice_map(g, exps): cf for g, cf in elt.terms.items()}
+        )
 
     for a in samples:
         a = tuple(a)
-        lbl = psi_label(seed, a)
+        lbl = psi(a)
         rep.record(
             embed(pbasis.element(a)) == dbasis.element(lbl),
             f"standard embedding fails at {a}",
         )
-        lblp = psi_prime_label(seed, a)
+        lblp = psi_prime(a)
         rep.record(
             embed(pmut.element(a)) == dmut.element(lblp),
             f"mutated embedding fails at {a}",
         )
         rep.record(
-            lbl[:n] == tuple(a[:n]) and lblp[:n] == tuple(a[:n]),
+            lbl[:n] == a[:n] and lblp[:n] == a[:n],
             f"cluster truncation differs at {a}",
         )
     return rep

@@ -376,7 +376,17 @@ def test_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--pairs", "1,1,1"), ("--pairs", "1,1;2"), ("--pairs", "2,x"), ("--nmax", "0")]
+    "flag,value",
+    [
+        ("--pairs", "1,1,1"),
+        ("--pairs", "1,1;2"),
+        ("--pairs", "2,x"),
+        ("--pairs", "0,1"),
+        ("--nmax", "0"),
+        ("--seeds", "-2"),
+        ("--rmax", "-1"),
+        ("--bound", "-1"),
+    ],
 )
 def test_verify_identities_bad_flag_is_named(flag, value, capsys):
     code = main(["verify", "identities", "--seeds", "1", flag, value])
@@ -384,3 +394,28 @@ def test_verify_identities_bad_flag_is_named(flag, value, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert flag in err, err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        ("compare-bases --seed {seed} --window -1", "--window"),
+        ("compare-bases --seed {seed} --jobs 0", "--jobs"),
+        ("kronecker --rmax -1", "--rmax"),
+        ("kronecker --box -1", "--box"),
+        ("kronecker --division-cap -5", "--division-cap"),
+        ("properties --seeds -1", "--seeds"),
+        ("properties --count -3", "--count"),
+        ("rank2-principal --b 1 --c 1 --box -1", "--box"),
+        ("rank2-principal --b 0 --c 1", "--b"),
+        ("rank2-principal --b 1 --c 0", "--c"),
+        ("psi --seed {seed} --samples -1", "--samples"),
+        ("psi --seed {seed} --box -1", "--box"),
+    ],
+)
+def test_verify_size_flag_below_minimum_is_named(argv, flag, a11_file, capsys):
+    code = main(["verify"] + argv.format(seed=a11_file).split())
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "", out
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err

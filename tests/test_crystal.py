@@ -4,12 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qca.crystal import Rank2Crystal, rank2_principal_seed
 from qca.ebasis import EBasis
 from qca.kronecker import a11_seed
 from qca.laurent import LaurentPoly
-from qca.seed import principal_seed, validate
+from qca.lusztig import phi_rank2_principal
+from qca.seed import QuantumSeed, double_seed, principal_seed, validate
 from qca.verify import (
     check_bullet_embedding,
     check_exchange_relations,
@@ -151,12 +153,19 @@ def test_pi_terminal_cases(cr11):
         mm = cr11.label_to_index(a, primed=False)
         assert cr11.pi(mm) == a
     # On once-mutated indices it reproduces the closed correspondence.
-    from qca.lusztig import phi_rank2_principal
-
     for a1, a2 in itertools.product(range(-2, 3), repeat=2):
         a = (a1, a2, 0, 0)
         mm = cr11.label_to_index(a, primed=True)
         assert cr11.pi(mm) == phi_rank2_principal(a, 1, 1)
+
+
+@pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3)])
+def test_pi_primed_matches_closed_label_map(b, c):
+    # The rank-2 label map under one mutation, stated in two modules.
+    cr = Rank2Crystal(b, c)
+    ex, fr = range(-4, 5), range(-2, 3)
+    for a in itertools.product(ex, ex, fr, fr):
+        assert cr.pi(cr.label_to_index(a, primed=True)) == phi_rank2_principal(a, b, c), a
 
 
 def test_reduction_targets_window(cr11):
@@ -296,4 +305,138 @@ def test_bullet_embedding_principal_seed():
     assert validate(s).valid
     samples = [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(25)]
     rep = check_bullet_embedding(s, samples)
+    assert rep.ok, rep.summary()
+
+
+# Rank-2 seeds (3, 2) whose frozen coordinates were changed by a unimodular U
+# (B' = P B, L' = P^-T L P^-1, P = diag(I, U)), so that one frozen entry is
+# negative: in the first exchange column for U = ((1, 0), (-1, 1)), in the last
+# for U = ((1, -1), (0, 1)).  Next to them, a doubled seed.
+EMBEDDING_SEEDS = {
+    "frozen-twisted-first": QuantumSeed(
+        m=4,
+        n=2,
+        btilde=((0, -3), (2, 0), (1, 0), (-1, 1)),
+        lam=((0, 0, -2, 0), (0, 0, -3, -3), (2, 3, 0, 6), (0, 3, -6, 0)),
+        d=(2, 3),
+        order=(0, 1),
+    ),
+    "frozen-twisted-last": QuantumSeed(
+        m=4,
+        n=2,
+        btilde=((0, -3), (2, 0), (1, -1), (0, 1)),
+        lam=((0, 0, -2, -2), (0, 0, 0, -3), (2, 0, 0, 6), (2, 3, -6, 0)),
+        d=(2, 3),
+        order=(0, 1),
+    ),
+    "double-principal-3-2": double_seed(rank2_principal_seed(3, 2)),
+}
+
+# (a, psi(a), psi'(a)) as the piecewise-linear tables of the maps gave them.
+PSI_VALUES = {
+    "frozen-twisted-first": [
+        ((1, -1, 2, 0), (1, -1, 2, -2, 4, -5, 0, 0), (1, -1, 2, -2, 1, -3, 0, 0)),
+        ((-1, 1, 0, 2), (-1, 1, 0, 1, 5, 1, 0, 0), (-1, 1, 0, 2, 14, -3, 0, 0)),
+        ((-1, 1, 0, 1), (-1, 1, 0, 0, 2, 1, 0, 0), (-1, 1, 0, 1, 11, -3, 0, 0)),
+        ((-1, 1, -1, 2), (-1, 1, -1, 2, 5, 3, 0, 0), (-1, 1, -1, 3, 14, -1, 0, 0)),
+        ((-1, 1, -2, 0), (-1, 1, -2, 1, -1, 5, 0, 0), (-1, 1, -2, 2, 8, 1, 0, 0)),
+        ((-1, 0, 1, 1), (-1, 0, 1, -1, 2, -2, 0, 0), (-1, 0, 1, 0, 8, -4, 0, 0)),
+        ((-1, -1, -2, -1), (-1, -1, -2, 0, -1, 3, 0, 0), (-1, -1, -2, 1, 2, 3, 0, 0)),
+        ((-2, 0, 2, 0), (-2, 0, 2, -4, -2, -4, 0, 0), (-2, 0, 2, -2, 10, -8, 0, 0)),
+        ((0, -1, 2, -2), (0, -1, 2, -4, -3, -5, 0, 0), (0, -1, 2, -4, -6, -3, 0, 0)),
+        ((-2, -1, -2, -1), (-2, -1, -2, -1, -2, 3, 0, 0), (-2, -1, -2, 1, 7, 1, 0, 0)),
+    ],
+    "frozen-twisted-last": [
+        ((1, -1, 0, -1), (1, -1, 0, -1, 1, -1, 0, 0), (1, -1, 1, -1, -2, 1, 0, 0)),
+        ((-2, -1, 0, -1), (-2, -1, 0, -1, -2, -1, 0, 0), (-2, -1, -3, -1, 7, -3, 0, 0)),
+        ((-2, 0, 0, 0), (-2, 0, 0, 0, -2, 0, 0, 0), (-2, 0, -4, 0, 10, -4, 0, 0)),
+        ((-1, 2, 0, 2), (-1, 2, -2, 2, 5, 2, 0, 0), (-1, 2, -6, 2, 17, -4, 0, 0)),
+        ((-2, 1, -1, -1), (-2, 1, 0, -1, -5, 3, 0, 0), (-2, 1, -5, -1, 10, -3, 0, 0)),
+        ((1, -1, 2, -1), (1, -1, 2, -1, 1, -5, 0, 0), (1, -1, 3, -1, -2, -3, 0, 0)),
+        ((-1, -2, 2, -1), (-1, -2, 1, -1, 2, -6, 0, 0), (-1, -2, 1, -1, 2, -4, 0, 0)),
+        ((-1, 2, -2, 2), (-1, 2, -4, 2, 5, 6, 0, 0), (-1, 2, -8, 2, 17, 0, 0, 0)),
+        ((-1, -1, 1, 2), (-1, -1, -2, 2, 8, -3, 0, 0), (-1, -1, -3, 2, 11, -3, 0, 0)),
+        ((-1, -1, -2, -1), (-1, -1, -2, -1, -1, 3, 0, 0), (-1, -1, -3, -1, 2, 3, 0, 0)),
+    ],
+    "double-principal-3-2": [
+        (
+            (2, -2, 2, 2),
+            (2, -2, 2, 2, 0, 0, 0, 0, 14, -6, 0, 0, 0, 0, 0, 0),
+            (2, -2, 2, 2, 0, 0, 0, 0, 8, -2, 0, 0, 0, 0, 0, 0),
+        ),
+        (
+            (2, -2, 2, -2),
+            (2, -2, 2, -2, 0, 0, 0, 0, 2, -6, 0, 0, 0, 0, 0, 0),
+            (2, -2, 2, -2, 0, 0, 0, 0, -4, -2, 0, 0, 0, 0, 0, 0),
+        ),
+        (
+            (2, -1, 2, 0),
+            (2, -1, 2, 0, 0, 0, 0, 0, 5, -5, 0, 0, 0, 0, 0, 0),
+            (2, -1, 2, 0, 0, 0, 0, 0, 2, -3, 0, 0, 0, 0, 0, 0),
+        ),
+        (
+            (-2, -2, 0, -2),
+            (-2, -2, 0, -2, 0, 0, 0, 0, -2, -2, 0, 0, 0, 0, 0, 0),
+            (-2, -2, 0, -2, 0, 0, 0, 0, 4, -2, 0, 0, 0, 0, 0, 0),
+        ),
+        (
+            (-1, -2, -2, 2),
+            (-1, -2, -2, 2, 0, 0, 0, 0, 11, 2, 0, 0, 0, 0, 0, 0),
+            (-1, -2, -2, 2, 0, 0, 0, 0, 11, 4, 0, 0, 0, 0, 0, 0),
+        ),
+        (
+            (2, -1, 2, -1),
+            (2, -1, 2, -1, 0, 0, 0, 0, 2, -5, 0, 0, 0, 0, 0, 0),
+            (2, -1, 2, -1, 0, 0, 0, 0, -1, -3, 0, 0, 0, 0, 0, 0),
+        ),
+        (
+            (-1, 1, -1, 1),
+            (-1, 1, -1, 1, 0, 0, 0, 0, 2, 3, 0, 0, 0, 0, 0, 0),
+            (-1, 1, -1, 1, 0, 0, 0, 0, 11, -1, 0, 0, 0, 0, 0, 0),
+        ),
+        (
+            (-1, 1, 2, 1),
+            (-1, 1, 2, 1, 0, 0, 0, 0, 2, -3, 0, 0, 0, 0, 0, 0),
+            (-1, 1, 2, 1, 0, 0, 0, 0, 11, -7, 0, 0, 0, 0, 0, 0),
+        ),
+        (
+            (-1, 0, 1, -1),
+            (-1, 0, 1, -1, 0, 0, 0, 0, -4, -2, 0, 0, 0, 0, 0, 0),
+            (-1, 0, 1, -1, 0, 0, 0, 0, 2, -4, 0, 0, 0, 0, 0, 0),
+        ),
+        (
+            (-1, 0, 1, -2),
+            (-1, 0, 1, -2, 0, 0, 0, 0, -7, -2, 0, 0, 0, 0, 0, 0),
+            (-1, 0, 1, -2, 0, 0, 0, 0, -1, -4, 0, 0, 0, 0, 0, 0),
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(EMBEDDING_SEEDS))
+def test_psi_pinned_values(name):
+    s = EMBEDDING_SEEDS[name]
+    for a, lbl, lblp in PSI_VALUES[name]:
+        assert psi_label(s, a) == lbl, a
+        assert psi_prime_label(s, a) == lblp, a
+
+
+@pytest.mark.parametrize("name", list(EMBEDDING_SEEDS))
+def test_bullet_embedding_frozen_twisted_and_doubled(name):
+    s = EMBEDDING_SEEDS[name]
+    samples = [a for a, _, _ in PSI_VALUES[name]]
+    samples += itertools.product((-1, 0, 1), repeat=4)
+    rep = check_bullet_embedding(s, samples)
+    assert rep.ok and rep.checks == 17 + 3 * len(samples), rep.summary()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.lists(st.lists(st.integers(-2, 2), min_size=6, max_size=6), min_size=1, max_size=6),
+)
+def test_bullet_embedding_random_principal_seeds(rng_seed, n, labels):
+    s = random_principal_seed(random.Random(rng_seed), n)
+    rep = check_bullet_embedding(s, [a[: 2 * n] for a in labels])
     assert rep.ok, rep.summary()

@@ -14,7 +14,6 @@ from qca.kronecker import a11_seed
 from qca.seed import (
     QuantumSeed,
     bullet_exponents,
-    bullet_generators,
     compatible_orders,
     double_seed,
     integer_rank,
@@ -214,8 +213,8 @@ def test_double_embedding_multiplicative():
 def test_bullet_generators():
     s = a11_seed()
     exps = bullet_exponents(s)
-    gens = bullet_generators(s)
     dform = double_seed(s).form()
+    gens = [dform.monomial(e) for e in exps]
     n = s.n
     # First n generators commute with each other.
     for i in range(n):
