@@ -51,14 +51,18 @@ def _cache_dir(args) -> str | None:
     return os.environ.get("QCA_CACHE_DIR", ".qca_cache")
 
 
-def _parse_vector(text: str):
-    return tuple(int(x) for x in text.split(","))
+def _parse_vector(text: str, flag: str):
+    """The comma-separated integers given to ``flag``."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} is not comma-separated integers") from None
 
 
 def _parse_pair(text: str):
     """One ``b,c`` entry of ``--pairs``."""
     try:
-        b, c = _parse_vector(text)
+        b, c = _parse_vector(text, "--pairs")
     except ValueError:
         raise ValueError(f"--pairs entry {text!r} is not two integers b,c") from None
     if min(b, c) < 1:
@@ -69,7 +73,7 @@ def _parse_pair(text: str):
 # The least value of each size flag of the verify suites: a radius may be 0,
 # while a smaller count or rank-2 parameter would leave a suite vacuous.
 _FLAG_MINIMUM = {
-    **dict.fromkeys(("rmax", "box", "window", "bound", "division_cap"), 0),
+    **dict.fromkeys(("rmax", "box", "window", "bound"), 0),
     **dict.fromkeys(("seeds", "samples", "count", "nmax", "jobs", "b", "c"), 1),
 }
 
@@ -157,7 +161,7 @@ def cmd_seed(args) -> int:
     if args.seed_cmd == "principal":
         with open(args.B, encoding="utf-8") as fh:
             B = json.load(fh)
-        seed = principal_seed(B, _parse_vector(args.d))
+        seed = principal_seed(B, _parse_vector(args.d, "--d"))
         out = args.output or "principal.json"
         save_seed(seed, out)
         print(f"wrote {out}")
@@ -182,7 +186,7 @@ def _derived_name(path: str, tag: str) -> str:
 
 def cmd_basis(args) -> int:
     seed = load_seed(args.seedfile)
-    a = _parse_vector(args.a)
+    a = _parse_vector(args.a, "--a")
     if len(a) != seed.m:
         raise ValueError(f"label must have {seed.m} entries")
     basis = EBasis(seed, expansion_cap=args.expansion_cap)
@@ -240,9 +244,7 @@ def cmd_verify(args) -> int:
     reports: list[Report] = []
     if name == "kronecker":
         # The cluster-monomial check reaches index 4, the family index rmax + 2.
-        alg = KroneckerAlgebra(
-            horizon=max(args.rmax + 2, 4), division_cap=args.division_cap
-        )
+        alg = KroneckerAlgebra(horizon=max(args.rmax + 2, 4))
         reports.append(alg.verify_chebyshev_family(args.rmax))
         reports.append(alg.verify_cluster_monomial_labels())
         reports.append(alg.verify_e_times_x0(args.box))
@@ -411,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = ver_sub.add_parser("kronecker")
     p.add_argument("--rmax", type=int, default=4)
     p.add_argument("--box", type=int, default=3)
-    p.add_argument("--division-cap", type=int, default=10**6)
     p = ver_sub.add_parser("rank2-principal")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)

@@ -37,12 +37,11 @@ def a11_seed() -> QuantumSeed:
 class KroneckerAlgebra:
     """Cluster variables, Chebyshev elements and verifiers for the seed above."""
 
-    def __init__(self, horizon: int = 8, division_cap: int = 10**6):
+    def __init__(self, horizon: int = 8):
         self.seed = a11_seed()
         self.basis = EBasis(self.seed)
         self.table = TriangularTable(self.basis)
         self.horizon = horizon
-        self.division_cap = division_cap
         self.form = self.basis.form
         self._chebyshev: list = []  # [S_0, S_1, ...], built on demand
         self._vars = {
@@ -51,26 +50,33 @@ class KroneckerAlgebra:
         }
 
     def var(self, m: int) -> TorusElement:
-        """The cluster variable with index ``m``; computed by exact division
-        from the exchange relation and memoized."""
+        """The cluster variable with index ``m``, memoized.
+
+        The exchange relation ``X_{m+1} X_{m-1} = v^2 X_m^2 + 1`` gives
+        ``X_{m+1}`` as a right quotient.  ``X_{m-1}`` is the left quotient
+        ``bar(divide(bar(rhs), bar(X_{m+1})))``; as bar reverses products and
+        fixes every cluster variable, that is the right quotient of
+        ``v^-2 X_m^2 + 1`` by ``X_{m+1}``.
+        """
         if abs(m) > self.horizon:
             raise ValueError(f"index {m} beyond configured horizon {self.horizon}")
         if m in self._vars:
             return self._vars[m]
         lo, hi = min(self._vars), max(self._vars)
         while hi < m:
-            rhs = (self.var(hi) ** 2).scalar_mul(LaurentPoly.v_power(2)) + 1
-            self._vars[hi + 1] = divide(
-                rhs, self.var(hi - 1), "right", self.basis.order, self.division_cap
-            )
+            self._vars[hi + 1] = self._exchange(hi, 2, hi - 1)
             hi += 1
         while lo > m:
-            rhs = (self.var(lo) ** 2).scalar_mul(LaurentPoly.v_power(2)) + 1
-            self._vars[lo - 1] = divide(
-                rhs, self.var(lo + 1), "left", self.basis.order, self.division_cap
-            )
+            self._vars[lo - 1] = self._exchange(lo, -2, lo + 1)
             lo -= 1
         return self._vars[m]
+
+    def _exchange(self, i: int, t: int, j: int) -> TorusElement:
+        """The right quotient of ``v^t X_i^2 + 1`` by ``X_j``; exact by the
+        Laurent phenomenon."""
+        x = self._vars[i]
+        rhs = (x * x).scalar_mul(LaurentPoly.v_power(t)) + 1
+        return divide(rhs, self._vars[j], self.basis.order)
 
     def x_delta(self) -> TorusElement:
         v = LaurentPoly.v_power

@@ -44,21 +44,30 @@ class TriangularTable:
         if row is not None:
             return row
         if self.cache is not None:
-            row = self.cache.load(a)
+            row = self.cache.load(a, self._check_row)
             if row is not None:
                 self._rows[a] = row
                 return row
         basis = self.basis
         row, element = basis.sweep(basis.element(a), _bar_correction)
-        bound = basis.grading(a)
-        for key in row:
-            if basis.grading(key) >= bound:
-                raise ArithmeticError(f"row of {a} has label {key} at no smaller grading")
+        self._check_row(a, row)
         self._rows[a] = row
         self._elements[a] = element
         if self.cache is not None:
             self.cache.store(a, row)
         return row
+
+    def _check_row(self, a, row) -> None:
+        """Raise ArithmeticError unless every label of the row of ``a`` has
+        smaller grading than ``a`` and every coefficient lies in ``vZ[v]``;
+        computed rows and rows read from the cache pass the same check."""
+        grading = self.basis.grading
+        bound = grading(a)
+        for key, c in row.items():
+            if grading(key) >= bound:
+                raise ArithmeticError(f"row of {a} has label {key} at no smaller grading")
+            if not c.in_v_zv():
+                raise ArithmeticError(f"row of {a} has coefficient {c} at {key} outside vZ[v]")
 
     def expansion(self, a) -> dict:
         """Full standard-basis expansion of the triangular element."""
@@ -155,8 +164,9 @@ class RowCache:
     with a single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
     writers on one host never drop each other's rows.  Every record starts
     with a newline, so a torn earlier line cannot swallow it.  The newest
-    record of a label that decodes wins; a line that is not a record (a torn
-    one, or a file in another format) reads as a miss.
+    record of a label that decodes and passes the reader's check wins; a line
+    that is not a record (a torn one, or a file in another format) reads as a
+    miss.
     """
 
     def __init__(self, directory: str, seed_hash: str):
@@ -180,9 +190,11 @@ class RowCache:
             if tab:
                 self._records.setdefault(key, []).append(body)
 
-    def load(self, a):
+    def load(self, a, check=None):
         """The stored row for ``a``, or None.  Records are decoded newest
-        first; a malformed one is dropped and the next older one is tried."""
+        first; a malformed one, or one that ``check(a, row)`` rejects by
+        raising ValueError or ArithmeticError, is dropped and the next older
+        one is tried."""
         self._load_all()
         a = tuple(a)
         bodies = self._records.get(_label_key(a), [])
@@ -194,7 +206,9 @@ class RowCache:
                     if len(label) != len(a):
                         raise ValueError(f"label {label} does not match {a}")
                     row[label] = parse_laurent(item["coeff"])
-            except (KeyError, TypeError, ValueError, OverflowError):
+                if check is not None:
+                    check(a, row)
+            except (KeyError, TypeError, ValueError, ArithmeticError):
                 bodies.pop()
                 continue
             self.hits += 1

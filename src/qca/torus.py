@@ -4,8 +4,8 @@ A torus element is a finite ``Z^m``-indexed family of Laurent coefficients;
 monomials multiply by ``X^e * X^f = v^L(e,f) * X^{e+f}`` for a fixed
 skew-symmetric integer form ``L``.  The module also provides the
 bar-involution (an anti-automorphism fixing every ``X^e``), weight-based
-term orders with lexicographic tiebreak, and exact one-sided division by
-greedy leading-term elimination.
+term orders with lexicographic tiebreak, and exact right division by greedy
+leading-term elimination.
 """
 
 from __future__ import annotations
@@ -358,25 +358,11 @@ class TorusElement:
 
     def __pow__(self, k: int):
         if k < 0:
-            if self.is_monomial():
-                e, c = self.monomial_term()
-                if not c.is_unit():
-                    raise ValueError("only unit monomials are invertible")
-                inv = self._monomial_inverse()
-                return inv ** (-k)
-            raise ValueError("negative powers only defined for monomials")
+            raise ValueError("negative powers are not supported")
         result = self.form.one()
         for _ in range(k):
             result = result * self
         return result
-
-    def _monomial_inverse(self) -> "TorusElement":
-        e, c = self.monomial_term()
-        (exp, coeff) = next(iter(c.items()))
-        if abs(coeff) != 1:
-            raise ValueError("coefficient is not a unit")
-        # X^e X^-e = v^L(e,-e) X^0 = X^0, since L(e, e) = 0 for a skew form.
-        return self.form.monomial(vec_neg(e), LaurentPoly.v_power(-exp, coeff))
 
     # -- involution --------------------------------------------------------------
 
@@ -486,45 +472,35 @@ class WeightOrder:
 
 
 def divide(
-    p: TorusElement,
-    q: TorusElement,
-    side: str,
-    order: WeightOrder,
-    cap: int = 10**6,
+    p: TorusElement, q: TorusElement, order: WeightOrder, cap: int = 10**6
 ) -> TorusElement:
-    """Exact one-sided torus quotient.
+    """Exact right torus quotient: returns ``r`` with ``r * q == p``.
 
-    Returns ``r`` with ``r * q == p`` (``side="right"``) or ``q * r == p``
-    (``side="left"``).  Works by cancelling the order-leading term of the
-    running remainder against the leading term of ``q``; each step solves the
-    one-monomial equation exactly, so the quotient is exact whenever division
-    is possible.  Raises :class:`DivisionError` after ``cap`` steps or on a
-    coefficient that does not divide.
+    Since bar is an anti-automorphism, the left quotient ``r`` with
+    ``q * r == p`` is ``bar(divide(bar(p), bar(q), order))``.  Works by
+    cancelling the order-leading term of the running remainder against the
+    leading term of ``q``; each step solves the one-monomial equation
+    exactly, so the quotient is exact whenever division is possible.  Raises
+    :class:`DivisionError` after ``cap`` steps or on a coefficient that does
+    not divide.
 
     The remainder is kept in place, in packed form, with its exponents on a
-    heap: each step adds ``-t X^g * q`` (or ``-q * t X^g``) below the popped
-    exponent, so a popped exponent never reappears, and only the popped
-    coefficient is decoded.  Each exponent carries an upper bound on the L1
-    norm of its coefficient; before a bound would reach the digit capacity
-    the whole remainder is re-packed at double width.
+    heap: each step adds ``-t X^g * q`` below the popped exponent, so a popped
+    exponent never reappears, and only the popped coefficient is decoded.
+    Each exponent carries an upper bound on the L1 norm of its coefficient;
+    before a bound would reach the digit capacity the whole remainder is
+    re-packed at double width.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if q.is_zero():
         raise ZeroDivisionError("division by zero torus element")
     p._check(q)
     lvec = p.form.lvec
-    sign = 1 if side == "right" else -1
-
-    def twist_vector(h):
-        # On this side, X^g times X^h is v^(g . twist_vector(h)) X^(g+h).
-        return tuple(sign * x for x in lvec(h))
-
     gq, cq = q.leading_term(order)
-    lead = twist_vector(gq)
-    # The terms of q below its leading term: exponent, twist vector,
-    # coefficient and its L1 norm.  q's leading term cancels by construction.
-    rest = [(h, twist_vector(h), c, c.l1()) for h, c in q.terms.items() if h != gq]
+    lead = lvec(gq)
+    # The terms of q below its leading term: exponent, twist vector
+    # (``X^g * X^h = v^(g . lvec(h)) X^(g+h)``), coefficient and its L1 norm.
+    # q's leading term cancels by construction.
+    rest = [(h, lvec(h), c, c.l1()) for h, c in q.terms.items() if h != gq]
     width = digit_width(max(c.l1() for c in (*p.terms.values(), *q.terms.values())))
     rest_packed = [c.packed(width) for _, _, c, _ in rest]
     # exponent -> [v-exponent of digit 0, packed coefficient, L1 bound]

@@ -216,6 +216,37 @@ def test_basis_c_corrupt_cache_file(a11_file, tmp_path, capsys, body):
     assert code == 0 and "cached: yes" in out
 
 
+# Records that decode but break a row invariant: a label at grading at least
+# r(-1,-1) = 2, or a coefficient outside vZ[v].
+BAD_ROWS = {
+    "grading": {"p": [{"a": [-5, -5], "coeff": "v^3"}]},
+    "own-label": {"p": [{"a": [-1, -1], "coeff": "v"}]},
+    "coeff": {"p": [{"a": [1, 1], "coeff": "7 + v^-3"}]},
+    "both": {"p": [{"a": [-5, -5], "coeff": "7 + v^-3"}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+def test_basis_c_cached_row_breaking_invariants_is_a_miss(a11_file, tmp_path, capsys, name):
+    cache = tmp_path / "cache"
+    code, fresh = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--no-cache")
+    assert code == 0 and fresh.startswith("C = E(-1,-1) - v^4 E(1,1)\n")
+    bad = f"\n-1,-1\t{json.dumps(BAD_ROWS[name])}\n"
+    # The bad record alone: a miss, recomputed and appended after it.
+    cache.mkdir()
+    path = cache / f"{seed_hash(a11_seed())}.json"
+    path.write_text(bad)
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--cache", str(cache))
+    assert code == 0 and out == fresh
+    assert path.read_text().startswith(bad) and path.read_text().count("\n-1,-1\t") == 2
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--cache", str(cache))
+    assert code == 0 and out == fresh.replace("cached: no", "cached: yes")
+    # The bad record after a good one: the good one serves the label.
+    path.write_text(path.read_text() + bad)
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--cache", str(cache))
+    assert code == 0 and out == fresh.replace("cached: no", "cached: yes")
+
+
 def test_parser_shared_across_calls(a11_file, tmp_path, monkeypatch, capsys):
     # One parser serves every call in the process; no flag of one call may
     # reach the next.
@@ -244,11 +275,12 @@ def test_verify_kronecker(capsys):
     assert out.count("PASS") == 3
 
 
-def test_verify_kronecker_division_cap_message(capsys):
-    # The operand divides; only the step cap is hit.
-    code = main(["verify", "kronecker", "--division-cap", "1", "--rmax", "1", "--box", "0"])
-    assert code == 2
-    assert capsys.readouterr().err == "error: division exceeded 1 steps\n"
+def test_verify_kronecker_has_no_division_cap(capsys):
+    # Every exchange division is exact, so there is no step cap to set.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kronecker", "--division-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --division-cap 5" in capsys.readouterr().err
 
 
 def test_verify_kronecker_past_default_horizon(capsys):
@@ -399,11 +431,29 @@ def test_verify_identities_bad_flag_is_named(flag, value, capsys):
 @pytest.mark.parametrize(
     "argv,flag",
     [
+        ("basis e {seed} --a=1,x", "--a"),
+        ("basis e {seed} --a=", "--a"),
+        ("seed principal --B {B} --d 1,x", "--d"),
+    ],
+)
+def test_vector_parse_error_names_the_flag(argv, flag, a11_file, tmp_path, capsys):
+    b_file = tmp_path / "b.json"
+    b_file.write_text("[[0, 1], [-1, 0]]")
+    code = main(argv.format(seed=a11_file, B=b_file).split())
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "", out
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag in err, err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
         ("compare-bases --seed {seed} --window -1", "--window"),
         ("compare-bases --seed {seed} --jobs 0", "--jobs"),
         ("kronecker --rmax -1", "--rmax"),
         ("kronecker --box -1", "--box"),
-        ("kronecker --division-cap -5", "--division-cap"),
         ("properties --seeds -1", "--seeds"),
         ("properties --count -3", "--count"),
         ("rank2-principal --b 1 --c 1 --box -1", "--box"),

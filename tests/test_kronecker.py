@@ -4,7 +4,7 @@ import pytest
 
 from qca.kronecker import KroneckerAlgebra
 from qca.laurent import LaurentPoly
-from qca.torus import DivisionError, quasi_commutes
+from qca.torus import DivisionError, divide, quasi_commutes
 
 v = LaurentPoly.v_power
 
@@ -25,7 +25,8 @@ def test_first_vars(alg):
 
 def test_relations(alg):
     # Exchange and quasi-commutation relations along the strip.
-    for m in range(-2, 5):
+    # Every variable either direction of var builds, from -7 up to 7.
+    for m in range(-7, 8):
         assert alg.var(m + 1) * alg.var(m - 1) == (alg.var(m) ** 2).scalar_mul(
             v(2)
         ) + 1
@@ -125,9 +126,7 @@ def test_e_times_x0_report(alg):
 
 
 def test_division_cap_error():
-    alg = KroneckerAlgebra(division_cap=10**6)
-    from qca.torus import divide
-
+    alg = KroneckerAlgebra()
     bad = alg.form.monomial((1, 0)) + alg.form.monomial((0, 1))
     with pytest.raises(DivisionError):
-        divide(bad, alg.var(0), "left", alg.basis.order, cap=10)
+        divide(bad, alg.var(0), alg.basis.order, cap=10)
