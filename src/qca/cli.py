@@ -188,7 +188,7 @@ def cmd_basis(args) -> int:
     seed = load_seed(args.seedfile)
     a = _parse_vector(args.a, "--a")
     if len(a) != seed.m:
-        raise ValueError(f"label must have {seed.m} entries")
+        raise ValueError(f"--a must have {seed.m} entries, got {len(a)}")
     basis = EBasis(seed, expansion_cap=args.expansion_cap)
     cache = None
     cache_dir = _cache_dir(args)

@@ -5,11 +5,14 @@ all coefficients nonzero, so equal polynomials always have identical term
 maps.  Coefficients are plain Python integers and therefore never overflow.
 
 For long products the torus layer uses a packed form (Kronecker
-substitution): a polynomial becomes the single integer
-``sum c_i * 2^(k*(i - lo))`` with signed ``k``-bit digits, so one big-integer
-product multiplies two polynomials.  The digit width is a whole number of
-bytes chosen from an exact bound on the digits, which makes the packed form
-decode back to exactly the same terms.
+substitution): a polynomial whose exponents all lie on the lattice
+``lo + s*Z`` becomes the single integer ``sum c_i * 2^(k*(i - lo)/s)`` with
+signed ``k``-bit digits, so one big-integer product multiplies two
+polynomials.  The stride ``s`` drops the digits of exponents off the
+lattice, which are zero, so a polynomial in ``v^4`` packs four times
+shorter.  The digit width is a whole number of bytes chosen from an exact
+bound on the digits, which makes the packed form decode back to exactly the
+same terms.
 
 The ring carries the involution ``v -> v^-1`` (:meth:`LaurentPoly.bar`),
 which is the scalar part of the bar-involution used everywhere else in this
@@ -24,8 +27,9 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from math import gcd
 
-__all__ = ["LaurentPoly", "digit_width", "gaussian_binomial", "parse_laurent"]
+__all__ = ["LaurentPoly", "digit_width", "gaussian_binomial", "lattice_step", "parse_laurent"]
 
 _BYTEORDER = sys.byteorder
 # Array and memoryview formats of native unsigned integers, by size in bytes.
@@ -40,6 +44,21 @@ def digit_width(bound: int) -> int:
     if width > 8:
         return width
     return next(w for w in (1, 2, 4, 8) if w >= width)
+
+
+def lattice_step(coeffs) -> int:
+    """The gcd of the exponent gaps within each of the polynomials
+    ``coeffs``: the largest ``s`` such that each of them packs on one lattice
+    ``lo + s*Z``.  It is 1 when no polynomial has two terms."""
+    step = 0
+    for c in coeffs:
+        terms = c._terms
+        if len(terms) > 1:
+            lo = min(terms)
+            step = gcd(step, *[e - lo for e in terms])
+            if step == 1:
+                return 1
+    return step or 1
 
 
 def _bias(count: int, width: int) -> int:
@@ -232,15 +251,17 @@ class LaurentPoly:
 
     def l1(self) -> int:
         """Sum of the absolute values of the coefficients."""
-        return sum(abs(c) for c in self._terms.values())
+        return sum(map(abs, self._terms.values()))
 
     # -- packed form -----------------------------------------------------------
 
-    def packed(self, width: int):
-        """``(lo, n)`` with ``n = sum c_e * 2^(8*width*(e - lo))``.
+    def packed(self, width: int, step: int = 1):
+        """``(lo, n)`` with ``n = sum c_e * 2^(8*width*(e - lo)/step)``.
 
-        Every coefficient must have absolute value below ``2^(8*width - 1)``
-        (see :func:`digit_width`).  The zero polynomial packs to ``(0, 0)``.
+        Every exponent must lie on the lattice ``lo + step*Z`` (see
+        :func:`lattice_step`) and every coefficient must have absolute value
+        below ``2^(8*width - 1)`` (see :func:`digit_width`).  The zero
+        polynomial packs to ``(0, 0)``.
         """
         terms = self._terms
         if not terms:
@@ -248,7 +269,7 @@ class LaurentPoly:
         lo, hi = min(terms), max(terms)
         half = 1 << (8 * width - 1)
         get = terms.get
-        digits = [get(e, 0) + half for e in range(lo, hi + 1)]
+        digits = [get(e, 0) + half for e in range(lo, hi + 1, step)]
         fmt = _FORMATS.get(width)
         if fmt is None:
             raw = b"".join(d.to_bytes(width, _BYTEORDER) for d in digits)
@@ -257,12 +278,13 @@ class LaurentPoly:
         return lo, int.from_bytes(raw, _BYTEORDER) - _bias(len(digits), width)
 
     @classmethod
-    def from_packed(cls, lo: int, n: int, width: int) -> "LaurentPoly":
+    def from_packed(cls, lo: int, n: int, width: int, step: int = 1) -> "LaurentPoly":
         """Inverse of :meth:`packed`.
 
         Exact whenever every digit of ``n`` has absolute value below
         ``2^(8*width - 1)``; a sum or product of packed polynomials decodes
-        to the sum or product as long as its coefficients meet that bound.
+        to the sum or product as long as its coefficients meet that bound
+        (a product of polynomials packed at one step has that step too).
         """
         k = 8 * width
         # A top digit at index t makes |n| > 2^(k*t - 1), so this many digits
@@ -279,7 +301,7 @@ class LaurentPoly:
             digits = memoryview(raw).cast(fmt)
         half = 1 << (k - 1)
         out = cls.__new__(cls)
-        out._terms = {lo + i: d - half for i, d in enumerate(digits) if d != half}
+        out._terms = {lo + step * i: d - half for i, d in enumerate(digits) if d != half}
         return out
 
     # -- exact division ------------------------------------------------------

@@ -44,7 +44,7 @@ class TriangularTable:
         if row is not None:
             return row
         if self.cache is not None:
-            row = self.cache.load(a, self._check_row)
+            row = self.cache.load(a, self._check_cached_row)
             if row is not None:
                 self._rows[a] = row
                 return row
@@ -69,6 +69,17 @@ class TriangularTable:
             if not c.in_v_zv():
                 raise ArithmeticError(f"row of {a} has coefficient {c} at {key} outside vZ[v]")
 
+    def _check_cached_row(self, a, row) -> None:
+        """:meth:`_check_row`, and raise ArithmeticError unless the element
+        assembled from the row is bar-invariant; by uniqueness only the row
+        of ``C(a)`` passes.  The assembled element is kept for
+        :meth:`element`."""
+        self._check_row(a, row)
+        element = self.basis.assemble({a: LaurentPoly.one(), **row})
+        if element.bar() != element:
+            raise ArithmeticError(f"cached row of {a} assembles to no bar-invariant element")
+        self._elements[a] = element
+
     def expansion(self, a) -> dict:
         """Full standard-basis expansion of the triangular element."""
         a = tuple(a)
@@ -80,10 +91,7 @@ class TriangularTable:
         """The triangular basis element for label ``a`` as a torus element."""
         a = tuple(a)
         self.p_row(a)
-        element = self._elements.get(a)
-        if element is None:  # the row was read from the cache
-            element = self._elements[a] = self.basis.assemble(self.expansion(a))
-        return element
+        return self._elements[a]
 
     def verify(self, a) -> Report:
         """Re-check the defining properties of a computed row."""

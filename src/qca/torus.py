@@ -11,9 +11,11 @@ leading-term elimination.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import chain
+from math import gcd
 from operator import add, mul, sub
 
-from .laurent import LaurentPoly, digit_width, parse_laurent
+from .laurent import LaurentPoly, digit_width, lattice_step, parse_laurent
 
 __all__ = [
     "SkewForm",
@@ -95,13 +97,14 @@ def basis_vector(m: int, i: int):
 _PACK_MIN_PAIRS = 16
 
 
-def _add_packed(acc, lo: int, n: int, k: int):
-    """Add ``n``, packed with ``k``-bit digits from ``v^lo`` up, into the
-    packed accumulator ``acc = [lo_acc, n_acc, ...]``."""
+def _add_packed(acc, lo: int, n: int, k: int, step: int):
+    """Add ``n``, packed with ``k``-bit digits at exponent step ``step`` from
+    ``v^lo`` up, into the packed accumulator ``acc = [lo_acc, n_acc, ...]``;
+    ``lo - lo_acc`` must be a multiple of ``step``."""
     if lo >= acc[0]:
-        acc[1] += n << (k * (lo - acc[0]))
+        acc[1] += n << (k * ((lo - acc[0]) // step))
     else:
-        acc[1] = (acc[1] << (k * (acc[0] - lo))) + n
+        acc[1] = (acc[1] << (k * ((acc[0] - lo) // step))) + n
         acc[0] = lo
 
 
@@ -325,31 +328,49 @@ class TorusElement:
     def _packed_mul(self, other):
         """The product with every coefficient in packed form: one big-integer
         product per term pair, accumulated per output exponent and decoded
-        once.  No output digit exceeds ``L1(self) * L1(other)``."""
+        once.  No output digit exceeds ``L1(self) * L1(other)``.
+
+        Coefficients pack at the step of :func:`lattice_step` over both
+        operands, so each term pair's product lies on one lattice.  When two
+        pairs meet at an output exponent on lattices offset by a non-multiple
+        of the step, the product starts over at the gcd of the step and the
+        offset, which puts both on one lattice.
+        """
         bound = sum(c.l1() for c in self.terms.values()) * sum(
             c.l1() for c in other.terms.values()
         )
         width = digit_width(bound)
+        step = lattice_step(chain(self.terms.values(), other.terms.values()))
+        acc = self._packed_sums(other, width, step)
+        while isinstance(acc, int):
+            step = acc
+            acc = self._packed_sums(other, width, step)
+        terms = {
+            g: LaurentPoly.from_packed(lo, n, width, step) for g, (lo, n) in acc.items() if n
+        }
+        return TorusElement(self.form, terms)
+
+    def _packed_sums(self, other, width: int, step: int):
+        """The packed accumulators of :meth:`_packed_mul` at ``step``, or the
+        smaller step to start over at when two pairs meet off one lattice."""
         k = 8 * width
         lvec = self.form.lvec
-        left = [(e, *c.packed(width)) for e, c in self.terms.items()]
+        left = [(e, *c.packed(width, step)) for e, c in self.terms.items()]
         acc: dict = {}  # exponent -> [v-exponent of digit 0, packed sum]
         for f, cf in other.terms.items():
             lf = lvec(f)
-            lo_f, n_f = cf.packed(width)
+            lo_f, n_f = cf.packed(width, step)
             for e, lo_e, n_e in left:
                 lo = lo_e + lo_f + sum(map(mul, e, lf))
-                n = n_e * n_f
                 g = tuple(map(add, e, f))
                 a = acc.get(g)
                 if a is None:
-                    acc[g] = [lo, n]
+                    acc[g] = [lo, n_e * n_f]
+                elif (lo - a[0]) % step:
+                    return gcd(step, lo - a[0])
                 else:
-                    _add_packed(a, lo, n, k)
-        terms = {
-            g: LaurentPoly.from_packed(lo, n, width) for g, (lo, n) in acc.items() if n
-        }
-        return TorusElement(self.form, terms)
+                    _add_packed(a, lo, n_e * n_f, k, step)
+        return acc
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -487,9 +508,15 @@ def divide(
     The remainder is kept in place, in packed form, with its exponents on a
     heap: each step adds ``-t X^g * q`` below the popped exponent, so a popped
     exponent never reappears, and only the popped coefficient is decoded.
-    Each exponent carries an upper bound on the L1 norm of its coefficient;
-    before a bound would reach the digit capacity the whole remainder is
-    re-packed at double width.
+    Coefficients pack at the step of :func:`lattice_step` over ``p`` and
+    ``q``; every quotient coefficient then has gaps that are multiples of it
+    too.  Each exponent carries an upper bound on the L1 norm of its
+    coefficient.  Before a bound would reach the digit capacity, or when a
+    contribution would land on a lattice offset from its target's by a
+    non-multiple of the step, the whole remainder is re-packed, at double
+    width or at the gcd of the step and the offset.  When the leading
+    coefficient of ``q`` is a unit ``+-v^k``, each quotient coefficient is a
+    shift of the remainder's.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by zero torus element")
@@ -497,14 +524,17 @@ def divide(
     lvec = p.form.lvec
     gq, cq = q.leading_term(order)
     lead = lvec(gq)
+    unit = next(iter(cq._terms.items())) if cq.is_unit() else None
     # The terms of q below its leading term: exponent, twist vector
-    # (``X^g * X^h = v^(g . lvec(h)) X^(g+h)``), coefficient and its L1 norm.
-    # q's leading term cancels by construction.
-    rest = [(h, lvec(h), c, c.l1()) for h, c in q.terms.items() if h != gq]
-    width = digit_width(max(c.l1() for c in (*p.terms.values(), *q.terms.values())))
-    rest_packed = [c.packed(width) for _, _, c, _ in rest]
+    # (``X^g * X^h = v^(g . lvec(h)) X^(g+h)``), lowest v-exponent, L1 norm
+    # and coefficient.  q's leading term cancels by construction.
+    rest = [(h, lvec(h), min(c._terms), c.l1(), c) for h, c in q.terms.items() if h != gq]
+    coeffs = (*p.terms.values(), *q.terms.values())
+    width = digit_width(max(c.l1() for c in coeffs))
+    step = lattice_step(coeffs)
+    rest_packed = [c.packed(width, step)[1] for *_, c in rest]
     # exponent -> [v-exponent of digit 0, packed coefficient, L1 bound]
-    rem = {e: [*c.packed(width), c.l1()] for e, c in p.terms.items()}
+    rem = {e: [*c.packed(width, step), c.l1()] for e, c in p.terms.items()}
     key = order.descending_key
     heap = [(key(e), e) for e in rem]
     heapify(heap)
@@ -519,40 +549,61 @@ def divide(
         if steps > cap:
             raise DivisionError(f"division exceeded {cap} steps")
         g = tuple(map(sub, gr, gq))
-        cr = LaurentPoly.from_packed(lo, n, width)
-        try:
-            t = cr.shifted(-sum(map(mul, g, lead))).divide_exact(cq)
-        except ValueError as exc:
-            raise DivisionError("not divisible") from exc
+        cr = LaurentPoly.from_packed(lo, n, width, step)
+        shift = -sum(map(mul, g, lead))
+        if unit is not None:
+            t = _unit_times(cr, shift - unit[0], unit[1])
+            # t packs to the remainder's digits, from a shifted digit 0.
+            lo_t, n_t = lo + shift - unit[0], unit[1] * n
+        else:
+            try:
+                t = cr.shifted(shift).divide_exact(cq)
+            except ValueError as exc:
+                raise DivisionError("not divisible") from exc
+            lo_t, n_t = min(t._terms), None
         quot[g] = t
         if not rest:
             continue
+        # One pass over the targets: exponent, v-exponent offset of the
+        # contribution less lo_t, its remainder entry, and the L1 norm of
+        # the term of q; with the largest bound and the step that aligns all.
         l1_t = t.l1()
-        targets = [tuple(map(add, g, h)) for h, _, _, _ in rest]
-        top = max(
-            l1_t * l1_h + (rem[e][2] if e in rem else 0)
-            for e, (_, _, _, l1_h) in zip(targets, rest)
-        )
-        if top.bit_length() >= 8 * width:
-            wider = 2 * width
+        top = 0
+        new_step = step
+        targets = []
+        for h, lh, lo_h, l1_h, _ in rest:
+            e = tuple(map(add, g, h))
+            off = lo_h + sum(map(mul, g, lh))
+            a = rem.get(e)
+            bound = l1_t * l1_h
+            if a is not None:
+                bound += a[2]
+                new_step = gcd(new_step, lo_t + off - a[0])
+            if bound > top:
+                top = bound
+            targets.append((e, off, a, l1_h))
+        if top.bit_length() >= 8 * width or new_step != step:
+            wider = width
             while top.bit_length() >= 8 * wider:
                 wider *= 2
             for a in rem.values():
-                c = LaurentPoly.from_packed(a[0], a[1], width)
-                a[0], a[1] = c.packed(wider)
-                a[2] = c.l1()
-            rest_packed = [c.packed(wider) for _, _, c, _ in rest]
-            width = wider
+                if a[1]:
+                    c = LaurentPoly.from_packed(a[0], a[1], width, step)
+                    a[0], a[1] = c.packed(wider, new_step)
+                    a[2] = c.l1()
+            rest_packed = [c.packed(wider, new_step)[1] for *_, c in rest]
+            width, step = wider, new_step
+            n_t = None
+        if n_t is None:
+            lo_t, n_t = t.packed(width, step)
         k = 8 * width
-        lo_t, n_t = t.packed(width)
-        for e, (_, lh, _, l1_h), (lo_h, n_h) in zip(targets, rest, rest_packed):
-            lo = lo_t + lo_h + sum(map(mul, g, lh))
-            a = rem.get(e)
+        for (e, off, a, l1_h), n_h in zip(targets, rest_packed):
+            lo = lo_t + off
             if a is None:
                 rem[e] = [lo, -n_t * n_h, l1_t * l1_h]
                 heappush(heap, (key(e), e))
             else:
-                _add_packed(a, lo, -n_t * n_h, k)
+                _add_packed(a, lo, -n_t * n_h, k, step)
                 a[2] += l1_t * l1_h
     return TorusElement(p.form, quot)
 

@@ -153,7 +153,7 @@ def test_basis_label_length(kind, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "EBasis", no_basis)
     code = main(["basis", kind, path, "--a=1,2", "--no-cache"])
     assert code == 2
-    assert capsys.readouterr().err == "error: label must have 4 entries\n"
+    assert capsys.readouterr().err == "error: --a must have 4 entries, got 2\n"
 
 
 def test_basis_e_invalid_edgeless_seed(tmp_path, capsys):
@@ -217,12 +217,15 @@ def test_basis_c_corrupt_cache_file(a11_file, tmp_path, capsys, body):
 
 
 # Records that decode but break a row invariant: a label at grading at least
-# r(-1,-1) = 2, or a coefficient outside vZ[v].
+# r(-1,-1) = 2, a coefficient outside vZ[v], or a row that keeps both but
+# assembles to an element that is not bar-invariant (its coefficient at
+# X^(1,1) would be v^2 + v^4; the true row is -v^4 E(1,1)).
 BAD_ROWS = {
     "grading": {"p": [{"a": [-5, -5], "coeff": "v^3"}]},
     "own-label": {"p": [{"a": [-1, -1], "coeff": "v"}]},
     "coeff": {"p": [{"a": [1, 1], "coeff": "7 + v^-3"}]},
     "both": {"p": [{"a": [-5, -5], "coeff": "7 + v^-3"}]},
+    "not-bar-invariant": {"p": [{"a": [1, 1], "coeff": "v^2"}]},
 }
 
 
@@ -245,6 +248,20 @@ def test_basis_c_cached_row_breaking_invariants_is_a_miss(a11_file, tmp_path, ca
     path.write_text(path.read_text() + bad)
     code, out = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--cache", str(cache))
     assert code == 0 and out == fresh.replace("cached: no", "cached: yes")
+
+
+def test_basis_c_cached_row_that_is_not_bar_invariant_is_recomputed(a11_file, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--cache", str(cache))
+    assert code == 0 and "cached: no" in out
+    # Overwrite the log with a row at the right gradings, in vZ[v], but wrong.
+    path = cache / f"{seed_hash(a11_seed())}.json"
+    path.write_text('-1,-1\t{"p":[{"a":[1,1],"coeff":"v^2"}]}')
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--cache", str(cache))
+    assert code == 0
+    assert out.startswith("C = E(-1,-1) - v^4 E(1,1)\n") and "cached: no" in out
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--cache", str(cache))
+    assert code == 0 and "cached: yes" in out and "- v^4 E(1,1)" in out
 
 
 def test_parser_shared_across_calls(a11_file, tmp_path, monkeypatch, capsys):

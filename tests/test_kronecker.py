@@ -130,3 +130,24 @@ def test_division_cap_error():
     bad = alg.form.monomial((1, 0)) + alg.form.monomial((0, 1))
     with pytest.raises(DivisionError):
         divide(bad, alg.var(0), alg.basis.order, cap=10)
+
+
+def test_exchange_packs_at_step_4(monkeypatch):
+    # Every coefficient of the Kronecker variables sits on every 4th power of
+    # v, so the square and the division behind var(12) pack at step 4.
+    alg = KroneckerAlgebra(horizon=13)
+    want = alg.var(12)
+    x, below = alg.var(11), alg.var(10)
+    steps = []
+    packed = LaurentPoly.packed
+
+    def spy(self, width, step=1):
+        steps.append(step)
+        return packed(self, width, step)
+
+    monkeypatch.setattr(LaurentPoly, "packed", spy)
+    square = x * x
+    assert steps and set(steps) == {4}
+    steps.clear()
+    assert divide(square.scalar_mul(v(2)) + 1, below, alg.basis.order) == want
+    assert steps and set(steps) == {4}

@@ -390,9 +390,9 @@ def test_divide_matches_rebuild_oracle(monkeypatch):
     widths = []
     packed = LaurentPoly.packed
 
-    def spy(self, width):
+    def spy(self, width, step=1):
         widths.append(width)
-        return packed(self, width)
+        return packed(self, width, step)
 
     monkeypatch.setattr(LaurentPoly, "packed", spy)
     rng = random.Random(13)
@@ -417,6 +417,108 @@ def test_divide_matches_rebuild_oracle(monkeypatch):
                 assert naive_mul(q, got) == p
                 repacked += len(set(widths)) > 1
     assert repacked  # some division grew its digit width mid-way
+
+
+# Forms whose twists are multiples of 2, 3 and 4, so that a twist never moves
+# a coefficient off its lattice.
+WIDE_FORMS = [
+    (SkewForm(tuple(tuple(12 * x for x in row) for row in form.rows)), order)
+    for form, order in ((FORM, ORDER), (FORM3, ORDER3))
+]
+
+
+def packing_steps(monkeypatch):
+    """The list, filled as they happen, of the steps ``LaurentPoly.packed``
+    is called with."""
+    steps = []
+    packed = LaurentPoly.packed
+
+    def spy(self, width, step=1):
+        steps.append(step)
+        return packed(self, width, step)
+
+    monkeypatch.setattr(LaurentPoly, "packed", spy)
+    return steps
+
+
+def strided_element(rng, form, terms, coeff_terms, mag, step, offsets, spread=3):
+    """Like :func:`random_element`, with the exponents of each coefficient on
+    ``o + step*Z`` for an ``o`` drawn from ``offsets``."""
+    out = {}
+    for _ in range(terms):
+        o = rng.choice(offsets)
+        out[tuple(rng.randint(-spread, spread) for _ in range(form.m))] = LaurentPoly(
+            {o + step * rng.randint(-6, 6): rng.randint(-mag, mag) for _ in range(coeff_terms)}
+        )
+    return form.element(out)
+
+
+@pytest.mark.parametrize("step", [2, 3, 4])
+def test_strided_products_match_monomial_rule(monkeypatch, step):
+    runs = []  # the steps of each packed product, one list per product
+    packed_sums = TorusElement._packed_sums
+
+    def spy(x, y, width, at):
+        runs[-1].append(at)
+        return packed_sums(x, y, width, at)
+
+    monkeypatch.setattr(TorusElement, "_packed_sums", spy)
+    rng = random.Random(20 + step)
+    # Offset 0 only keeps every pair on one lattice; offsets 0 and 1 make
+    # pairs meet off it, which restarts the product at a smaller step.
+    for offsets in ((0,), (0, 1)):
+        for form, _ in WIDE_FORMS:
+            for shape_x in SHAPES[3:]:
+                for shape_y in SHAPES[2:]:
+                    mag = rng.choice(MAGNITUDES)
+                    x = strided_element(rng, form, *shape_x, mag, step, offsets)
+                    y = strided_element(rng, form, *shape_y, rng.choice(MAGNITUDES), step, offsets)
+                    runs.append([])
+                    assert x * y == naive_mul(x, y)
+    runs = [r for r in runs if r]
+    assert any(r == [step] for r in runs)  # packed at the drawn step
+    assert any(len(r) > 1 and r[0] % step == 0 and r[-1] < step for r in runs)  # restarted
+
+
+def test_strided_division_matches_rebuild_oracle(monkeypatch):
+    steps = packing_steps(monkeypatch)
+    rng = random.Random(21)
+    kept = 0
+    for step in (2, 3, 4):
+        for offsets in ((0,), (0, 1)):
+            for form, order in WIDE_FORMS:
+                for shape_x in SHAPES[1:5]:
+                    for shape_q in SHAPES[1:5]:
+                        mag = rng.choice(MAGNITUDES)
+                        x = strided_element(rng, form, *shape_x, mag, step, offsets, spread=2)
+                        q = strided_element(rng, form, *shape_q, mag, step, offsets, spread=2)
+                        if q.is_zero():
+                            continue
+                        p = naive_mul(x, q)
+                        steps.clear()
+                        assert divide(p, q, order) == x == rebuild_divide(p, q, order)
+                        kept += bool(steps) and min(steps) >= step
+    assert kept  # some division ran at the drawn step throughout
+
+
+@pytest.mark.parametrize("lead", [LaurentPoly.one(), LaurentPoly({0: 1, 2: 1})])
+def test_strided_division_restarts_off_the_lattice(monkeypatch, lead):
+    # With q = c X^(0,0) + v X^(-1,0) + v X^(0,-1) on a flat form and
+    # x = t X^(0,-1) - t X^(-1,0) + s X^(-1,-1), the two pairs of x and the
+    # rest of q that meet at X^(-1,-1) cancel, so p = x q keeps every
+    # coefficient on one lattice of step 2 (p at X^(-1,-1) is s c).  The
+    # first elimination still sends v t (odd exponents) to X^(-1,-1), whose
+    # remainder entry has even ones: the remainder is re-packed at step 1.
+    steps = packing_steps(monkeypatch)
+    flat = SkewForm(((0, 0), (0, 0)))
+    order = WeightOrder((1, 1))
+    t, s = LaurentPoly({0: 1, 2: 3}), LaurentPoly({0: 2, 2: -1, 4: 5})
+    q = flat.element({(0, 0): lead, (-1, 0): v(1), (0, -1): v(1)})
+    x = flat.element({(0, -1): t, (-1, 0): -t, (-1, -1): s})
+    p = naive_mul(x, q)
+    assert p.terms[(-1, -1)] == s * lead
+    assert divide(p, q, order) == x == rebuild_divide(p, q, order)
+    assert steps[0] == 2 and steps[-1] == 1
 
 
 def test_divide_bounds_sum_over_eliminations():
