@@ -10,6 +10,7 @@ from .torus import (
     WeightOrder,
     divide,
     quasi_commutes,
+    vanishes,
 )
 from .seed import (
     QuantumSeed,
@@ -41,6 +42,7 @@ __all__ = [
     "WeightOrder",
     "divide",
     "quasi_commutes",
+    "vanishes",
     "ContextMismatch",
     "DivisionError",
     "QuantumSeed",

@@ -15,7 +15,7 @@ from .ebasis import EBasis, MutatedBasis
 from .laurent import LaurentPoly, gaussian_binomial
 from .report import Report
 from .seed import QuantumSeed, principal_seed
-from .torus import TorusElement, vec_scale
+from .torus import TorusElement, vanishes, vec_scale
 
 __all__ = ["rank2_principal_seed", "Rank2Crystal"]
 
@@ -62,6 +62,10 @@ class Rank2Crystal:
         # X2p^m2p * X1pp^m1pp by (m2p, m1pp).
         self._heads: dict = {}
         self._tails: dict = {}
+        # The Gaussian coefficients of the fourth identity, by s - 1.
+        self._gauss = [
+            gaussian_binomial(c, s).substitute_power(2 * b) for s in range(1, c + 1)
+        ]
 
     # -- index set ----------------------------------------------------------
 
@@ -135,7 +139,7 @@ class Rank2Crystal:
                 f = (0, 0, m3, m4)
                 lead = (m1 - m1p - m1pp, m2 - m2p, m1pp, m2p + self.c * m1pp)
                 shift = LaurentPoly.v_power(-self.form.skew(f, lead))
-                out = self.form.monomial(f, shift) * out
+                out = out._shift_by_unit(f, shift, -1)
                 self._monomials[mm] = out
         return out
 
@@ -194,7 +198,7 @@ class Rank2Crystal:
 
         Each is ``(name, terms)``: the monomial at ``mm`` equals the sum of
         ``coefficient * monomial(index)`` over the ``(index, coefficient)``
-        terms, where a coefficient of ``None`` stands for 1.
+        terms; a coefficient is an int or a :class:`LaurentPoly`.
         """
         b, c = self.b, self.c
         v = LaurentPoly.v_power
@@ -210,7 +214,7 @@ class Rank2Crystal:
             # exchange product since the commutation twists collected while moving
             # the frozen monomial leftwards cancel against the normalization.
             rows.append(("second", [
-                ((m3, m4 + 1, m1p, m2 - 1, m1, m2p - 1, m1pp), None),
+                ((m3, m4 + 1, m1p, m2 - 1, m1, m2p - 1, m1pp), 1),
                 ((m3, m4, m1p, m2 - 1, m1 + b, m2p - 1, m1pp), v(b * (m2 + m2p - 1))),
             ]))
         if m1 * m1pp > 0:
@@ -219,9 +223,8 @@ class Rank2Crystal:
                 ((m3, m4, m1p, m2, m1 - 1, m2p + c, m1pp - 1), v(c * (m1 + m1pp - 1))),
             ]))
         if m1 == 0 and m1pp > 0:
-            terms = [((m3, m4, m1p + 1, m2, 0, m2p + c, m1pp - 1), None)]
-            for s in range(1, c + 1):
-                coeff = gaussian_binomial(c, s).substitute_power(2 * b)
+            terms = [((m3, m4, m1p + 1, m2, 0, m2p + c, m1pp - 1), 1)]
+            for s, coeff in enumerate(self._gauss, 1):
                 terms.append((
                     (m3 + 1, m4 + c - s, m1p, m2, b * s - 1, m2p, m1pp - 1),
                     -coeff.shifted(c * m1p + b * s * (m2 + m2p + s)),
@@ -242,35 +245,39 @@ class Rank2Crystal:
         rep = Report(name=f"rank-2 block relations (b={self.b}, c={self.c})")
         b, c = self.b, self.c
         v = LaurentPoly.v_power
-        lhs = self.X1p * self.X1
-        rhs = self.form.one() + (
-            self.form.monomial((0, 0, 1, 0)) * self.X2**c
-        ).scalar_mul(v(c))
-        rep.record(lhs == rhs, "first exchange product fails")
-        lhs = self.X2 * self.X2p
-        rhs = self.form.monomial((0, 0, 0, 1)).scalar_mul(v(-b)) + self.X1**b
-        rep.record(lhs == rhs, "second exchange product fails")
-        lhs = self.X1 * self.X1pp
-        rhs = self.form.monomial((0, 0, 1, c)).scalar_mul(v(-c)) + self.basis.x_prime_power(1, c)
-        rep.record(lhs == rhs, "mutated exchange product fails")
+        mono = self.form.monomial
+        rep.record(vanishes((
+            (self.X1p * self.X1, 1),
+            (self.form.one(), -1),
+            (mono((0, 0, 1, 0)) * self.X2**c, v(c, -1)),
+        )), "first exchange product fails")
+        rep.record(vanishes((
+            (self.X2 * self.X2p, 1),
+            (mono((0, 0, 0, 1)), v(-b, -1)),
+            (self.X1**b, -1),
+        )), "second exchange product fails")
+        rep.record(vanishes((
+            (self.X1 * self.X1pp, 1),
+            (mono((0, 0, 1, c)), v(-c, -1)),
+            (self.basis.x_prime_power(1, c), -1),
+        )), "mutated exchange product fails")
         return rep
 
     def verify_identities(self, bound: int = 2, frozen_range=(-1, 1)) -> Report:
-        """Run every applicable straightening identity on a window of indices."""
+        """Run every applicable straightening identity on a window of indices;
+        each row holds when its right-hand side minus the monomial at the
+        index vanishes."""
         rep = Report(name=f"straightening identities (b={self.b}, c={self.c})")
         rep.absorb(self.verify_block_relations())
+        monomial = self.monomial
         for mm in self._window(bound, frozen_range):
             rows = self._identity_terms(mm)
             if rows:
-                lhs = self.monomial(mm)
+                lhs = (monomial(mm), -1)
             for name, terms in rows:
-                rhs = None
-                for index, coeff in terms:
-                    term = self.monomial(index)
-                    if coeff is not None:
-                        term = term.scalar_mul(coeff)
-                    rhs = term if rhs is None else rhs + term
-                rep.record(lhs == rhs, f"{name} identity fails at {mm}")
+                pairs = [(monomial(index), coeff) for index, coeff in terms]
+                pairs.append(lhs)
+                rep.record(vanishes(pairs), f"{name} identity fails at {mm}")
         return rep
 
     def verify_nu_agreement(self, count: int, rng) -> Report:

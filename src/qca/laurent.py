@@ -176,7 +176,11 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # A constant equals its integer, so it hashes as that integer.
+        terms = self._terms
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     def __bool__(self):
         return bool(self._terms)

@@ -34,6 +34,7 @@ __all__ = [
     "basis_vector",
     "divide",
     "quasi_commutes",
+    "vanishes",
 ]
 
 
@@ -608,6 +609,56 @@ def divide(
     return TorusElement(p.form, quot)
 
 
+def vanishes(pairs) -> bool:
+    """Whether ``sum coeff * x`` over the ``(x, coeff)`` pairs is zero, with
+    each ``coeff`` an int or a :class:`LaurentPoly`.
+
+    Every term is added in place into one ``{v-exponent: int}`` map per
+    exponent; no scaled element and no intermediate sum is built.  An
+    identity ``lhs == sum rhs_i`` is checked as ``vanishes`` of ``(lhs, 1)``
+    and the ``(rhs_i, -1)``.  Raises :class:`ContextMismatch` when the
+    elements live in different contexts.
+    """
+    acc: dict = {}  # exponent -> {v-exponent: integer coefficient}
+    form = None
+    for x, c in pairs:
+        if x.form is not form:
+            if form is not None and x.form != form:
+                raise ContextMismatch("torus elements live in different contexts")
+            form = x.form
+        if isinstance(c, int):
+            k, a = 0, c
+        elif len(c._terms) == 1:
+            ((k, a),) = c._terms.items()
+        else:
+            right = c._terms.items()
+            for e, ce in x.terms.items():
+                out = acc.get(e)
+                if out is None:
+                    out = acc[e] = {}
+                get = out.get
+                for e1, c1 in ce._terms.items():
+                    for e2, c2 in right:
+                        j = e1 + e2
+                        out[j] = get(j, 0) + c1 * c2
+            continue
+        # A monomial coefficient a * v^k shifts and scales each term; a
+        # coefficient 1 starts a new exponent's map as a copy.
+        copy = k == 0 and a == 1
+        for e, ce in x.terms.items():
+            out = acc.get(e)
+            if out is None:
+                if copy:
+                    acc[e] = ce._terms.copy()
+                    continue
+                out = acc[e] = {}
+            get = out.get
+            for e1, c1 in ce._terms.items():
+                j = e1 + k
+                out[j] = get(j, 0) + c1 * a
+    return not any(any(out.values()) for out in acc.values())
+
+
 def quasi_commutes(x: TorusElement, y: TorusElement, t: int) -> bool:
     """Whether ``x * y == v^{2t} * y * x`` holds exactly."""
-    return x * y == (y * x).scalar_mul(LaurentPoly.v_power(2 * t))
+    return vanishes(((x * y, 1), (y * x, LaurentPoly.v_power(2 * t, -1))))

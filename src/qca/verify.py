@@ -1,9 +1,10 @@
 """Identity and property suites over randomly generated principal seeds.
 
-Everything here is exact: a suite either reproduces a stated identity as an
-equality of torus elements or reports the first counterexample.  Random
-sampling is driven by a caller-supplied ``random.Random`` so runs are
-reproducible.
+Everything here is exact: a suite either reproduces a stated identity, as an
+equality of torus elements or as the exact vanishing of its two sides'
+difference (:func:`qca.torus.vanishes`), or reports the first
+counterexample.  Random sampling is driven by a caller-supplied
+``random.Random`` so runs are reproducible.
 
 The embedding suite maps a seed's principal seed into its doubled seed by
 the bullet exponents and reads the matching labels ``psi`` and ``psi'`` off
@@ -30,6 +31,7 @@ from .torus import (
     basis_vector,
     plus_part,
     quasi_commutes,
+    vanishes,
     vec_add,
     vec_neg,
     vec_restrict,
@@ -97,11 +99,13 @@ def check_exchange_relations(basis: EBasis) -> Report:
             rep.record(quasi_commutes(xi, xk, t), f"generator {i} vs exchange {k}")
         lam = form.skew(ek_p, basis_vector(seed.m, k))
         xkgen = form.generator(k)
-        lhs = (xk * xkgen).scalar_mul(v(-lam)) - (xkgen * xk).scalar_mul(v(lam))
-        rhs = form.monomial(plus_part(vec_neg(seed.column(k)))).scalar_mul(
-            v(-seed.d[k]) - v(seed.d[k])
-        )
-        rep.record(lhs == rhs, f"exchange commutator at {k}")
+        rhs = form.monomial(plus_part(vec_neg(seed.column(k))))
+        rep.record(vanishes((
+            (xk * xkgen, v(-lam)),
+            (xkgen * xk, v(lam, -1)),
+            (rhs, v(-seed.d[k], -1)),
+            (rhs, v(seed.d[k])),
+        )), f"exchange commutator at {k}")
     for j in range(seed.n):
         for k in range(seed.n):
             if j == k:
@@ -110,7 +114,6 @@ def check_exchange_relations(basis: EBasis) -> Report:
             eps = (bjk > 0) - (bjk < 0)
             lamjk = form.skew(basis.e_prime(j), basis.e_prime(k))
             xj, xk = basis.x_prime(j), basis.x_prime(k)
-            lhs = (xj * xk).scalar_mul(v(-lamjk)) - (xk * xj).scalar_mul(v(lamjk))
             exponent = vec_add(
                 vec_add(
                     vec_neg(vec_add(basis_vector(seed.m, j), basis_vector(seed.m, k))),
@@ -118,15 +121,19 @@ def check_exchange_relations(basis: EBasis) -> Report:
                 ),
                 plus_part(vec_scale(eps, seed.column(k))),
             )
-            rhs = form.monomial(exponent).scalar_mul(
-                v(-seed.d[j] * bjk) - v(seed.d[j] * bjk)
-            )
-            rep.record(lhs == rhs, f"exchange pair commutator at ({j}, {k})")
+            rhs = form.monomial(exponent)
+            rep.record(vanishes((
+                (xj * xk, v(-lamjk)),
+                (xk * xj, v(lamjk, -1)),
+                (rhs, v(-seed.d[j] * bjk, -1)),
+                (rhs, v(seed.d[j] * bjk)),
+            )), f"exchange pair commutator at ({j}, {k})")
     return rep
 
 
 def check_principal_identities(seed: QuantumSeed) -> Report:
-    """Short product identities specific to principal seeds in natural order."""
+    """Short product identities specific to principal seeds in natural order,
+    each checked as the vanishing of its left side minus its right side."""
     basis = EBasis(seed)
     mut = MutatedBasis(basis)
     form = basis.form
@@ -143,26 +150,33 @@ def check_principal_identities(seed: QuantumSeed) -> Report:
         above = vec_restrict(bj, lambda i, j=j: i > j)
         xj = form.generator(j)
         xjp = basis.x_prime(j)
+        low = form.monomial(vec_neg(below))
+        high = form.monomial(above)
         if j < last:
             rep.record(
-                xjp * xj == form.monomial(vec_neg(below)) + form.monomial(above).scalar_mul(v(seed.d[j])),
+                vanishes(((xjp * xj, 1), (low, -1), (high, v(seed.d[j], -1)))),
                 f"left product identity at {j}",
             )
         if j > 0:
             rep.record(
-                xj * xjp == form.monomial(above).scalar_mul(v(-seed.d[j])) + form.monomial(vec_neg(below)),
+                vanishes(((xj * xjp, 1), (high, v(-seed.d[j], -1)), (low, -1))),
                 f"right product identity at {j}",
             )
         if j < last:
             bnj = seed.btilde[last][j]
             xjpp = mut.x_dprime(j)
             shifted = vec_add(above, vec_scale(bnj, vec_sub(e_top, e_last)))
-            rhs = form.monomial(shifted).scalar_mul(v(-seed.d[j])) + form.monomial(
-                vec_neg(below)
-            ) * basis.x_prime_power(last, bnj)
-            rep.record(xj * xjpp == rhs, f"mutated product identity at {j}")
+            power = basis.x_prime_power(last, bnj)
+            rep.record(
+                vanishes((
+                    (xj * xjpp, 1),
+                    (form.monomial(shifted), v(-seed.d[j], -1)),
+                    (low * power, -1),
+                )),
+                f"mutated product identity at {j}",
+            )
             # The Gaussian-binomial lemma; x_dprime is the mutated binomial.
-            expansion = basis.x_prime(j) * basis.x_prime_power(last, bnj)
+            expansion = [(xjpp, 1), (xjp * power, -1)]
             for s in range(1, bnj + 1):
                 coeff = (
                     gaussian_binomial(bnj, s)
@@ -172,8 +186,8 @@ def check_principal_identities(seed: QuantumSeed) -> Report:
                 mono = vec_sub(
                     vec_add(vec_neg(basis_vector(m, j)), shifted), vec_scale(s, b_last)
                 )
-                expansion = expansion - form.monomial(mono).scalar_mul(coeff)
-            rep.record(xjpp == expansion, f"mutated element expansion at {j}")
+                expansion.append((form.monomial(mono), coeff))
+            rep.record(vanishes(expansion), f"mutated element expansion at {j}")
     return rep
 
 

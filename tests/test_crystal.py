@@ -123,6 +123,48 @@ def test_identity_failures_name_the_identity(monkeypatch):
     assert names == {"first", "second", "third", "fourth"}
 
 
+@pytest.mark.parametrize(
+    "name,mm",
+    [
+        ("first", (0, 0, 1, 1, 1, 1, 1)),
+        ("third", (1, 0, 1, 1, 1, 1, 1)),
+        ("fourth", (0, 1, 1, 1, 0, 1, 1)),
+    ],
+)
+def test_identity_fails_on_a_unit_shifted_coefficient(monkeypatch, name, mm):
+    # Multiplying one coefficient by v keeps the identity true at v = 1, so
+    # only an exact check can see it; the other rows at mm still apply.
+    window = dict(bound=1, frozen_range=(0, 1))
+    honest = Rank2Crystal(2, 1).verify_identities(**window)
+    identity_terms = Rank2Crystal._identity_terms
+
+    def shifted(self, index):
+        rows = identity_terms(self, index)
+        if index != mm:
+            return rows
+        names = [row for row, _ in rows]
+        assert name in names and len(names) > 1
+        return [
+            (row, [*terms[:-1], (terms[-1][0], v(1) * terms[-1][1])] if row == name else terms)
+            for row, terms in rows
+        ]
+
+    monkeypatch.setattr(Rank2Crystal, "_identity_terms", shifted)
+    rep = Rank2Crystal(2, 1).verify_identities(**window)
+    assert honest.ok and rep.checks == honest.checks
+    assert rep.failures == [f"{name} identity fails at {mm}"]
+
+
+@pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (2, 2), (1, 3)])
+def test_frozen_shift_shares_coefficients(b, c):
+    cr = Rank2Crystal(b, c)
+    for mm in cr._window(2, (-1, 1)):
+        base = cr.monomial((0, 0, *mm[2:])).terms
+        shifted = cr.monomial(mm).terms
+        assert len(shifted) == len(base), mm
+        assert all(x is y for x, y in zip(shifted.values(), base.values())), mm
+
+
 def test_block_relations_all_pairs():
     for b, c in [(1, 1), (2, 1), (2, 2), (1, 3)]:
         rep = Rank2Crystal(b, c).verify_block_relations()

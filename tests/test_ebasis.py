@@ -23,7 +23,11 @@ from qca.torus import (
     vec_dot,
     vec_sub,
 )
-from qca.verify import check_bar_triangularity, random_principal_seed
+from qca.verify import (
+    check_bar_triangularity,
+    check_exchange_relations,
+    random_principal_seed,
+)
 
 v = LaurentPoly.v_power
 
@@ -443,6 +447,27 @@ X_DPRIME_SEEDS = {
 def test_weight_order_pairs_to_symmetrizers(seed):
     w = seed_weight_order(seed).weights
     assert [vec_dot(w, seed.column(k)) for k in range(seed.n)] == list(seed.d)
+
+
+# Checks of check_exchange_relations per seed of X_DPRIME_SEEDS.
+EXCHANGE_CHECKS = {
+    "kronecker": 6,
+    "principal-1-1": 10,
+    "principal-2-1": 10,
+    "principal-3-2": 10,
+    "random-rank3": 24,
+    "double-principal-3-2": 18,
+    "wild-rank3": 24,
+    "frozen-twisted-3-2": 10,
+}
+
+
+@pytest.mark.parametrize("name", list(X_DPRIME_SEEDS))
+def test_exchange_relations_on_x_dprime_seeds(name):
+    # frozen-twisted-3-2 has a negative frozen entry; no random principal
+    # seed does.
+    rep = check_exchange_relations(EBasis(X_DPRIME_SEEDS[name]))
+    assert rep.ok and rep.checks == EXCHANGE_CHECKS[name], rep.summary()
 
 
 def test_compare_bases_frozen_twisted():

@@ -109,6 +109,19 @@ def test_divide_exact():
         v(1).divide_exact(LaurentPoly.zero())
 
 
+def test_constants_hash_as_their_integers():
+    for c in (-3, 0, 1, 3, 2**70):
+        p = LaurentPoly.from_int(c)
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c}
+        assert {p: "x"}[c] == "x" and {c: "x"}[p] == "x"
+    assert hash(LaurentPoly.zero()) == hash(0)
+    assert 0 in {LaurentPoly.zero()}
+    # Non-constants still hash by their terms.
+    assert hash(v(1) + 3) == hash(LaurentPoly({0: 3, 1: 1}))
+    assert len({v(1), v(1) + 0, v(-1), LaurentPoly.one(), 1}) == 3
+
+
 def test_str_format():
     assert str(v(-2) + 2 - v(4, 3)) == "v^-2 + 2 - 3*v^4"
     assert str(LaurentPoly.zero()) == "0"

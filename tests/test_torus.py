@@ -16,6 +16,7 @@ from qca.torus import (
     plus_part,
     quasi_commutes,
     r_of,
+    vanishes,
     vec_add,
     vec_sub,
 )
@@ -577,6 +578,49 @@ def test_quasi_commutes():
     assert quasi_commutes(x1, x1, 0)
     assert not quasi_commutes(x1, x2, 1)
     assert quasi_commutes(x1, x2, -1)
+
+
+def summed(pairs):
+    """``sum coeff * x`` built term by term with :meth:`TorusElement.scalar_mul`:
+    the oracle of :func:`vanishes`."""
+    return sum((x.scalar_mul(c) for x, c in pairs), FORM.zero())
+
+
+# Integer, unit (+-v^k) and general Laurent coefficients.
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(v, st.integers(-3, 3), st.sampled_from([1, -1])),
+    st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=3).map(LaurentPoly),
+)
+ELEMENTS = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), min_size=1, max_size=3).map(
+        LaurentPoly
+    ),
+    max_size=3,
+).map(FORM.element)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(ELEMENTS, COEFFS), max_size=5))
+def test_vanishes_matches_the_summed_oracle(pairs):
+    total = summed(pairs)
+    assert vanishes(pairs) == (total == 0)
+    # Cancelling the sum leaves zero; cancelling it up to a factor v, which
+    # agrees at v = 1, leaves zero only when the sum is zero.
+    assert vanishes([*pairs, (total, -1)])
+    assert vanishes([*pairs, (total, -v(1))]) == (total == 0)
+
+
+def test_vanishes_fixed_cases():
+    x = FORM.element({(1, -1): v(2) - 3, (0, 2): v(-1)})
+    for c in (1, -2, v(3), v(-1, -1), v(1) + 2):
+        assert vanishes([(x, c), (x, -c)])
+        assert not vanishes([(x, c), (x, -v(1) * c)])
+    assert vanishes([])
+    assert vanishes([(x, 0), (FORM.zero(), v(1))])
+    with pytest.raises(ContextMismatch):
+        vanishes([(x, 1), (SkewForm(((0, 2), (-2, 0))).monomial((1, -1)), 1)])
 
 
 def test_element_records_roundtrip():
