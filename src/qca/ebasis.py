@@ -24,7 +24,15 @@ from heapq import heapify, heappop, heappush
 
 from .laurent import LaurentPoly
 from .seed import QuantumSeed, exchange_vector, mutate, seed_weight_order, validate
-from .torus import TorusElement, basis_vector, r_of, vec_add, vec_scale, vec_sub
+from .torus import (
+    ContextMismatch,
+    TorusElement,
+    basis_vector,
+    r_of,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 
 __all__ = ["EBasis", "MutatedBasis", "ExpansionError"]
 
@@ -159,19 +167,23 @@ class EBasis:
         """Walk the terms of ``x`` from the order-highest exponent down.
 
         At each exponent ``g`` with coefficient ``c`` the sweep adds
-        ``rule(c) * E(a)``, where ``a`` is the label led by ``g``.  That
-        element has unit coefficient at ``g`` and all other terms strictly
-        below it, so a visited coefficient never changes again and the terms
-        not yet visited form a heap.  Each unvisited coefficient is a plain
-        ``{v-exponent: integer}`` accumulator updated in place; only the
-        popped coefficient becomes a :class:`LaurentPoly`.  Returns the
-        nonzero multiples by label and the resulting element.  Raises
-        :class:`ExpansionError` when more than ``expansion_cap`` multiples
-        are needed.
+        ``p * E(a)`` with ``p = rule(c)``, where ``a`` is the label led by
+        ``g``.  That element has unit coefficient at ``g`` and all other
+        terms strictly below it, so the coefficient at ``g`` settles as
+        ``c + p``, a visited coefficient never changes again, and the terms
+        not yet visited form a heap.  Only the terms of ``E(a)`` below ``g``
+        are added, and a label with no negative exchange entry has none
+        (``E(a) = X^a``), so no element is built for it.  Each unvisited
+        coefficient is a plain ``{v-exponent: integer}`` accumulator updated
+        in place; only the popped coefficient becomes a
+        :class:`LaurentPoly`.  Returns the nonzero multiples by label and
+        the resulting element.  Raises :class:`ExpansionError` when more
+        than ``expansion_cap`` multiples are needed.
         """
         if x.form != self.form:
-            raise ValueError("element lives in a different torus context")
+            raise ContextMismatch("element lives in a different torus context")
         key = self.order.descending_key
+        n = self.seed.n
         terms = {e: dict(c._terms) for e, c in x.terms.items()}
         heap = [(key(e), e) for e in terms]
         heapify(heap)
@@ -179,26 +191,28 @@ class EBasis:
         result: dict = {}
         while heap:
             g = heappop(heap)[1]
-            c = LaurentPoly(terms[g])
+            c = LaurentPoly(terms.pop(g))
             p = rule(c)
             if p:
                 if len(multiples) == self.expansion_cap:
                     raise ExpansionError(f"expansion exceeded {self.expansion_cap} steps")
                 a = self.leading_exponent_inverse(g)
                 multiples[a] = p
-                right = p._terms.items()
-                for e, ce in self.element(a).terms.items():
-                    acc = terms.get(e)
-                    if acc is None:
-                        acc = terms[e] = {}
-                        heappush(heap, (key(e), e))
-                    get = acc.get
-                    for e1, c1 in ce._terms.items():
-                        for e2, c2 in right:
-                            k = e1 + e2
-                            acc[k] = get(k, 0) + c1 * c2
-                c = LaurentPoly(terms[g])
-            del terms[g]
+                c = c + p
+                if any(ak < 0 for ak in a[:n]):
+                    right = p._terms.items()
+                    for e, ce in self.element(a).terms.items():
+                        if e == g:
+                            continue
+                        acc = terms.get(e)
+                        if acc is None:
+                            acc = terms[e] = {}
+                            heappush(heap, (key(e), e))
+                        get = acc.get
+                        for e1, c1 in ce._terms.items():
+                            for e2, c2 in right:
+                                k = e1 + e2
+                                acc[k] = get(k, 0) + c1 * c2
             if c:
                 result[g] = c
         return multiples, TorusElement(self.form, result)

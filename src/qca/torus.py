@@ -13,7 +13,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .laurent import LaurentPoly, digit_width, lattice_step, parse_laurent
 
@@ -487,7 +487,7 @@ class WeightOrder:
 
     def descending_key(self, e):
         """A key whose ascending order is this order reversed (for a min-heap)."""
-        return (-vec_dot(self.weights, e), vec_neg(e))
+        return (-sum(map(mul, self.weights, e)), tuple(map(neg, e)))
 
     def __repr__(self):
         return f"WeightOrder({self.weights})"

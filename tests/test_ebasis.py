@@ -9,10 +9,11 @@ import pytest
 from qca.ebasis import EBasis, ExpansionError, MutatedBasis
 from qca.kronecker import KroneckerAlgebra, a11_seed
 from qca.laurent import LaurentPoly, gaussian_binomial
-from qca.lusztig import _bar_correction, compare_bases
+from qca.lusztig import TriangularTable, _bar_correction, compare_bases
 from qca.crystal import rank2_principal_seed
 from qca.seed import QuantumSeed, double_seed, principal_seed, seed_weight_order
 from qca.torus import (
+    ContextMismatch,
     TorusElement,
     basis_vector,
     plus_part,
@@ -661,7 +662,7 @@ def sweep_inputs(basis, rng):
     return out
 
 
-@pytest.mark.parametrize("seed", list(LADDER_SEEDS.values()), ids=list(LADDER_SEEDS))
+@pytest.mark.parametrize("seed", list(X_DPRIME_SEEDS.values()), ids=list(X_DPRIME_SEEDS))
 def test_sweep_matches_object_oracle(seed):
     basis = EBasis(seed)
     rng = random.Random(seed.m * 17 + seed.d[0])
@@ -687,3 +688,61 @@ def test_sweep_cap_matches_object_oracle():
             else:
                 assert basis.sweep(x, rule) == expected
     assert 0 < raised < 24
+
+
+def test_triangular_rows_match_object_oracle():
+    # The oracle basis builds every E(a) the object sweep reaches, including
+    # the bare monomials that the in-place sweep settles without one.
+    seed = X_DPRIME_SEEDS["wild-rank3"]
+    oracle = EBasis(seed)
+    table = TriangularTable(EBasis(seed))
+    for r in range(1, 5):
+        a = (-r, -r, -r, 0, 0, 0)
+        row, element = object_sweep(oracle, oracle.element(a), _bar_correction)
+        assert table.p_row(a) == row
+        assert table.element(a) == element
+
+
+@pytest.mark.parametrize("seed", list(X_DPRIME_SEEDS.values()), ids=list(X_DPRIME_SEEDS))
+def test_elements_have_unit_leading_coefficient(seed):
+    basis = EBasis(seed)
+    rng = random.Random(seed.m * 13 + seed.d[-1])
+    labels = sample_labels(seed, rng, 30)
+    # Labels with no negative exchange entry are rare among the samples.
+    labels += [tuple(abs(x) if i < seed.n else x for i, x in enumerate(a)) for a in labels[:10]]
+    for a in labels:
+        element = basis.element(a)
+        assert element.leading_term(basis.order) == (basis.leading_exponent(a), LaurentPoly.one())
+        if all(x >= 0 for x in a[: seed.n]):
+            assert element == basis.form.monomial(a)
+
+
+def test_sweep_builds_elements_only_at_negative_labels(monkeypatch):
+    # The rows of the deep rank-3 benchmark workload: of the 1055 labels the
+    # sweep multiplies, only 190 have a negative exchange entry.
+    seed = X_DPRIME_SEEDS["wild-rank3"]
+    asked = []
+    original = EBasis.element
+
+    def spy_element(self, a):
+        asked.append(tuple(a))
+        return original(self, a)
+
+    monkeypatch.setattr(EBasis, "element", spy_element)
+    basis = EBasis(seed)
+    table = TriangularTable(basis)
+    multiplied = set()
+    for r in range(1, 8):
+        a = (-r, -r, -r, 0, 0, 0)
+        multiplied |= set(table.p_row(a))
+        multiplied.add(a)
+    monkeypatch.undo()
+    assert asked and all(any(x < 0 for x in a[: seed.n]) for a in asked)
+    assert len(basis._elements) == 190
+    assert len(multiplied) == 1055
+
+
+def test_sweep_rejects_a_foreign_element(affine, principal21):
+    x = principal21.element((-1, 0, 0, 0))
+    with pytest.raises(ContextMismatch):
+        affine.sweep(x, lambda c: -c)

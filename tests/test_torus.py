@@ -18,6 +18,8 @@ from qca.torus import (
     r_of,
     vanishes,
     vec_add,
+    vec_dot,
+    vec_neg,
     vec_sub,
 )
 
@@ -123,6 +125,25 @@ def test_leading_monomial():
     assert g == (1, 1)
     with pytest.raises(ValueError):
         FORM.zero().leading_term(ORDER)
+
+
+@st.composite
+def weights_and_exponents(draw):
+    m = draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(-9, 9)] * m)
+    return draw(vector), draw(st.lists(vector, min_size=1, max_size=8))
+
+
+@settings(deadline=None, max_examples=100)
+@given(weights_and_exponents())
+def test_descending_key_matches_the_dot_product_key(case):
+    w, exponents = case
+    order = WeightOrder(w)
+    for e in exponents:
+        assert order.descending_key(e) == (-vec_dot(w, e), vec_neg(e))
+    # Ascending keys walk the order from the top down.
+    descending = sorted(exponents, key=order.descending_key)
+    assert descending == sorted(exponents, key=order.key, reverse=True)
 
 
 def left_divide(p, q, order, cap=10**6):
