@@ -31,9 +31,7 @@ from .seed import (
     parse_seed,
     principal_seed,
     save_seed,
-    seed_from_dict,
     seed_hash,
-    seed_to_dict,
     validate,
 )
 from . import verify as suites
@@ -312,9 +310,8 @@ def _rank2_principal_report(b: int, c: int, box: int) -> Report:
 
 
 def _compare_chunk(payload):
-    seed_data, labels = payload
-    seed = seed_from_dict(seed_data)
-    rep = compare_bases(EBasis(seed), [tuple(a) for a in labels])
+    seed, labels = payload
+    rep = compare_bases(EBasis(seed), labels)
     return rep.checks, rep.failures
 
 
@@ -325,7 +322,8 @@ def _compare_bases_parallel(seed: QuantumSeed, labels, jobs: int) -> Report:
         return compare_bases(EBasis(seed), labels)
     rep = Report(name="triangular basis agrees across mutation")
     chunks = [labels[i::jobs] for i in range(jobs)]
-    payloads = [(seed_to_dict(seed), [list(a) for a in chunk]) for chunk in chunks]
+    # The seed is a frozen dataclass and pickles as it is, its form included.
+    payloads = [(seed, chunk) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for checks, failures in pool.map(_compare_chunk, payloads):
             rep.checks += checks

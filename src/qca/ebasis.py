@@ -12,27 +12,18 @@ to leading exponents is unimodularly triangular, which gives an exact greedy
 expansion algorithm for any element of the spanned algebra.
 
 :class:`MutatedBasis` takes the seed mutated at the order-last exchange
-index, whose own :class:`EBasis` supplies every label datum, and only
-realizes the mutated generators inside the original torus, which is what
-the basis-independence comparisons consume.
+index of any compatible order, whose own :class:`EBasis` supplies every
+label datum, and only realizes the mutated generators inside the original
+torus, which is what the basis-independence comparisons consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from heapq import heapify, heappop, heappush
 
 from .laurent import LaurentPoly
 from .seed import QuantumSeed, exchange_vector, mutate, seed_weight_order, validate
-from .torus import (
-    ContextMismatch,
-    TorusElement,
-    basis_vector,
-    r_of,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .torus import ContextMismatch, TorusElement, r_of, vec_add, vec_scale, vec_sub
 
 __all__ = ["EBasis", "MutatedBasis", "ExpansionError"]
 
@@ -249,26 +240,21 @@ class MutatedBasis:
     """Standard monomials of the once-mutated seed, realized in the
     original torus.
 
-    Mutation happens at the order-last exchange index, which must be the
-    last index of a seed in natural order (the only case the expansion
-    formulas cover).  The mutated seed, with the rotated order that keeps it
-    sign-compatible, has its own :class:`EBasis`, ``abstract``, which holds
-    every label datum: exchange vectors, columns, base exponents,
-    normalization and factor order.  This class only realizes the mutated
-    generators inside the original torus and multiplies them out; the one
-    step that depends on the mutation is :meth:`prime_monomial`.
+    Mutation happens at ``k_mut``, the last index of the seed's compatible
+    order, which is a sink.  The mutated seed, whose order :func:`mutate`
+    keeps compatible by moving ``k_mut`` to the front, has its own
+    :class:`EBasis`, ``abstract``, which holds every label datum: exchange
+    vectors, columns, base exponents, normalization and factor order.  This
+    class only realizes the mutated generators inside the original torus
+    and multiplies them out; the one step that depends on the mutation is
+    :meth:`prime_monomial`.
     """
 
     def __init__(self, base: EBasis):
-        seed = base.seed
-        if not seed.is_natural_order():
-            raise ValueError("mutated-basis machinery needs the natural order")
         self.base = base
         self.form = base.form
-        self.k_mut = seed.n - 1
-        rotated = (self.k_mut,) + tuple(range(self.k_mut))
-        mutated = replace(mutate(seed, self.k_mut), order=rotated)
-        self.abstract = EBasis(mutated, expansion_cap=base.expansion_cap)
+        self.k_mut = base.seed.order[-1]
+        self.abstract = EBasis(mutate(base.seed, self.k_mut), expansion_cap=base.expansion_cap)
         self._x_dprime: dict = {}  # k -> [X''_k^0, X''_k^1, ...]
         self._elements: dict = {}
 
@@ -305,34 +291,28 @@ class MutatedBasis:
         return ladder
 
     def prime_monomial(self, g) -> TorusElement:
-        """The normalized monomial of the mutated torus, realized here.
+        """The normalized monomial ``X'^g`` of the mutated torus, realized here.
 
-        Computed as the index-ordered product of mutated-generator powers,
-        rescaled by the power of ``v`` dictated by the mutated form.
         Requires a nonnegative entry at the mutation index, since the
         two-term exchange element is not invertible inside the torus.
         """
         return self._prime_product(g, 0)
 
     def _prime_product(self, g, nu: int) -> TorusElement:
-        """``v^nu`` times :meth:`prime_monomial`, the rescaling carried by the
-        leading unit monomial."""
-        m = self.base.seed.m
-        n1 = self.k_mut
-        if g[n1] < 0:
+        """``v^nu X'^g`` as one left unit shift of a ladder entry.
+
+        With ``q = g[k]`` and ``h = g - q e_k``, ``X'^g = v^(-L'(h, q e_k))
+        X'^h X'_k^q``.  The mutated form ``L'`` agrees with ``L`` away from
+        ``k`` and ``L'(h, e_k) = L(h, e'_k)``, so ``X'^h`` is ``X^h`` and
+        ``X'_k^q`` is the base ladder entry ``x_prime_power(k, q)``.
+        """
+        k = self.k_mut
+        q = g[k]
+        if q < 0:
             raise ValueError("mutated generator is not invertible in the torus")
-        sigma = self.abstract.form.chain_twist(
-            vec_scale(g[i], basis_vector(m, i)) for i in range(m) if g[i]
-        )
-        out = self.form.monomial((0,) * m, LaurentPoly.v_power(nu - sigma))
-        for i in range(m):
-            if not g[i]:
-                continue
-            if i == n1:
-                out = out * self.base.x_prime_power(n1, g[i])
-            else:
-                out = out * self.form.monomial(vec_scale(g[i], basis_vector(m, i)))
-        return out
+        h = (*g[:k], 0, *g[k + 1 :])
+        shift = LaurentPoly.v_power(nu - q * self.form.skew(h, self.base.e_prime(k)))
+        return self.form.monomial(h, shift) * self.base.x_prime_power(k, q)
 
     # -- elements ----------------------------------------------------------------
 

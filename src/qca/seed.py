@@ -84,9 +84,6 @@ class QuantumSeed:
         """The top n x n block."""
         return tuple(tuple(row[:]) for row in (r[: self.n] for r in self.btilde[: self.n]))
 
-    def is_natural_order(self) -> bool:
-        return self.order == tuple(range(self.n))
-
 
 def _order_violations(seed: QuantumSeed):
     pos = {k: i for i, k in enumerate(seed.order)}
@@ -295,7 +292,11 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
 
     The matrix follows the usual sign/positive-part rule; the form is pulled
     back along the substitution replacing the k-th basis vector by the
-    leading exchange exponent.
+    leading exchange exponent.  Mutation at the order-last index moves it to
+    the front of the order, at the order-first index to the back, and any
+    other index keeps the order.  A compatible order starts at a source and
+    ends at a sink, where mutation negates row and column ``k`` and changes
+    no other exchange entry, so the moved order is compatible again.
     """
     if not 0 <= k < seed.n:
         raise ValueError(f"mutation index {k} out of range [0, {seed.n - 1}]")
@@ -322,7 +323,12 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
         tuple(form.skew(vecs[i], vecs[j]) for j in range(seed.m))
         for i in range(seed.m)
     )
-    return replace(seed, btilde=tuple(new_b), lam=new_lam)
+    order = seed.order
+    if k == order[-1]:
+        order = (k,) + order[:-1]
+    elif k == order[0]:
+        order = order[1:] + (k,)
+    return replace(seed, btilde=tuple(new_b), lam=new_lam, order=order)
 
 
 def principal_seed(exchange_rows, d) -> QuantumSeed:

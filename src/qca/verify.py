@@ -133,7 +133,10 @@ def check_exchange_relations(basis: EBasis) -> Report:
 
 def check_principal_identities(seed: QuantumSeed) -> Report:
     """Short product identities specific to principal seeds in natural order,
-    each checked as the vanishing of its left side minus its right side."""
+    each checked as the vanishing of its left side minus its right side.
+    Raises ValueError for any other order, where they do not hold as stated."""
+    if seed.order != tuple(range(seed.n)):
+        raise ValueError("the principal identities are stated for the natural order")
     basis = EBasis(seed)
     mut = MutatedBasis(basis)
     form = basis.form
@@ -206,8 +209,9 @@ def _lattice_map(g, images):
 
 def _embedding_bases(seed: QuantumSeed):
     """The bullet exponents and the mutated bases of the principal and the
-    doubled seed, each holding its unmutated basis as ``base``."""
-    pbasis = EBasis(principal_seed(seed.exchange_matrix(), seed.d))
+    doubled seed, each holding its unmutated basis as ``base``.  Both carry
+    the order of ``seed``, so both mutate at the same index."""
+    pbasis = EBasis(replace(principal_seed(seed.exchange_matrix(), seed.d), order=seed.order))
     dbasis = EBasis(double_seed(seed))
     return bullet_exponents(seed), MutatedBasis(pbasis), MutatedBasis(dbasis)
 

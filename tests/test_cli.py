@@ -60,6 +60,25 @@ def test_seed_mutate(a11_file, tmp_path, capsys):
     assert mutated.btilde == ((0, 2), (-2, 0))
 
 
+@pytest.mark.parametrize(
+    "seed, k, label",
+    [(rank2_principal_seed(3, 2), "2", "-1,-1,0,0"), (a11_seed(), "1", "-1,-1")],
+    ids=["principal-3-2", "a11"],
+)
+def test_mutated_seed_file_works_in_every_command(seed, k, label, tmp_path, capsys):
+    path = str(tmp_path / "s.json")
+    save_seed(seed, path)
+    out_path = str(tmp_path / "mut.json")
+    code, _ = run(capsys, "seed", "mutate", path, "-k", k, "-o", out_path)
+    assert code == 0
+    code, out = run(capsys, "seed", "check", out_path)
+    assert code == 0 and "seed order compatible" in out.splitlines()
+    code, out = run(capsys, "basis", "c", out_path, f"--a={label}", "--no-cache")
+    assert code == 0 and out.startswith(f"C = E({label})")
+    code, out = run(capsys, "verify", "compare-bases", "--seed", out_path, "--window", "2")
+    assert code == 0 and "PASS" in out and "(25 checks)" in out
+
+
 @pytest.mark.parametrize("k", ["0", "3"])
 def test_seed_mutate_index_out_of_range(a11_file, capsys, k):
     code = main(["seed", "mutate", a11_file, "-k", k])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from qca.ebasis import EBasis
 from qca.kronecker import a11_seed
 from qca.laurent import LaurentPoly
 from qca.lusztig import phi_rank2_principal
-from qca.seed import QuantumSeed, double_seed, principal_seed, validate
+from qca.seed import QuantumSeed, double_seed, mutate, principal_seed, validate
 from qca.verify import (
     check_bullet_embedding,
     check_exchange_relations,
@@ -313,6 +314,13 @@ def test_principal_identities_random_and_degenerate():
     assert rep.ok, rep.summary()
 
 
+def test_principal_identities_reject_other_orders():
+    # In the order (2, 1) the identities as stated fail 3 of their 4 checks.
+    s = replace(principal_seed(((0, 1), (-1, 0)), (1, 1)), order=(1, 0))
+    with pytest.raises(ValueError, match="natural order"):
+        check_principal_identities(s)
+
+
 def test_psi_generator_images():
     s = a11_seed()
     n, m = s.n, s.m
@@ -470,6 +478,27 @@ def test_bullet_embedding_frozen_twisted_and_doubled(name):
     samples += itertools.product((-1, 0, 1), repeat=4)
     rep = check_bullet_embedding(s, samples)
     assert rep.ok and rep.checks == 17 + 3 * len(samples), rep.summary()
+
+
+# Seeds whose order is not the natural one: the A2 principal seed in the order
+# (2, 1), the rank-3 principal seed with entries +-1 in its only compatible
+# order (2, 1, 3), and a mutated seed as ``qca seed mutate`` writes it.
+UNNATURAL_ORDER_SEEDS = {
+    "a2-order-21": replace(principal_seed(((0, 1), (-1, 0)), (1, 1)), order=(1, 0)),
+    "pm1-rank3-order-213": replace(
+        principal_seed(((0, 1, -1), (-1, 0, -1), (1, 1, 0)), (1, 1, 1)), order=(1, 0, 2)
+    ),
+    "mutated-principal-3-2": mutate(rank2_principal_seed(3, 2), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(UNNATURAL_ORDER_SEEDS))
+def test_bullet_embedding_in_an_unnatural_order(name):
+    s = UNNATURAL_ORDER_SEEDS[name]
+    assert s.order != tuple(range(s.n)) and validate(s).order_compatible
+    samples = list(itertools.product((-1, 0, 1), repeat=2 * s.n))
+    rep = check_bullet_embedding(s, samples)
+    assert rep.ok and rep.checks == 1 + 4 * s.n * s.n + 3 * len(samples), rep.summary()
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -11,7 +12,14 @@ from qca.kronecker import KroneckerAlgebra, a11_seed
 from qca.laurent import LaurentPoly, gaussian_binomial
 from qca.lusztig import TriangularTable, _bar_correction, compare_bases
 from qca.crystal import rank2_principal_seed
-from qca.seed import QuantumSeed, double_seed, principal_seed, seed_weight_order
+from qca.seed import (
+    QuantumSeed,
+    compatible_orders,
+    double_seed,
+    mutate,
+    principal_seed,
+    seed_weight_order,
+)
 from qca.torus import (
     ContextMismatch,
     TorusElement,
@@ -27,6 +35,7 @@ from qca.torus import (
 from qca.verify import (
     check_bar_triangularity,
     check_exchange_relations,
+    check_frozen_shift,
     random_principal_seed,
 )
 
@@ -87,8 +96,6 @@ def test_x_prime_rank2_principal():
 
 def test_order_incompatible_seed_rejected():
     s = a11_seed()
-    from dataclasses import replace
-
     with pytest.raises(ValueError):
         EBasis(replace(s, order=(1, 0)))
 
@@ -264,8 +271,6 @@ def test_filtration_of_products(affine):
 def test_order_transposition_invariance():
     # Zero exchange entry between adjacent order indices: swapping them
     # leaves every standard element unchanged.
-    from dataclasses import replace
-
     s = principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1))
     b1 = EBasis(s)
     b2 = EBasis(replace(s, order=(1, 0, 2)))
@@ -479,10 +484,40 @@ def test_compare_bases_frozen_twisted():
     assert rep.ok and rep.checks == 225, rep.summary()
 
 
+# Mutated principal seeds have negative frozen entries.  Each is taken in the
+# order mutate gives it, and MutatedBasis mutates it once more at the end of
+# that order; the second entry is the compare-bases window.
+PM1_RANK3 = replace(
+    principal_seed(((0, 1, -1), (-1, 0, -1), (1, 1, 0)), (1, 1, 1)), order=(1, 0, 2)
+)
+FROZEN_SIGN_SEEDS = {
+    "principal-3-2-mu1": (mutate(rank2_principal_seed(3, 2), 0), 2),
+    "principal-3-2-mu2": (mutate(rank2_principal_seed(3, 2), 1), 2),
+    "pm1-rank3-mu2": (mutate(PM1_RANK3, 1), 1),
+    "pm1-rank3-mu3": (mutate(PM1_RANK3, 2), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_SIGN_SEEDS))
+def test_compare_bases_and_frozen_shift_on_mutated_principal_seeds(name):
+    seed, window = FROZEN_SIGN_SEEDS[name]
+    assert any(x < 0 for row in seed.btilde[seed.n :] for x in row)
+    basis = EBasis(seed)
+    labels = [
+        a + (0,) * (seed.m - seed.n)
+        for a in itertools.product(range(-window, window + 1), repeat=seed.n)
+    ]
+    rep = compare_bases(basis, labels)
+    assert rep.ok and rep.checks == len(labels), rep.summary()
+    rep = check_frozen_shift(MutatedBasis(basis), random.Random(13), 10)
+    assert rep.ok and rep.checks == 10, rep.summary()
+
+
 def gaussian_x_dprime(mut, k):
     """``x_dprime(k)`` for ``k != k_mut`` as a combination of original
-    standard elements with Gaussian-binomial coefficients in ``v^(2 d_last)``:
-    a closed form of the mutated exchange binomial, kept as an oracle."""
+    standard elements with Gaussian-binomial coefficients in ``v^(2 d)``, ``d``
+    the symmetrizer at ``k_mut``: a closed form of the mutated exchange
+    binomial, kept as an oracle."""
     seed = mut.base.seed
     n1 = mut.k_mut
     bnk = seed.btilde[n1][k]
@@ -529,12 +564,15 @@ def scratch_prime_monomial(mut, g):
 
 
 def scratch_mutated_element(mut, a):
-    seed = mut.base.seed
-    n, n1 = seed.n, mut.k_mut
+    """The realized mutated element as the ordered product in the order of
+    the mutated seed, with ``**``, the plain generator at the mutation index
+    and a trailing ``v^nu``."""
+    n = mut.base.seed.n
     out = scratch_prime_monomial(mut, tuple(x if i >= n else max(x, 0) for i, x in enumerate(a)))
-    out = out * mut.base.form.monomial(vec_scale(max(-a[n1], 0), basis_vector(seed.m, n1)))
-    for k in range(n1):
-        out = out * mut.x_dprime(k) ** max(-a[k], 0)
+    for k in mut.abstract.seed.order:
+        if a[k] < 0:
+            x = mut.base.form.generator(k) if k == mut.k_mut else mut.x_dprime(k)
+            out = out * x ** -a[k]
     return out.scalar_mul(v(mut.abstract.normalization_exponent(a)))
 
 
@@ -571,6 +609,34 @@ def test_elements_match_scratch_products(seed):
         assert mut.element(a) == scratch_mutated_element(mut, a)
         g = a[:mut.k_mut] + (abs(a[mut.k_mut]),) + a[mut.k_mut + 1 :]
         assert mut.prime_monomial(g) == scratch_prime_monomial(mut, g)
+
+
+# Rank-3 principal seeds: the wild and the +-1 seed have one compatible order
+# each, (1, 2, 3) and (2, 1, 3); the fork has two.
+ORDER_SEEDS = {
+    "wild-rank3": X_DPRIME_SEEDS["wild-rank3"],
+    "pm1-rank3": PM1_RANK3,
+    "fork-rank3": principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_SEEDS))
+def test_mutated_elements_match_scratch_in_every_compatible_order(name):
+    seed = ORDER_SEEDS[name]
+    orders = compatible_orders(seed)
+    assert orders
+    rng = random.Random(len(name))
+    for order in orders:
+        mut = MutatedBasis(EBasis(replace(seed, order=order)))
+        k = mut.k_mut
+        assert k == order[-1]
+        for j in range(seed.n):
+            if j != k:
+                assert mut.x_dprime(j) == gaussian_x_dprime(mut, j)
+        for a in sample_labels(seed, rng, 30):
+            assert mut.element(a) == scratch_mutated_element(mut, a)
+            g = a[:k] + (abs(a[k]),) + a[k + 1 :]
+            assert mut.prime_monomial(g) == scratch_prime_monomial(mut, g)
 
 
 def test_ladder_entries_built_once(monkeypatch):

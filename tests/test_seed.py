@@ -132,6 +132,32 @@ def test_mutation_involution():
         assert validate(mutate(s, k)).valid
 
 
+def test_mutation_at_either_end_of_a_compatible_order():
+    # Mutation moves the order-last index to the front and the order-first
+    # one to the back; either way the order stays compatible and a second
+    # mutation at the same index restores the seed, order included.
+    rng = random.Random(19)
+    moved = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            base = random_principal_seed(rng, n)
+            for order in compatible_orders(base):
+                s = replace(base, order=order)
+                for k in {order[0], order[-1]}:
+                    mutated = mutate(s, k)
+                    assert validate(mutated).order_compatible, (s, k)
+                    assert mutate(mutated, k) == s
+                    moved += mutated.order != order
+    assert moved > 0
+
+
+def test_mutation_keeps_the_order_away_from_its_ends():
+    s = principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1))
+    assert mutate(s, 0).order == (1, 2, 0)
+    assert mutate(s, 1).order == (0, 1, 2)
+    assert mutate(s, 2).order == (2, 0, 1)
+
+
 def test_mutation_rank2_principal_matches_closed_form():
     b, c = 2, 3
     s = principal_seed(((0, -b), (c, 0)), (c, b))
