@@ -3,18 +3,19 @@
 For a label ``a`` in ``Z^m`` the raw standard monomial is the ordered
 product of a frozen/positive-part monomial with powers of the exchange
 binomials; the normalized element rescales it by the unique power of ``v``
-making its leading term bar-invariant.  Each basis keeps a ladder of the
-powers of every exchange binomial, entry ``q`` built once as entry ``q - 1``
-times the binomial, and the rescaling rides on the leading monomial, so an
-element costs one product per nonzero exchange power.  Because the order is
-compatible with the sign pattern of the exchange matrix, the map from labels
-to leading exponents is unimodularly triangular, which gives an exact greedy
-expansion algorithm for any element of the spanned algebra.
+making its leading term bar-invariant.  One builder, shared by both classes,
+keeps a ladder of the powers of every exchange element, entry ``q`` built
+once as entry ``q - 1`` times the element, and the rescaling rides on the
+front monomial, so an element costs one product per nonzero exchange power.
+Because the order is compatible with the sign pattern of the exchange
+matrix, the map from labels to leading exponents is unimodularly
+triangular, which gives an exact greedy expansion algorithm for any element
+of the spanned algebra.
 
 :class:`MutatedBasis` takes the seed mutated at the order-last exchange
 index of any compatible order, whose own :class:`EBasis` supplies every
-label datum, and only realizes the mutated generators inside the original
-torus, which is what the basis-independence comparisons consume.
+label datum, and realizes its monomials and exchange elements inside the
+original torus, which is what the basis-independence comparisons consume.
 """
 
 from __future__ import annotations
@@ -32,17 +33,59 @@ class ExpansionError(RuntimeError):
     """Raised when a sweep exceeds its step cap."""
 
 
-def _ladder_power(ladder: list, q: int) -> TorusElement:
-    """Entry ``q`` of ``ladder = [x^0, x^1, ...]``, extended as needed: each
-    new entry is the previous one times ``x``, so every power of ``x`` is
-    built once, by one product."""
-    while len(ladder) <= q:
-        ladder.append(ladder[-1] * ladder[1])
-    return ladder[q]
+class _StandardMonomials:
+    """Ordered products ``v^nu X^g x_k1^q1 x_k2^q2 ...`` cached per label, with
+    the label data read from the :class:`EBasis` ``abstract``.  A subclass
+    realizes ``v^nu X^g`` as :meth:`_front` and ``x_k`` as :meth:`_generator`."""
+
+    def __init__(self, form):
+        self.form = form
+        self._ladders: dict = {}  # k -> [x_k^0, x_k^1, ...]
+        self._elements: dict = {}
+
+    def _power(self, k: int, q: int) -> TorusElement:
+        """``x_k ** q`` from the ladder of its powers, extended as needed:
+        each new entry is the previous one times ``x_k``, so every power is
+        built once, by one product."""
+        ladder = self._ladders.get(k)
+        if ladder is None:
+            ladder = self._ladders[k] = [self.form.one(), self._generator(k)]
+        while len(ladder) <= q:
+            ladder.append(ladder[-1] * ladder[1])
+        return ladder[q]
+
+    def _ordered_product(self, a, nu: int) -> TorusElement:
+        """``v^nu X^[a]_+`` times the exchange powers of ``a`` in order: one
+        product per nonzero power."""
+        labels = self.abstract
+        out = self._front(labels._base_exponent(a), nu)
+        for k in labels.seed.order:
+            if a[k] < 0:
+                out = out * self._power(k, -a[k])
+        return out
+
+    def element(self, a) -> TorusElement:
+        """The normalized standard basis element for label ``a``."""
+        a = tuple(a)
+        cached = self._elements.get(a)
+        if cached is None:
+            cached = self._ordered_product(a, self.abstract.normalization_exponent(a))
+            self._elements[a] = cached
+        return cached
+
+    def assemble(self, coeffs: dict) -> TorusElement:
+        """Inverse of :meth:`EBasis.expand`: the element with these coefficients."""
+        out = self.form.zero()
+        for a, c in coeffs.items():
+            out = out + self.element(a).scalar_mul(c)
+        return out
 
 
-class EBasis:
-    """Standard-monomial machinery bound to one validated, ordered seed."""
+class EBasis(_StandardMonomials):
+    """Standard monomials of one validated, ordered seed: the front is the
+    plain monomial and the generators are the exchange binomials.  The
+    label maps and the expansion sweep act in this torus, so they live here
+    and not on the builder."""
 
     def __init__(self, seed: QuantumSeed, expansion_cap: int = 10**5):
         if expansion_cap < 0:
@@ -55,12 +98,18 @@ class EBasis:
                 "seed order is not sign-compatible with the exchange matrix; "
                 f"violations at {report.order_violations}"
             )
+        super().__init__(seed.form())
         self.seed = seed
-        self.form = seed.form()
         self.order = seed_weight_order(seed)
         self.expansion_cap = expansion_cap
-        self._x_prime: dict = {}  # k -> [X'_k^0, X'_k^1, ...]
-        self._elements: dict = {}
+
+    @property
+    def abstract(self) -> EBasis:
+        """This basis; a property, so that the basis holds no reference to itself."""
+        return self
+
+    # Both classes hold ``element`` themselves, so either can be wrapped alone.
+    element = _StandardMonomials.element
 
     # -- generators ----------------------------------------------------------
 
@@ -68,24 +117,19 @@ class EBasis:
         """Leading exponent of the k-th exchange binomial."""
         return exchange_vector(self.seed, k)
 
-    def _x_prime_ladder(self, k: int) -> list:
-        """``[1, x_prime(k)]`` and the powers built so far."""
-        ladder = self._x_prime.get(k)
-        if ladder is None:
-            ep = self.e_prime(k)
-            x = self.form.monomial(ep) + self.form.monomial(
-                vec_sub(ep, self.seed.column(k))
-            )
-            ladder = self._x_prime[k] = [self.form.one(), x]
-        return ladder
+    def _front(self, g, nu: int) -> TorusElement:
+        return self.form.monomial(g, LaurentPoly.v_power(nu))
+
+    def _generator(self, k: int) -> TorusElement:
+        ep = self.e_prime(k)
+        return self.form.monomial(ep) + self.form.monomial(vec_sub(ep, self.seed.column(k)))
 
     def x_prime(self, k: int) -> TorusElement:
         """The two-term exchange element replacing generator ``k``."""
-        return self._x_prime_ladder(k)[1]
+        return self._power(k, 1)
 
-    def x_prime_power(self, k: int, q: int) -> TorusElement:
-        """``x_prime(k) ** q`` from this basis's ladder of its powers."""
-        return _ladder_power(self._x_prime_ladder(k), q)
+    # ``x_prime(k) ** q`` from this basis's ladder of its powers.
+    x_prime_power = _StandardMonomials._power
 
     # -- labels and leading exponents ------------------------------------------
 
@@ -130,27 +174,9 @@ class EBasis:
         factors += [vec_scale(-a[k], self.e_prime(k)) for k in self.seed.order if a[k] < 0]
         return -self.form.chain_twist(factors)
 
-    def _ordered_product(self, a, nu: int) -> TorusElement:
-        """``v^nu X^[a]_+`` times the exchange powers of ``a`` in order: one
-        product per nonzero power."""
-        out = self.form.monomial(self._base_exponent(a), LaurentPoly.v_power(nu))
-        for k in self.seed.order:
-            if a[k] < 0:
-                out = out * self.x_prime_power(k, -a[k])
-        return out
-
     def raw_standard_monomial(self, a) -> TorusElement:
         """The un-normalized ordered product for label ``a``."""
         return self._ordered_product(a, 0)
-
-    def element(self, a) -> TorusElement:
-        """The normalized standard basis element for label ``a``."""
-        a = tuple(a)
-        cached = self._elements.get(a)
-        if cached is None:
-            cached = self._ordered_product(a, self.normalization_exponent(a))
-            self._elements[a] = cached
-        return cached
 
     # -- expansion ------------------------------------------------------------------
 
@@ -218,13 +244,6 @@ class EBasis:
         multiples, _ = self.sweep(x, lambda c: -c)
         return {a: -p for a, p in multiples.items()}
 
-    def assemble(self, coeffs: dict) -> TorusElement:
-        """Inverse of :meth:`expand`: rebuild the element from coefficients."""
-        out = self.form.zero()
-        for a, c in coeffs.items():
-            out = out + self.element(a).scalar_mul(c)
-        return out
-
     def r_row(self, a) -> dict:
         """Expansion of ``bar(E) - E`` for label ``a``.  Bar-triangularity
         puts its nonzero entries only at labels of strictly smaller grading;
@@ -236,29 +255,37 @@ class EBasis:
         return r_of(a, self.seed.n)
 
 
-class MutatedBasis:
+class MutatedBasis(_StandardMonomials):
     """Standard monomials of the once-mutated seed, realized in the
     original torus.
 
     Mutation happens at ``k_mut``, the last index of the seed's compatible
-    order, which is a sink.  The mutated seed, whose order :func:`mutate`
-    keeps compatible by moving ``k_mut`` to the front, has its own
-    :class:`EBasis`, ``abstract``, which holds every label datum: exchange
-    vectors, columns, base exponents, normalization and factor order.  This
-    class only realizes the mutated generators inside the original torus
-    and multiplies them out; the one step that depends on the mutation is
+    order, which is a sink or isolated.  The mutated seed, whose order
+    :func:`mutate` keeps compatible, has its own :class:`EBasis`,
+    ``abstract``, which holds every label datum: exchange vectors, columns,
+    base exponents, normalization and factor order.  This class only
+    realizes the front monomials and the mutated generators inside the
+    original torus; the one step that depends on the mutation is
     :meth:`prime_monomial`.
     """
 
     def __init__(self, base: EBasis):
+        super().__init__(base.form)
         self.base = base
-        self.form = base.form
         self.k_mut = base.seed.order[-1]
         self.abstract = EBasis(mutate(base.seed, self.k_mut), expansion_cap=base.expansion_cap)
-        self._x_dprime: dict = {}  # k -> [X''_k^0, X''_k^1, ...]
-        self._elements: dict = {}
+
+    element = _StandardMonomials.element
 
     # -- mutated generators, realized ------------------------------------------
+
+    def _generator(self, k: int) -> TorusElement:
+        if k == self.k_mut:
+            return self.form.generator(k)
+        e = self.abstract.e_prime(k)
+        return self.prime_monomial(e) + self.prime_monomial(
+            vec_sub(e, self.abstract.seed.column(k))
+        )
 
     def x_dprime(self, k: int) -> TorusElement:
         """The k-th mutated exchange element, realized in the original torus.
@@ -269,26 +296,10 @@ class MutatedBasis:
         :meth:`prime_monomial`.  Its Gaussian-binomial expansion is checked
         in :func:`qca.verify.check_principal_identities`.
         """
-        return self._x_dprime_ladder(k)[1]
+        return self._power(k, 1)
 
-    def x_dprime_power(self, k: int, q: int) -> TorusElement:
-        """``x_dprime(k) ** q`` from this basis's ladder of its powers."""
-        return _ladder_power(self._x_dprime_ladder(k), q)
-
-    def _x_dprime_ladder(self, k: int) -> list:
-        """``[1, x_dprime(k)]`` and the powers built so far."""
-        ladder = self._x_dprime.get(k)
-        if ladder is not None:
-            return ladder
-        if k == self.k_mut:
-            out = self.form.generator(k)
-        else:
-            e = self.abstract.e_prime(k)
-            out = self.prime_monomial(e) + self.prime_monomial(
-                vec_sub(e, self.abstract.seed.column(k))
-            )
-        ladder = self._x_dprime[k] = [self.form.one(), out]
-        return ladder
+    # ``x_dprime(k) ** q`` from this basis's ladder of its powers.
+    x_dprime_power = _StandardMonomials._power
 
     def prime_monomial(self, g) -> TorusElement:
         """The normalized monomial ``X'^g`` of the mutated torus, realized here.
@@ -296,9 +307,9 @@ class MutatedBasis:
         Requires a nonnegative entry at the mutation index, since the
         two-term exchange element is not invertible inside the torus.
         """
-        return self._prime_product(g, 0)
+        return self._front(g, 0)
 
-    def _prime_product(self, g, nu: int) -> TorusElement:
+    def _front(self, g, nu: int) -> TorusElement:
         """``v^nu X'^g`` as one left unit shift of a ladder entry.
 
         With ``q = g[k]`` and ``h = g - q e_k``, ``X'^g = v^(-L'(h, q e_k))
@@ -313,28 +324,6 @@ class MutatedBasis:
         h = (*g[:k], 0, *g[k + 1 :])
         shift = LaurentPoly.v_power(nu - q * self.form.skew(h, self.base.e_prime(k)))
         return self.form.monomial(h, shift) * self.base.x_prime_power(k, q)
-
-    # -- elements ----------------------------------------------------------------
-
-    def element(self, a) -> TorusElement:
-        """The mutated-seed standard basis element, inside the original torus:
-        the ordered product of :meth:`EBasis.element` for ``abstract``, with
-        every mutated generator realized by :meth:`x_dprime`."""
-        a = tuple(a)
-        cached = self._elements.get(a)
-        if cached is None:
-            abstract = self.abstract
-            cached = self._prime_product(
-                abstract._base_exponent(a), abstract.normalization_exponent(a)
-            )
-            for k in abstract.seed.order:
-                if a[k] < 0:
-                    cached = cached * self.x_dprime_power(k, -a[k])
-            self._elements[a] = cached
-        return cached
-
-    # The same loop as EBasis.assemble, over the realized elements.
-    assemble = EBasis.assemble
 
     def expansion_in_base(self, a) -> dict:
         """Coefficients of the realized mutated element in the original basis."""

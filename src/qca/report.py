@@ -24,11 +24,13 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.checks > 0 and not self.failures
 
     def summary(self) -> str:
         if self.ok:
             return f"PASS {self.name} ({self.checks} checks)"
+        if not self.failures:
+            return f"FAIL {self.name} (no checks)"
         first = self.failures[0]
         return (
             f"FAIL {self.name} ({len(self.failures)}/{self.checks} checks failed; "

@@ -288,15 +288,16 @@ def exchange_vector(seed: QuantumSeed, k: int):
 
 
 def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
-    """Seed mutation at exchange index ``k`` (an involution on the data).
+    """Seed mutation at exchange index ``k``, an involution on ``B`` and ``L``.
 
     The matrix follows the usual sign/positive-part rule; the form is pulled
     back along the substitution replacing the k-th basis vector by the
-    leading exchange exponent.  Mutation at the order-last index moves it to
-    the front of the order, at the order-first index to the back, and any
-    other index keeps the order.  A compatible order starts at a source and
-    ends at a sink, where mutation negates row and column ``k`` and changes
-    no other exchange entry, so the moved order is compatible again.
+    leading exchange exponent.  A sink of the exchange graph moves to the
+    front of the order, a source to the back, and an isolated index or one
+    with edges both ways keeps its place.  At a sink or source mutation
+    negates row and column ``k`` and changes no other exchange entry, so a
+    compatible order stays compatible; on it, mutation is an involution
+    only at the ends.
     """
     if not 0 <= k < seed.n:
         raise ValueError(f"mutation index {k} out of range [0, {seed.n - 1}]")
@@ -323,11 +324,12 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
         tuple(form.skew(vecs[i], vecs[j]) for j in range(seed.m))
         for i in range(seed.m)
     )
+    incoming = any(b[k][j] > 0 for j in range(seed.n))
+    outgoing = any(b[i][k] > 0 for i in range(seed.n))
     order = seed.order
-    if k == order[-1]:
-        order = (k,) + order[:-1]
-    elif k == order[0]:
-        order = order[1:] + (k,)
+    if incoming != outgoing:
+        rest = tuple(j for j in order if j != k)
+        order = (k, *rest) if incoming else (*rest, k)
     return replace(seed, btilde=tuple(new_b), lam=new_lam, order=order)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and file round-trips."""
 
+import argparse
 import json
 import time
 
@@ -8,10 +9,16 @@ import pytest
 from qca import cli
 from qca.cli import main
 from qca.crystal import rank2_principal_seed
+from qca.ebasis import EBasis, MutatedBasis
 from qca.kronecker import a11_seed
-from qca.laurent import parse_laurent
+from qca.laurent import LaurentPoly, parse_laurent
+from qca.lusztig import compare_bases
+from qca.report import Report
 from qca.seed import load_seed, principal_seed, save_seed, seed_hash
 from qca.torus import TorusElement
+
+# Sources 1 and 2 both point at the sink 3 (1-based).
+FORK = principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1))
 
 
 @pytest.fixture()
@@ -505,3 +512,167 @@ def test_verify_size_flag_below_minimum_is_named(argv, flag, a11_file, capsys):
     out, err = capsys.readouterr()
     assert out == "", out
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
+
+
+def test_seed_mutate_and_double_default_output_names(tmp_path, capsys):
+    path = tmp_path / "fork.json"
+    save_seed(FORK, str(path))
+    code, out = run(capsys, "seed", "mutate", str(path), "-k", "2")
+    assert code == 0 and out == f"wrote {tmp_path / 'fork.mu2.json'}\n"
+    code, out = run(capsys, "seed", "double", str(path))
+    assert code == 0 and out == f"wrote {tmp_path / 'fork.double.json'}\n"
+    assert load_seed(str(tmp_path / "fork.double.json")).m == 2 * FORK.m
+    bare = tmp_path / "fork"
+    save_seed(FORK, str(bare))
+    code, out = run(capsys, "seed", "double", str(bare))
+    assert code == 0 and out == f"wrote {tmp_path / 'fork.double.json'}\n"
+
+
+def test_mutation_at_a_middle_source_gives_a_working_seed_file(tmp_path, capsys):
+    # Index 2 (1-based) is a source in the middle of the order [1,2,3]; the
+    # mutated order must move it to the back to stay compatible.
+    path = tmp_path / "fork.json"
+    save_seed(FORK, str(path))
+    out_path = str(tmp_path / "mut.json")
+    code, _ = run(capsys, "seed", "mutate", str(path), "-k", "2", "-o", out_path)
+    assert code == 0 and load_seed(out_path).order == (0, 2, 1)
+    code, out = run(capsys, "seed", "check", out_path)
+    assert code == 0 and "seed order compatible" in out.splitlines()
+    code, out = run(capsys, "basis", "c", out_path, "--a=-1,-1,-1,0,0,0", "--no-cache")
+    assert code == 0 and out.startswith("C = E(-1,-1,-1,0,0,0)")
+    code, out = run(capsys, "verify", "compare-bases", "--seed", out_path, "--window", "1")
+    assert code == 0 and out == "PASS triangular basis agrees across mutation (27 checks)\n"
+
+
+def test_basis_c_machine_format_keys(a11_file, capsys):
+    code, out = run(capsys, "--format", "machine", "basis", "c", a11_file, "--a=-1,-1", "--no-cache")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"kind", "a", "element", "expansion", "cached"}
+    assert payload["kind"] == "c" and payload["a"] == [-1, -1] and payload["cached"] is False
+    assert {"a": [-1, -1], "coeff": "1"} in payload["expansion"]
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# Each verify subcommand at the least value of every size flag, and the
+# report names it prints.  Identities needs rank 2 for its principal
+# report: at --nmax 1 that report has no checks.
+LEAST_VERIFY_RUNS = {
+    "kronecker": (
+        "--rmax 0 --box 0",
+        [
+            "chebyshev family r<= 0",
+            "cluster monomial labels m in (-1, 3), a <= 2",
+            "standard monomial times X_0, |a| <= 0",
+        ],
+    ),
+    "rank2-principal": (
+        "--b 1 --c 1 --box 0",
+        ["rank-2 principal unit coefficients (b=1, c=1)"],
+    ),
+    "identities": (
+        "--seeds 1 --nmax 2 --rmax 0 --bound 0 --pairs 1,1",
+        [
+            "gaussian binomial products r <= 0",
+            "exchange relations on 1 random principal seeds",
+            "principal product identities on the same seeds",
+            "straightening identities (b=1, c=1)",
+            "normalization closed form (b=1, c=1)",
+        ],
+    ),
+    "psi": ("--seed {seed} --samples 1 --box 0", ["principal-in-double embedding"]),
+    "compare-bases": (
+        "--seed {seed} --window 0 --jobs 1",
+        ["triangular basis agrees across mutation"],
+    ),
+    "properties": (
+        "--seeds 1 --count 1",
+        [
+            "expansion roundtrips",
+            "involution row triangularity",
+            "triangular element properties",
+            "frozen shift invariance",
+            "order transposition invariance",
+            "principal-in-double embedding",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_subcommands(_subcommands(cli.build_parser())["verify"])))
+def test_every_verify_subcommand_passes_at_its_least_size(name, tmp_path, capsys):
+    flags, names = LEAST_VERIFY_RUNS[name]
+    path = tmp_path / "fork.json"
+    save_seed(FORK, str(path))
+    argv = ["--format", "machine", "verify", name, *flags.format(seed=path).split()]
+    code, out = run(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] is True and payload["command"] == f"verify {name}"
+    assert [r["name"] for r in payload["reports"]] == names
+    assert all(r["ok"] and r["checks"] > 0 for r in payload["reports"])
+
+
+@pytest.mark.parametrize("flags", ["--nmax 1", "--seeds 1 --nmax 3 --random-seed 3"])
+def test_verify_identities_with_an_empty_report_fails(flags, capsys):
+    code, out = run(capsys, "verify", "identities", *flags.split())
+    assert code == 1
+    assert "FAIL principal product identities on the same seeds (no checks)" in out.splitlines()
+    code, out = run(capsys, "--format", "machine", "verify", "identities", *flags.split())
+    assert code == 1
+    payload = json.loads(out)
+    empty = [r for r in payload["reports"] if r["checks"] == 0]
+    assert payload["ok"] is False and len(empty) == 1
+    assert empty[0] == {
+        "name": "principal product identities on the same seeds",
+        "checks": 0,
+        "failed": 0,
+        "ok": False,
+        "first_failure": None,
+    }
+
+
+def test_report_passes_only_with_checks_and_no_failures():
+    rep = Report(name="r")
+    assert not rep.ok and rep.summary() == "FAIL r (no checks)"
+    rep.record(True)
+    assert rep.ok and rep.summary() == "PASS r (1 checks)"
+    rep.record(False, "bad")
+    assert not rep.ok and rep.summary() == "FAIL r (1/2 checks failed; first: bad)"
+
+
+ONE = LaurentPoly.one()
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        (
+            {(0, 0, 0, 0): ONE, (1, 0, 0, 0): ONE},
+            "two unit coefficients in expansion of (0, 0, 0, 0)",
+        ),
+        (
+            {(0, 0, 0, 0): ONE, (1, 0, 0, 0): LaurentPoly.v_power(-1)},
+            "coefficient at (1, 0, 0, 0) in expansion of (0, 0, 0, 0) is not in vZ[v]: v^-1",
+        ),
+        ({(1, 0, 0, 0): LaurentPoly.v_power(1)}, "no unit coefficient in expansion of (0, 0, 0, 0)"),
+    ],
+    ids=["two-units", "outside-vZ[v]", "no-unit"],
+)
+def test_broken_unit_coefficient_fails_the_checks(coeffs, message, monkeypatch, capsys):
+    monkeypatch.setattr(MutatedBasis, "expansion_in_base", lambda self, a: coeffs)
+    a = (0, 0, 0, 0)
+    with pytest.raises(ValueError) as exc:
+        MutatedBasis(EBasis(rank2_principal_seed(1, 1))).unit_label(a)
+    assert str(exc.value) == message
+    rep = compare_bases(EBasis(rank2_principal_seed(1, 1)), [a])
+    assert rep.checks == 1 and rep.failures == [f"a={a}: {message}"]
+    code, out = run(capsys, "verify", "rank2-principal", "--b", "1", "--c", "1", "--box", "0")
+    assert code == 1
+    assert out == (
+        "FAIL rank-2 principal unit coefficients (b=1, c=1) "
+        f"(1/1 checks failed; first: a={a}: {message})\n"
+    )

@@ -151,11 +151,36 @@ def test_mutation_at_either_end_of_a_compatible_order():
     assert moved > 0
 
 
-def test_mutation_keeps_the_order_away_from_its_ends():
+def test_mutation_moves_a_source_away_from_its_ends_to_the_back():
+    # Index 1 is a source in the middle of the order (0, 1, 2); keeping the
+    # order there would leave it incompatible.
     s = principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1))
     assert mutate(s, 0).order == (1, 2, 0)
-    assert mutate(s, 1).order == (0, 1, 2)
+    assert mutate(s, 1).order == (0, 2, 1)
+    assert validate(mutate(s, 1)).order_compatible
     assert mutate(s, 2).order == (2, 0, 1)
+
+
+def test_mutation_keeps_an_isolated_index_in_place():
+    s = principal_seed(((0, 0, 0),) * 3, (1, 1, 1))
+    for k in range(3):
+        assert mutate(s, k).order == (0, 1, 2)
+
+
+def test_sink_or_source_mutation_keeps_every_compatible_order_compatible():
+    rng = random.Random(19)
+    mutations = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            base = random_principal_seed(rng, n)
+            kinds = [sink_or_source(base, k, extended=False) for k in range(n)]
+            for order in compatible_orders(base):
+                s = replace(base, order=order)
+                for k in range(n):
+                    if kinds[k] != "neither":
+                        mutations += 1
+                        assert validate(mutate(s, k)).order_compatible, (s, k)
+    assert mutations == 196
 
 
 def test_mutation_rank2_principal_matches_closed_form():
