@@ -68,10 +68,10 @@ def _parse_pair(text: str):
     return b, c
 
 
-# The least value of each size flag of the verify suites: a radius may be 0,
-# while a smaller count or rank-2 parameter would leave a suite vacuous.
+# The least value of each size flag: a radius or cap may be 0, while a
+# smaller count or rank-2 parameter would leave a verify suite vacuous.
 _FLAG_MINIMUM = {
-    **dict.fromkeys(("rmax", "box", "window", "bound"), 0),
+    **dict.fromkeys(("rmax", "box", "window", "bound", "expansion_cap"), 0),
     **dict.fromkeys(("seeds", "samples", "count", "nmax", "jobs", "b", "c"), 1),
 }
 
@@ -159,7 +159,10 @@ def cmd_seed(args) -> int:
     if args.seed_cmd == "principal":
         with open(args.B, encoding="utf-8") as fh:
             B = json.load(fh)
-        seed = principal_seed(B, _parse_vector(args.d, "--d"))
+        d = _parse_vector(args.d, "--d")
+        if min(d) < 1 or isinstance(B, list) and len(d) != len(B):
+            raise ValueError(f"--d {args.d!r} is not one positive symmetrizer per row of --B")
+        seed = principal_seed(B, d)
         out = args.output or "principal.json"
         save_seed(seed, out)
         print(f"wrote {out}")
@@ -238,7 +241,6 @@ def cmd_basis(args) -> int:
 
 def cmd_verify(args) -> int:
     name = args.verify_cmd
-    _check_flag_minimums(args)
     reports: list[Report] = []
     if name == "kronecker":
         # The cluster-monomial check reaches index 4, the family index rmax + 2.
@@ -444,6 +446,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flag_minimums(args)
         return args.func(args)
     except (ValueError, OSError, ArithmeticError, ExpansionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .laurent import LaurentPoly
-from .seed import QuantumSeed, exchange_vector, mutate, seed_weight_order, validate
+from .seed import QuantumSeed, _one_based, exchange_vector, mutate, require_valid, seed_weight_order
 from .torus import ContextMismatch, TorusElement, r_of, vec_add, vec_scale, vec_sub
 
 __all__ = ["EBasis", "MutatedBasis", "ExpansionError"]
@@ -90,13 +90,11 @@ class EBasis(_StandardMonomials):
     def __init__(self, seed: QuantumSeed, expansion_cap: int = 10**5):
         if expansion_cap < 0:
             raise ValueError(f"expansion cap must be nonnegative, got {expansion_cap}")
-        report = validate(seed)
-        if not report.valid:
-            raise ValueError("seed fails validation: " + "; ".join(report.violations()))
+        report = require_valid(seed)
         if not report.order_compatible:
             raise ValueError(
                 "seed order is not sign-compatible with the exchange matrix; "
-                f"violations at {report.order_violations}"
+                f"violations at {_one_based(report.order_violations)}"
             )
         super().__init__(seed.form())
         self.seed = seed

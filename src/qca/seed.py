@@ -4,8 +4,8 @@ A seed is the data ``(m, n, Btilde, Lambda, d, order)``: an extended
 integer exchange matrix with ``n`` exchange columns and ``m - n`` frozen
 rows, a compatible skew-symmetric form on ``Z^m``, positive symmetrizers,
 and a linear order on the exchange indices.  All indices in this module are
-0-based; the JSON seed files use 1-based order entries and mutation indices,
-converted at the I/O boundary.
+0-based; seed files and the reports and errors the ``qca`` command prints
+use 1-based ones, converted where they are written.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
     "bullet_exponents",
     "seed_to_dict",
     "parse_seed",
-    "seed_from_dict",
+    "require_valid",
     "load_seed",
     "save_seed",
     "seed_hash",
@@ -85,25 +85,32 @@ class QuantumSeed:
         return tuple(tuple(row[:]) for row in (r[: self.n] for r in self.btilde[: self.n]))
 
 
-def _order_violations(seed: QuantumSeed):
-    pos = {k: i for i, k in enumerate(seed.order)}
-    bad = []
-    for i in range(seed.n):
-        for j in range(seed.n):
-            if pos[i] < pos[j] and seed.btilde[i][j] > 0:
-                bad.append((i, j))
-    return bad
+def _one_based(pairs):
+    """Index pairs as reports and errors print them, 1-based."""
+    return [(i + 1, j + 1) for i, j in pairs]
 
 
 @dataclass
 class SeedReport:
+    """The three validity lists, 0-based; the rest describes the seed and is
+    computed only when the report is rendered (``qca seed check``)."""
+
     seed: QuantumSeed
     skew_violations: list
     compat_violations: list
     order_violations: list
-    acyclic: bool
-    sink_source_exchange: list
-    sink_source_extended: list
+
+    @cached_property
+    def acyclic(self) -> bool:
+        return is_acyclic(self.seed)
+
+    @cached_property
+    def sink_source_exchange(self) -> list:
+        return [sink_or_source(self.seed, k, extended=False) for k in range(self.seed.n)]
+
+    @cached_property
+    def sink_source_extended(self) -> list:
+        return [sink_or_source(self.seed, k, extended=True) for k in range(self.seed.n)]
 
     @cached_property
     def compatible_orders(self) -> list:
@@ -142,7 +149,7 @@ class SeedReport:
         out.append(
             "seed order compatible"
             if self.order_compatible
-            else "seed order NOT compatible: " + str(self.order_violations)
+            else "seed order NOT compatible: " + str(_one_based(self.order_violations))
         )
         for k, (ex, ext) in enumerate(
             zip(self.sink_source_exchange, self.sink_source_extended)
@@ -155,9 +162,9 @@ class SeedReport:
             "valid": self.valid,
             "acyclic": self.acyclic,
             "order_compatible": self.order_compatible,
-            "skew_violations": self.skew_violations,
-            "compat_violations": self.compat_violations,
-            "order_violations": self.order_violations,
+            "skew_violations": _one_based(self.skew_violations),
+            "compat_violations": _one_based(self.compat_violations),
+            "order_violations": _one_based(self.order_violations),
             "compatible_orders": [[k + 1 for k in o] for o in self.compatible_orders],
             "sink_source_exchange": self.sink_source_exchange,
             "sink_source_extended": self.sink_source_extended,
@@ -165,40 +172,36 @@ class SeedReport:
 
 
 def validate(seed: QuantumSeed) -> SeedReport:
-    """Check both seed invariants and classify every exchange index.
+    """Check skew-symmetry, compatibility and the order, in one pass.
 
-    Confirms skew-symmetry of the form and the compatibility condition
-    (the form pairs the j-th exchange column with the i-th basis vector to
-    ``d_j`` exactly when ``i == j``, else 0), or lists every violating pair.
+    Compatibility asks ``L(b_j, e_i) = d_j`` if ``i == j`` and 0 otherwise;
+    since ``L`` is skew, ``L(b_j, e_i) = -(L b_j)_i``, so each exchange
+    column costs one ``lvec``.  Every violating pair is listed.
     """
-    skew_bad = []
-    for i in range(seed.m):
-        for j in range(seed.m):
-            if seed.lam[i][j] != -seed.lam[j][i]:
-                skew_bad.append((i, j))
-    form = None
+    lam = seed.lam
+    skew_bad = [
+        (i, j) for i in range(seed.m) for j in range(seed.m) if lam[i][j] != -lam[j][i]
+    ]
     compat_bad = []
     if not skew_bad:
         form = seed.form()
         for j in range(seed.n):
-            bj = seed.column(j)
-            for i in range(seed.m):
-                want = seed.d[j] if i == j else 0
-                if form.skew(bj, basis_vector(seed.m, i)) != want:
-                    compat_bad.append((i, j))
-    return SeedReport(
-        seed=seed,
-        skew_violations=skew_bad,
-        compat_violations=compat_bad,
-        order_violations=_order_violations(seed),
-        acyclic=is_acyclic(seed),
-        sink_source_exchange=[
-            sink_or_source(seed, k, extended=False) for k in range(seed.n)
-        ],
-        sink_source_extended=[
-            sink_or_source(seed, k, extended=True) for k in range(seed.n)
-        ],
-    )
+            lb = form.lvec(seed.column(j))
+            compat_bad.extend(
+                (i, j) for i in range(seed.m) if -lb[i] != (seed.d[j] if i == j else 0)
+            )
+    pos = {k: p for p, k in enumerate(seed.order)}
+    order_bad = [(i, j) for j, i in _exchange_edges(seed) if pos[i] < pos[j]]
+    return SeedReport(seed, skew_bad, compat_bad, order_bad)
+
+
+def require_valid(seed: QuantumSeed) -> SeedReport:
+    """The report of a valid seed; raises ValueError naming every
+    skew-symmetry and compatibility violation of an invalid one."""
+    report = validate(seed)
+    if not report.valid:
+        raise ValueError("seed fails validation: " + "; ".join(report.violations()))
+    return report
 
 
 def _exchange_edges(seed: QuantumSeed):
@@ -463,17 +466,13 @@ def parse_seed(data: dict) -> QuantumSeed:
         raise ValueError(f"malformed seed data: {exc}") from exc
 
 
-def seed_from_dict(data: dict) -> QuantumSeed:
-    seed = parse_seed(data)
-    report = validate(seed)
-    if not report.valid:
-        raise ValueError("seed file fails validation: " + "; ".join(report.violations()))
-    return seed
-
-
 def load_seed(path) -> QuantumSeed:
+    """The seed a JSON file describes; raises ValueError if it is malformed
+    or invalid."""
     with open(path, encoding="utf-8") as fh:
-        return seed_from_dict(json.load(fh))
+        seed = parse_seed(json.load(fh))
+    require_valid(seed)
+    return seed
 
 
 def save_seed(seed: QuantumSeed, path):

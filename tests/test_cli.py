@@ -3,6 +3,7 @@
 import argparse
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from qca.kronecker import a11_seed
 from qca.laurent import LaurentPoly, parse_laurent
 from qca.lusztig import compare_bases
 from qca.report import Report
-from qca.seed import load_seed, principal_seed, save_seed, seed_hash
+from qca.seed import load_seed, principal_seed, save_seed, seed_hash, seed_to_dict
 from qca.torus import TorusElement
 
 # Sources 1 and 2 both point at the sink 3 (1-based).
@@ -676,3 +677,142 @@ def test_broken_unit_coefficient_fails_the_checks(coeffs, message, monkeypatch, 
         "FAIL rank-2 principal unit coefficients (b=1, c=1) "
         f"(1/1 checks failed; first: a={a}: {message})\n"
     )
+
+
+# Seed files whose ``seed check`` output is pinned: every index is 1-based.
+GOLDEN_SEEDS = {
+    "a11": seed_to_dict(a11_seed()),
+    "fork-order-3-2-1": seed_to_dict(replace(FORK, order=(2, 1, 0))),
+    "non-skew": dict(m=2, n=2, B=[[0, -2], [2, 0]], Lambda=[[0, -1], [2, 0]], d=[2, 2]),
+}
+GOLDEN_CHECK = {
+    "a11": (
+        0,
+        "valid; acyclic; compatible orders: [1,2]\n"
+        "seed order compatible\n"
+        "  k=1: source in exchange graph, source in extended graph\n"
+        "  k=2: sink in exchange graph, sink in extended graph\n",
+        {
+            "valid": True,
+            "acyclic": True,
+            "order_compatible": True,
+            "skew_violations": [],
+            "compat_violations": [],
+            "order_violations": [],
+            "compatible_orders": [[1, 2]],
+            "sink_source_exchange": ["source", "sink"],
+            "sink_source_extended": ["source", "sink"],
+        },
+    ),
+    "fork-order-3-2-1": (
+        0,
+        "valid; acyclic; compatible orders: [1,2,3], [2,1,3]\n"
+        "seed order NOT compatible: [(3, 1), (3, 2)]\n"
+        "  k=1: source in exchange graph, source in extended graph\n"
+        "  k=2: source in exchange graph, source in extended graph\n"
+        "  k=3: sink in exchange graph, neither in extended graph\n",
+        {
+            "valid": True,
+            "acyclic": True,
+            "order_compatible": False,
+            "skew_violations": [],
+            "compat_violations": [],
+            "order_violations": [[3, 1], [3, 2]],
+            "compatible_orders": [[1, 2, 3], [2, 1, 3]],
+            "sink_source_exchange": ["source", "source", "sink"],
+            "sink_source_extended": ["source", "source", "neither"],
+        },
+    ),
+    "non-skew": (
+        1,
+        "INVALID;   skew-symmetry violated at (1, 2);   skew-symmetry violated at (2, 1)\n"
+        "acyclic\n"
+        "compatible orders: [1,2]\n"
+        "seed order compatible\n"
+        "  k=1: source in exchange graph, source in extended graph\n"
+        "  k=2: sink in exchange graph, sink in extended graph\n",
+        {
+            "valid": False,
+            "acyclic": True,
+            "order_compatible": True,
+            "skew_violations": [[1, 2], [2, 1]],
+            "compat_violations": [],
+            "order_violations": [],
+            "compatible_orders": [[1, 2]],
+            "sink_source_exchange": ["source", "sink"],
+            "sink_source_extended": ["source", "sink"],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEEDS))
+def test_seed_check_golden_output(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(GOLDEN_SEEDS[name]))
+    code, text, machine = GOLDEN_CHECK[name]
+    assert run(capsys, "seed", "check", str(path)) == (code, text)
+    got_code, out = run(capsys, "--format", "machine", "seed", "check", str(path))
+    assert got_code == code
+    assert out.endswith("\n") and json.loads(out) == machine
+    assert list(json.loads(out)) == list(machine)
+
+
+def test_basis_on_a_bad_order_names_1_based_pairs(tmp_path, capsys):
+    path = tmp_path / "fork.json"
+    path.write_text(json.dumps(GOLDEN_SEEDS["fork-order-3-2-1"]))
+    code = main(["basis", "c", str(path), "--a=-1,-1,-1,0,0,0", "--no-cache"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: seed order is not sign-compatible with the exchange matrix; "
+        "violations at [(3, 1), (3, 2)]\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        ("seed principal --B {B} --d 1", "--d"),
+        ("seed principal --B {B} --d 1,0", "--d"),
+        ("basis c {seed} --a=-1,-1 --expansion-cap -1", "--expansion-cap"),
+    ],
+)
+def test_argument_error_names_the_flag(argv, flag, a11_file, tmp_path, capsys):
+    b_file = tmp_path / "b.json"
+    b_file.write_text("[[0, 1], [-1, 0]]")
+    out_path = tmp_path / "principal.json"
+    code = main(argv.format(seed=a11_file, B=b_file).split() + ["-o", str(out_path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "", out
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
+    assert not out_path.exists()
+
+
+def test_building_a_basis_never_classifies_the_seed(tmp_path, capsys, monkeypatch):
+    # Acyclicity and the sink/source classes describe a seed; only a rendered
+    # report (``seed check``) reads them.
+    path = str(tmp_path / "fork.json")
+    save_seed(FORK, path)
+
+    def not_computed(*args, **kwargs):
+        raise AssertionError("descriptive report field computed")
+
+    monkeypatch.setattr("qca.seed.is_acyclic", not_computed)
+    monkeypatch.setattr("qca.seed.sink_or_source", not_computed)
+    MutatedBasis(EBasis(FORK))
+    assert load_seed(path) == FORK
+    code, out = run(capsys, "basis", "c", path, "--a=-1,-1,-1,0,0,0", "--no-cache")
+    assert code == 0 and out.startswith("C = E(-1,-1,-1,0,0,0)")
+    code, out = run(capsys, "verify", "compare-bases", "--seed", path, "--window", "1")
+    assert code == 0 and out.startswith("PASS ")
+
+    calls = []
+    monkeypatch.setattr("qca.seed.is_acyclic", lambda seed: calls.append("acyclic") or True)
+    monkeypatch.setattr(
+        "qca.seed.sink_or_source",
+        lambda seed, k, extended=True: calls.append(("class", k, extended)) or "source",
+    )
+    code, _ = run(capsys, "seed", "check", path)
+    assert code == 0
+    assert "acyclic" in calls and ("class", 2, True) in calls and ("class", 2, False) in calls

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +22,13 @@ from qca.seed import (
     mutate,
     parse_seed,
     principal_seed,
-    seed_from_dict,
+    require_valid,
     seed_to_dict,
     seed_weight_order,
     sink_or_source,
     validate,
 )
-from qca.torus import quasi_commutes, vec_dot
+from qca.torus import SkewForm, basis_vector, quasi_commutes, vec_dot
 from qca.verify import random_principal_seed
 
 
@@ -296,11 +297,11 @@ def test_seed_json_roundtrip(tmp_path):
     s = a11_seed()
     data = seed_to_dict(s)
     assert data["order"] == [1, 2]
-    assert seed_from_dict(json.loads(json.dumps(data))) == s
+    assert require_valid(parse_seed(json.loads(json.dumps(data)))).seed == s
     with pytest.raises(ValueError):
         bad = dict(data)
         bad["Lambda"] = [[0, 1], [1, 0]]
-        seed_from_dict(bad)
+        require_valid(parse_seed(bad))
 
 
 def test_ebasis_on_edgeless_seed_lists_no_orders():
@@ -325,7 +326,7 @@ def test_invalid_edgeless_seed_error_names_violations_only():
     )
     t0 = time.perf_counter()
     with pytest.raises(ValueError) as seed_err:
-        seed_from_dict(data)
+        require_valid(parse_seed(data))
     with pytest.raises(ValueError) as basis_err:
         EBasis(parse_seed(data))
     assert time.perf_counter() - t0 < 1.0
@@ -357,3 +358,76 @@ def test_integer_rank():
     assert integer_rank([(1, 2, 0), (0, 3, -1), (2, 0, 5)]) == 3
     assert integer_rank([(2, 4, -6), (0, 0, 0), (-1, -2, 3), (0, 1, 1), (2, 5, -5)]) == 2
     assert integer_rank([(0, 0), (3, 0), (0, 0), (0, -2)]) == 2
+
+
+def _per_pair_report(seed):
+    """Every report field by its per-pair formula, on a fresh form: the
+    oracle for the one-pass ``validate`` and the lazily computed fields."""
+    m, n, b, lam = seed.m, seed.n, seed.btilde, seed.lam
+    skew = [(i, j) for i in range(m) for j in range(m) if lam[i][j] != -lam[j][i]]
+    compat = []
+    if not skew:
+        form = SkewForm(lam)
+        for j in range(n):
+            for i in range(m):
+                want = seed.d[j] if i == j else 0
+                if form.skew(seed.column(j), basis_vector(m, i)) != want:
+                    compat.append((i, j))
+
+    def bad_pairs(order):
+        pos = {k: p for p, k in enumerate(order)}
+        return [(i, j) for i in range(n) for j in range(n) if pos[i] < pos[j] and b[i][j] > 0]
+
+    def kind(k, rows):
+        if not any(b[k][j] > 0 for j in range(n)):
+            return "source"
+        return "neither" if any(b[i][k] > 0 for i in range(rows)) else "sink"
+
+    # Acyclic exactly when no diagonal entry is a positive loop and some
+    # linear order has no violating pair.
+    acyclic = all(b[k][k] <= 0 for k in range(n)) and any(
+        not bad_pairs(order) for order in permutations(range(n))
+    )
+    return (
+        skew,
+        compat,
+        bad_pairs(seed.order),
+        acyclic,
+        [kind(k, n) for k in range(n)],
+        [kind(k, m) for k in range(n)],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.randoms(),
+    st.integers(1, 4),
+    st.sampled_from(["none", "Lambda pair", "Lambda entry", "Btilde entry"]),
+)
+def test_validate_matches_the_per_pair_oracle(rng, n, perturbation):
+    s = random_principal_seed(rng, n)
+    lam = [list(row) for row in s.lam]
+    b = [list(row) for row in s.btilde]
+    i, j, t = rng.randrange(s.m), rng.randrange(s.m), rng.choice((-2, -1, 1, 2))
+    if perturbation == "Lambda pair":  # stays skew-symmetric
+        lam[i][j] += t
+        lam[j][i] -= t
+    elif perturbation == "Lambda entry":  # breaks skew-symmetry
+        lam[i][j] += t
+    elif perturbation == "Btilde entry":
+        b[i][j % n] += t
+    seed = replace(
+        s,
+        btilde=tuple(map(tuple, b)),
+        lam=tuple(map(tuple, lam)),
+        order=tuple(rng.sample(range(n), n)),
+    )
+    rep = validate(seed)
+    assert (
+        rep.skew_violations,
+        rep.compat_violations,
+        rep.order_violations,
+        rep.acyclic,
+        rep.sink_source_exchange,
+        rep.sink_source_extended,
+    ) == _per_pair_report(seed)
