@@ -21,7 +21,9 @@ from .crystal import Rank2Crystal, rank2_principal_seed
 from .ebasis import EBasis, ExpansionError, MutatedBasis
 from .kronecker import KroneckerAlgebra
 from .laurent import LaurentPoly
-from .lusztig import RowCache, TriangularTable, compare_bases, phi_rank2_principal
+from .lusztig import (
+    RowCache, TriangularTable, compare_bases, expansion_records, phi_rank2_principal
+)
 from .report import Report
 from .seed import (
     QuantumSeed,
@@ -140,13 +142,10 @@ def cmd_seed(args) -> int:
         with open(args.seedfile, encoding="utf-8") as fh:
             seed = parse_seed(json.load(fh))
         report = validate(seed)
-        if args.format == "machine":
-            print(json.dumps(report.to_dict()))
-        else:
-            print("; ".join(report.lines()[:3]))
-            for line in report.lines()[3:]:
-                print(line)
-        return 0 if report.valid else 1
+        machine = args.format == "machine"
+        print(json.dumps(report.to_dict()) if machine else "\n".join(report.lines()))
+        # A seed whose order is not compatible is refused by every basis command.
+        return 0 if report.valid and report.order_compatible else 1
     if args.seed_cmd == "mutate":
         seed = load_seed(args.seedfile)
         if not 1 <= args.k <= seed.n:
@@ -210,7 +209,7 @@ def cmd_basis(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(element.to_records(), fh)
             fh.write("\n")
-    expansion = [{"a": list(k), "coeff": str(c)} for k, c in sorted(coeffs.items())]
+    expansion = expansion_records(coeffs)
     if args.expansion_out:
         with open(args.expansion_out, "w", encoding="utf-8") as fh:
             json.dump(expansion, fh)

@@ -97,7 +97,7 @@ class Rank2Crystal:
         return front * head * tail
 
     def raw_monomial(self, mm) -> TorusElement:
-        """The ordered product of generator powers for the 7-tuple."""
+        """The ordered product for the 7-tuple: the tests' oracle of the frozen-part shift."""
         return self._ordered_product(mm, 0)
 
     def normalization_exponent(self, mm) -> int:

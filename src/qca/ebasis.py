@@ -172,10 +172,6 @@ class EBasis(_StandardMonomials):
         factors += [vec_scale(-a[k], self.e_prime(k)) for k in self.seed.order if a[k] < 0]
         return -self.form.chain_twist(factors)
 
-    def raw_standard_monomial(self, a) -> TorusElement:
-        """The un-normalized ordered product for label ``a``."""
-        return self._ordered_product(a, 0)
-
     # -- expansion ------------------------------------------------------------------
 
     def sweep(self, x: TorusElement, rule):

@@ -197,7 +197,7 @@ class LaurentPoly:
         """``[f]_+``: the sub-sum of terms with exponent >= 1.
 
         When ``f + bar(f) = 0`` this is the unique ``p`` in ``v*Z[v]`` with
-        ``p - bar(p) = f``.
+        ``p - bar(p) = f``.  Kept as the tests' oracle of ``_bar_correction``.
         """
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {e: c for e, c in self._terms.items() if e >= 1}

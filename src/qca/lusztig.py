@@ -23,8 +23,8 @@ __all__ = [
     "TriangularTable",
     "RowCache",
     "phi_rank2_principal",
-    "cluster_monomial_check",
     "compare_bases",
+    "expansion_records",
 ]
 
 
@@ -44,41 +44,43 @@ class TriangularTable:
         if row is not None:
             return row
         if self.cache is not None:
-            row = self.cache.load(a, self._check_cached_row)
+            row = self.cache.load(a, self._row_faults)
             if row is not None:
                 self._rows[a] = row
                 return row
         basis = self.basis
         row, element = basis.sweep(basis.element(a), _bar_correction)
-        self._check_row(a, row)
+        # The sweep makes the element bar-invariant: no bar() is spent on it.
+        faults = self._row_faults(a, row, assemble=False)
+        if faults:
+            raise ArithmeticError(faults[0])
         self._rows[a] = row
         self._elements[a] = element
         if self.cache is not None:
             self.cache.store(a, row)
         return row
 
-    def _check_row(self, a, row) -> None:
-        """Raise ArithmeticError unless every label of the row of ``a`` has
-        smaller grading than ``a`` and every coefficient lies in ``vZ[v]``;
-        computed rows and rows read from the cache pass the same check."""
+    def _row_faults(self, a, row, assemble: bool = True) -> list:
+        """Every way ``row`` fails to be the row of ``C(a)``: a label at no
+        smaller grading than ``a``, a coefficient outside ``vZ[v]``, and with
+        ``assemble``, once those pass, an assembled element that is not
+        bar-invariant.  By uniqueness only the row of ``C(a)`` passes; its
+        element is kept for :meth:`element`."""
         grading = self.basis.grading
         bound = grading(a)
+        faults = []
         for key, c in row.items():
             if grading(key) >= bound:
-                raise ArithmeticError(f"row of {a} has label {key} at no smaller grading")
+                faults.append(f"row of {a} has label {key} at no smaller grading")
             if not c.in_v_zv():
-                raise ArithmeticError(f"row of {a} has coefficient {c} at {key} outside vZ[v]")
-
-    def _check_cached_row(self, a, row) -> None:
-        """:meth:`_check_row`, and raise ArithmeticError unless the element
-        assembled from the row is bar-invariant; by uniqueness only the row
-        of ``C(a)`` passes.  The assembled element is kept for
-        :meth:`element`."""
-        self._check_row(a, row)
-        element = self.basis.assemble({a: LaurentPoly.one(), **row})
-        if element.bar() != element:
-            raise ArithmeticError(f"cached row of {a} assembles to no bar-invariant element")
-        self._elements[a] = element
+                faults.append(f"row of {a} has coefficient {c} at {key} outside vZ[v]")
+        if assemble and not faults:
+            element = self.basis.assemble({a: LaurentPoly.one(), **row})
+            if element.bar() != element:
+                faults.append(f"row of {a} assembles to no bar-invariant element")
+            else:
+                self._elements[a] = element
+        return faults
 
     def expansion(self, a) -> dict:
         """Full standard-basis expansion of the triangular element."""
@@ -94,19 +96,11 @@ class TriangularTable:
         return self._elements[a]
 
     def verify(self, a) -> Report:
-        """Re-check the defining properties of a computed row."""
+        """Re-check the defining properties of a computed row: bar-invariance
+        and, per label, grading and coefficient, one check each."""
         a = tuple(a)
-        rep = Report(name=f"triangular properties at {a}")
-        elt = self.basis.assemble(self.expansion(a))
-        rep.record(elt.bar() == elt, "element is not bar-invariant")
-        bound = self.basis.grading(a)
-        for key, p in self.p_row(a).items():
-            rep.record(p.in_v_zv(), f"correction at {key} not in vZ[v]: {p}")
-            rep.record(
-                self.basis.grading(key) < bound,
-                f"support label {key} does not have smaller grading than {a}",
-            )
-        return rep
+        row = self.p_row(a)
+        return Report(f"triangular properties at {a}", 1 + 2 * len(row), self._row_faults(a, row))
 
 
 def _bar_correction(c: LaurentPoly) -> LaurentPoly:
@@ -115,16 +109,6 @@ def _bar_correction(c: LaurentPoly) -> LaurentPoly:
     ``c[-e] - c[e]``, read straight from the terms of ``c``."""
     get = c._terms.get
     return LaurentPoly({e: get(-e, 0) - get(e, 0) for e in map(abs, c._terms) if e})
-
-
-def cluster_monomial_check(table: TriangularTable, a) -> bool:
-    """Whether the triangular element for a nonnegative label is the plain
-    cluster monomial."""
-    a = tuple(a)
-    n = table.basis.seed.n
-    if any(x < 0 for x in a[:n]):
-        raise ValueError("label must be nonnegative on exchange indices")
-    return table.element(a) == table.basis.form.monomial(a)
 
 
 def phi_rank2_principal(a, b: int, c: int):
@@ -200,9 +184,8 @@ class RowCache:
 
     def load(self, a, check=None):
         """The stored row for ``a``, or None.  Records are decoded newest
-        first; a malformed one, or one that ``check(a, row)`` rejects by
-        raising ValueError or ArithmeticError, is dropped and the next older
-        one is tried."""
+        first; a malformed one, or one for which ``check(a, row)`` returns
+        faults, is dropped and the next older one is tried."""
         self._load_all()
         a = tuple(a)
         bodies = self._records.get(_label_key(a), [])
@@ -214,22 +197,18 @@ class RowCache:
                     if len(label) != len(a):
                         raise ValueError(f"label {label} does not match {a}")
                     row[label] = parse_laurent(item["coeff"])
-                if check is not None:
-                    check(a, row)
             except (KeyError, TypeError, ValueError, ArithmeticError):
-                bodies.pop()
-                continue
-            self.hits += 1
-            return row
+                row = None
+            if row is not None and not (check and check(a, row)):
+                self.hits += 1
+                return row
+            bodies.pop()
         return None
 
     def store(self, a, row: dict):
         """Append the row for ``a`` as one record line, in one write."""
         key = _label_key(a)
-        body = json.dumps(
-            {"p": [{"a": list(lbl), "coeff": str(c)} for lbl, c in sorted(row.items())]},
-            separators=(",", ":"),
-        ).encode()
+        body = json.dumps({"p": expansion_records(row)}, separators=(",", ":")).encode()
         os.makedirs(self.directory, exist_ok=True)
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
@@ -238,6 +217,12 @@ class RowCache:
             os.close(fd)
         if self._records is not None:
             self._records.setdefault(key, []).append(body)
+
+
+def expansion_records(coeffs: dict) -> list:
+    """The ``{"a", "coeff"}`` records of an expansion, sorted by label: the
+    rows of the cache log and the expansions ``qca basis`` writes."""
+    return [{"a": list(a), "coeff": str(c)} for a, c in sorted(coeffs.items())]
 
 
 def _label_key(a) -> bytes:

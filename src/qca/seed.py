@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 
 from .torus import (
     SkewForm,
@@ -99,6 +100,7 @@ class SeedReport:
     skew_violations: list
     compat_violations: list
     order_violations: list
+    listed_orders = 24  # at most, in a rendered report: every order at rank 4
 
     @cached_property
     def acyclic(self) -> bool:
@@ -113,10 +115,20 @@ class SeedReport:
         return [sink_or_source(self.seed, k, extended=True) for k in range(self.seed.n)]
 
     @cached_property
+    def _orders(self) -> list:
+        """The first ``listed_orders + 1`` compatible orders of an acyclic
+        seed: there can be n!, so a rendered report lists only so many."""
+        if not self.acyclic:
+            return []
+        return list(islice(_linear_extensions(self.seed), self.listed_orders + 1))
+
+    @property
     def compatible_orders(self) -> list:
-        """Every compatible order of an acyclic seed.  There can be n! of
-        them, so they are listed only when a report is rendered."""
-        return compatible_orders(self.seed) if self.acyclic else []
+        return self._orders[: self.listed_orders]
+
+    @property
+    def compatible_orders_complete(self) -> bool:
+        return len(self._orders) <= self.listed_orders
 
     @property
     def valid(self) -> bool:
@@ -137,15 +149,16 @@ class SeedReport:
         ]
 
     def lines(self):
-        out = []
-        out.append("valid" if self.valid else "INVALID")
-        out.extend("  " + line for line in self.violations())
-        out.append("acyclic" if self.acyclic else "not acyclic")
+        """The verdicts on one line, then the violations, order and classes."""
+        verdicts = ["valid" if self.valid else "INVALID"]
+        verdicts.append("acyclic" if self.acyclic else "not acyclic")
         if self.acyclic:
-            orders = ", ".join(
-                "[" + ",".join(str(k + 1) for k in o) + "]" for o in self.compatible_orders
-            )
-            out.append(f"compatible orders: {orders}")
+            orders = [f"[{','.join(str(k + 1) for k in o)}]" for o in self.compatible_orders]
+            if not self.compatible_orders_complete:
+                orders.append("...")
+            verdicts.append("compatible orders: " + ", ".join(orders))
+        out = ["; ".join(verdicts)]
+        out.extend("  " + line for line in self.violations())
         out.append(
             "seed order compatible"
             if self.order_compatible
@@ -166,6 +179,7 @@ class SeedReport:
             "compat_violations": _one_based(self.compat_violations),
             "order_violations": _one_based(self.order_violations),
             "compatible_orders": [[k + 1 for k in o] for o in self.compatible_orders],
+            "compatible_orders_complete": self.compatible_orders_complete,
             "sink_source_exchange": self.sink_source_exchange,
             "sink_source_extended": self.sink_source_extended,
         }
@@ -214,13 +228,19 @@ def _exchange_edges(seed: QuantumSeed):
     ]
 
 
-def is_acyclic(seed: QuantumSeed) -> bool:
-    edges = _exchange_edges(seed)
-    succ = {k: [] for k in range(seed.n)}
-    indeg = {k: 0 for k in range(seed.n)}
-    for j, i in edges:
+def _exchange_graph(seed: QuantumSeed):
+    """Successor lists and in-degrees of the exchange graph."""
+    succ = [[] for _ in range(seed.n)]
+    indeg = [0] * seed.n
+    for j, i in _exchange_edges(seed):
         succ[j].append(i)
         indeg[i] += 1
+    return succ, indeg
+
+
+def is_acyclic(seed: QuantumSeed) -> bool:
+    """Whether peeling sources removes every vertex of the exchange graph."""
+    succ, indeg = _exchange_graph(seed)
     queue = [k for k in range(seed.n) if indeg[k] == 0]
     seen = 0
     while queue:
@@ -233,34 +253,38 @@ def is_acyclic(seed: QuantumSeed) -> bool:
     return seen == seed.n
 
 
-def compatible_orders(seed: QuantumSeed):
-    """All linear orders with no positive entry above the diagonal.
+def _linear_extensions(seed: QuantumSeed):
+    """The linear orders with no positive entry above the diagonal, lazily.
 
-    These are exactly the linear extensions of the exchange graph, so they
-    are enumerated by repeatedly picking an available source.
+    These are the linear extensions of the exchange graph, so they
+    are enumerated by repeatedly picking an available source; a placed index
+    is marked by in-degree -1, and every change is undone on the way back.
     """
-    succ = {k: set() for k in range(seed.n)}
-    indeg = {k: 0 for k in range(seed.n)}
-    for j, i in _exchange_edges(seed):
-        if i not in succ[j]:
-            succ[j].add(i)
-            indeg[i] += 1
-    results = []
+    succ, indeg = _exchange_graph(seed)
+    prefix = []
 
-    def rec(prefix, indeg_now):
+    def extend():
         if len(prefix) == seed.n:
-            results.append(tuple(prefix))
+            yield tuple(prefix)
             return
         for k in range(seed.n):
-            if k not in prefix and indeg_now[k] == 0:
-                nxt = dict(indeg_now)
-                nxt[k] = -1
+            if indeg[k] == 0:
+                indeg[k] = -1
+                prefix.append(k)
                 for i in succ[k]:
-                    nxt[i] -= 1
-                rec(prefix + [k], nxt)
+                    indeg[i] -= 1
+                yield from extend()
+                for i in succ[k]:
+                    indeg[i] += 1
+                prefix.pop()
+                indeg[k] = 0
 
-    rec([], indeg)
-    return results
+    return extend()
+
+
+def compatible_orders(seed: QuantumSeed) -> list:
+    """Every compatible order; there are n! for an edgeless exchange graph."""
+    return list(_linear_extensions(seed))
 
 
 def sink_or_source(seed: QuantumSeed, k: int, extended: bool = True) -> str:

@@ -397,14 +397,6 @@ class TorusElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def monomial_term(self):
-        if len(self.terms) != 1:
-            raise ValueError("element is not a monomial")
-        return next(iter(self.terms.items()))
-
     def __eq__(self, other):
         if not isinstance(other, TorusElement):
             if isinstance(other, int):
@@ -483,6 +475,7 @@ class WeightOrder:
         self.weights = tuple(int(w) for w in weights)
 
     def key(self, e):
+        """The plain sort key, read by ``leading_term``; the tests' oracle of ``descending_key``."""
         return (vec_dot(self.weights, e), e)
 
     def descending_key(self, e):

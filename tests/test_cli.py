@@ -15,7 +15,14 @@ from qca.kronecker import a11_seed
 from qca.laurent import LaurentPoly, parse_laurent
 from qca.lusztig import compare_bases
 from qca.report import Report
-from qca.seed import load_seed, principal_seed, save_seed, seed_hash, seed_to_dict
+from qca.seed import (
+    compatible_orders,
+    load_seed,
+    principal_seed,
+    save_seed,
+    seed_hash,
+    seed_to_dict,
+)
 from qca.torus import TorusElement
 
 # Sources 1 and 2 both point at the sink 3 (1-based).
@@ -344,6 +351,24 @@ def test_seed_check_lists_orders_of_small_seed(tmp_path, capsys):
     code, out = run(capsys, "--format", "machine", "seed", "check", str(path))
     assert code == 0
     assert len(json.loads(out)["compatible_orders"]) == 6
+    assert json.loads(out)["compatible_orders_complete"]
+
+
+def test_seed_check_cuts_the_order_listing(tmp_path, capsys):
+    # An edgeless rank-8 seed has 8! = 40320 compatible orders; 24 are listed.
+    seed = principal_seed(((0,) * 8,) * 8, (1,) * 8)
+    path = tmp_path / "edgeless-8.json"
+    save_seed(seed, str(path))
+    code, out = run(capsys, "seed", "check", str(path))
+    first = out.splitlines()[0]
+    assert code == 0 and first.startswith("valid; acyclic; compatible orders: [1,2,3,4,5,6,7,8], ")
+    # The first 24 in lexicographic order: every order of the last four.
+    assert first.endswith(", [1,2,3,4,8,7,6,5], ...") and first.count("[") == 24
+    code, out = run(capsys, "--format", "machine", "seed", "check", str(path))
+    report = json.loads(out)
+    assert code == 0 and len(report["compatible_orders"]) == 24
+    assert report["compatible_orders_complete"] is False
+    assert len(compatible_orders(seed)) == 40320
 
 
 def test_verify_rank2_principal(capsys):
@@ -684,6 +709,15 @@ GOLDEN_SEEDS = {
     "a11": seed_to_dict(a11_seed()),
     "fork-order-3-2-1": seed_to_dict(replace(FORK, order=(2, 1, 0))),
     "non-skew": dict(m=2, n=2, B=[[0, -2], [2, 0]], Lambda=[[0, -1], [2, 0]], d=[2, 2]),
+    # The (1, 1) principal exchange matrix under a form that is skew but
+    # compatible nowhere on the diagonal.
+    "four-compat": dict(
+        m=4,
+        n=2,
+        B=[[0, -1], [1, 0], [1, 0], [0, 1]],
+        Lambda=[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+        d=[1, 1],
+    ),
 }
 GOLDEN_CHECK = {
     "a11": (
@@ -700,12 +734,13 @@ GOLDEN_CHECK = {
             "compat_violations": [],
             "order_violations": [],
             "compatible_orders": [[1, 2]],
+            "compatible_orders_complete": True,
             "sink_source_exchange": ["source", "sink"],
             "sink_source_extended": ["source", "sink"],
         },
     ),
     "fork-order-3-2-1": (
-        0,
+        1,
         "valid; acyclic; compatible orders: [1,2,3], [2,1,3]\n"
         "seed order NOT compatible: [(3, 1), (3, 2)]\n"
         "  k=1: source in exchange graph, source in extended graph\n"
@@ -719,15 +754,16 @@ GOLDEN_CHECK = {
             "compat_violations": [],
             "order_violations": [[3, 1], [3, 2]],
             "compatible_orders": [[1, 2, 3], [2, 1, 3]],
+            "compatible_orders_complete": True,
             "sink_source_exchange": ["source", "source", "sink"],
             "sink_source_extended": ["source", "source", "neither"],
         },
     ),
     "non-skew": (
         1,
-        "INVALID;   skew-symmetry violated at (1, 2);   skew-symmetry violated at (2, 1)\n"
-        "acyclic\n"
-        "compatible orders: [1,2]\n"
+        "INVALID; acyclic; compatible orders: [1,2]\n"
+        "  skew-symmetry violated at (1, 2)\n"
+        "  skew-symmetry violated at (2, 1)\n"
         "seed order compatible\n"
         "  k=1: source in exchange graph, source in extended graph\n"
         "  k=2: sink in exchange graph, sink in extended graph\n",
@@ -739,8 +775,32 @@ GOLDEN_CHECK = {
             "compat_violations": [],
             "order_violations": [],
             "compatible_orders": [[1, 2]],
+            "compatible_orders_complete": True,
             "sink_source_exchange": ["source", "sink"],
             "sink_source_extended": ["source", "sink"],
+        },
+    ),
+    "four-compat": (
+        1,
+        "INVALID; acyclic; compatible orders: [1,2]\n"
+        "  compatibility violated at (i=1, j=1)\n"
+        "  compatibility violated at (i=4, j=1)\n"
+        "  compatibility violated at (i=2, j=2)\n"
+        "  compatibility violated at (i=3, j=2)\n"
+        "seed order compatible\n"
+        "  k=1: source in exchange graph, source in extended graph\n"
+        "  k=2: sink in exchange graph, neither in extended graph\n",
+        {
+            "valid": False,
+            "acyclic": True,
+            "order_compatible": True,
+            "skew_violations": [],
+            "compat_violations": [[1, 1], [4, 1], [2, 2], [3, 2]],
+            "order_violations": [],
+            "compatible_orders": [[1, 2]],
+            "compatible_orders_complete": True,
+            "sink_source_exchange": ["source", "sink"],
+            "sink_source_extended": ["source", "neither"],
         },
     ),
 }

@@ -112,9 +112,8 @@ def test_standard_monomial_affine_base_case(affine):
     assert affine.element((-1, -1)) == form.element(
         {(1, 1): v(4), (-1, 1): 1, (1, -1): 1, (-1, -1): 1}
     )
-    assert affine.element((-1, -1)) == affine.raw_standard_monomial(
-        (-1, -1)
-    ).scalar_mul(v(1))
+    # The un-normalized product is X'_1 X'_2, in the seed order.
+    assert affine.element((-1, -1)) == (affine.x_prime(0) * affine.x_prime(1)).scalar_mul(v(1))
     # At (1, 1) the normalized element is the single twisted monomial.
     x1, x2 = form.monomial((1, 0)), form.monomial((0, 1))
     assert affine.element((1, 1)) == (x1 * x2).scalar_mul(v(1))
@@ -540,13 +539,13 @@ def gaussian_x_dprime(mut, k):
 
 def scratch_element(basis, a):
     """``E(a)`` as the ordered product built from scratch with ``**`` and a
-    trailing ``v^nu``, plus the un-normalized product."""
+    trailing ``v^nu``."""
     n = basis.seed.n
     raw = basis.form.monomial(tuple(x if i >= n else max(x, 0) for i, x in enumerate(a)))
     for k in basis.seed.order:
         if a[k] < 0:
             raw = raw * basis.x_prime(k) ** -a[k]
-    return raw.scalar_mul(v(basis.normalization_exponent(a))), raw
+    return raw.scalar_mul(v(basis.normalization_exponent(a)))
 
 
 def scratch_prime_monomial(mut, g):
@@ -603,9 +602,7 @@ def test_elements_match_scratch_products(seed):
     mut = MutatedBasis(basis)
     rng = random.Random(seed.m * 31 + sum(map(sum, seed.btilde)))
     for a in sample_labels(seed, rng, 40):
-        element, raw = scratch_element(basis, a)
-        assert basis.element(a) == element
-        assert basis.raw_standard_monomial(a) == raw
+        assert basis.element(a) == scratch_element(basis, a)
         assert mut.element(a) == scratch_mutated_element(mut, a)
         g = a[:mut.k_mut] + (abs(a[mut.k_mut]),) + a[mut.k_mut + 1 :]
         assert mut.prime_monomial(g) == scratch_prime_monomial(mut, g)

@@ -17,7 +17,6 @@ from qca.lusztig import (
     RowCache,
     TriangularTable,
     _bar_correction,
-    cluster_monomial_check,
     compare_bases,
     phi_rank2_principal,
 )
@@ -83,13 +82,31 @@ def test_verify_report(affine_table):
     assert rep.ok and rep.checks == 1  # only bar-invariance to check
 
 
-def test_verify_flags_corruption(affine_table):
-    table = TriangularTable(EBasis(a11_seed()))
-    row = dict(table.p_row((-1, -1)))
-    row[(1, 1)] = row[(1, 1)] + v(-2)  # not in vZ[v] anymore
-    table._rows[(-1, -1)] = row
-    rep = table.verify((-1, -1))
-    assert not rep.ok
+# Corruptions of the computed row of (-1, -1), which is -v^4 E(1,1): a label
+# at no smaller grading, a coefficient outside vZ[v] (adding 1 E(1,1) = X^(1,1)
+# keeps the element bar-invariant, so only that check sees it), and a change
+# inside vZ[v] that breaks bar-invariance.
+CORRUPTIONS = {
+    "grading": lambda row: {**row, (-2, -2): v(1)},
+    "coeff": lambda row: {**row, (1, 1): row[(1, 1)] + 1},
+    "not-bar-invariant": lambda row: {**row, (1, 1): row[(1, 1)] + v(2)},
+}
+
+
+def test_verify_flags_corruption(tmp_path):
+    seed = a11_seed()
+    row = TriangularTable(EBasis(seed)).p_row((-1, -1))
+    for name, corrupt in CORRUPTIONS.items():
+        bad = corrupt(row)
+        table = TriangularTable(EBasis(seed))
+        table._rows[(-1, -1)] = bad
+        rep = table.verify((-1, -1))
+        assert not rep.ok and rep.checks == 1 + 2 * len(bad), name
+        # Stored in the cache, the same row is a miss and is recomputed.
+        cache = RowCache(str(tmp_path / name), seed_hash(seed))
+        cache.store((-1, -1), bad)
+        assert TriangularTable(EBasis(seed), cache=cache).p_row((-1, -1)) == row, name
+        assert cache.hits == 0, name
 
 
 def closure_row(basis, a):
@@ -160,12 +177,12 @@ def test_support_sharper_order_affine(affine_table):
 
 
 def test_cluster_monomials(affine_table):
-    assert cluster_monomial_check(affine_table, (2, 1))
-    assert cluster_monomial_check(affine_table, (0, 0))
-    with pytest.raises(ValueError):
-        cluster_monomial_check(affine_table, (-1, 0))
+    # A label with no negative exchange entry gives the plain cluster monomial.
+    for a in [(2, 1), (0, 0)]:
+        assert affine_table.element(a) == affine_table.basis.form.monomial(a)
     ptable = TriangularTable(EBasis(principal_seed(((0, -1), (1, 0)), (1, 1))))
-    assert cluster_monomial_check(ptable, (0, 0, -2, 3))  # frozen-only label
+    a = (0, 0, -2, 3)  # frozen-only label
+    assert ptable.element(a) == ptable.basis.form.monomial(a)
 
 
 def test_phi_rank2_formula():
@@ -299,6 +316,7 @@ def test_row_cache_corrupt_file_is_a_miss(tmp_path, name):
         {"p": [{"a": [1, 1], "coeff": "-v^x"}]},
         {"p": [{"a": [1, 1], "coeff": 4}]},
         {"p": [7]},
+        {"p": [{"a": [float("inf"), 1], "coeff": "-v^4"}]},  # int() overflows
     ],
 )
 def test_row_cache_malformed_record_is_a_miss(tmp_path, rec):

@@ -256,7 +256,7 @@ def test_double_embedding_multiplicative():
         e = tuple(rng.randint(-3, 3) for _ in range(s.m))
         f = tuple(rng.randint(-3, 3) for _ in range(s.m))
         prod = form.monomial(e) * form.monomial(f)
-        (g, c) = prod.monomial_term()
+        [(g, c)] = prod.terms.items()
         assert dform.monomial(e + pad) * dform.monomial(f + pad) == dform.monomial(
             g + pad, c
         )

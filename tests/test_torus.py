@@ -307,7 +307,7 @@ def test_unit_monomial_dispatch(monkeypatch):
                         assert len(calls) == 1
         # Single terms whose coefficient is not a unit take the generic path.
         generic = [
-            y for y in others if not (y.is_monomial() and y.monomial_term()[1].is_unit())
+            y for y in others if not (len(y.terms) == 1 and [*y.terms.values()][0].is_unit())
         ]
         for c in (v(3, 2), LaurentPoly({0: 1, 1: 1})):
             w = form.monomial(tuple(rng.randint(-3, 3) for _ in range(form.m)), c)
