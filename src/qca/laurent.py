@@ -16,10 +16,12 @@ same terms.
 
 The ring carries the involution ``v -> v^-1`` (:meth:`LaurentPoly.bar`),
 which is the scalar part of the bar-involution used everywhere else in this
-package, and the positive-part extraction ``[f]_+``, the test oracle of the
-triangular elimination (which reads ``c[-e] - c[e]`` directly): whenever
+package, and the positive-part extraction ``[f]_+``: whenever
 ``f + bar(f) = 0``, ``p = [f]_+`` is the unique polynomial in ``v*Z[v]``
-with ``p - bar(p) = f``.
+with ``p - bar(p) = f``; it is the test oracle of the triangular row's
+rule ``[bar(c) - c]_+`` (:meth:`LaurentPoly.bar_correction`).  That rule,
+unit shifts, exact division and the in-place term-pair product
+(:meth:`LaurentPoly.mul_into`) have their one implementation here.
 """
 
 from __future__ import annotations
@@ -142,20 +144,27 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
         out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
+        out._terms = {}
+        self.mul_into(out._terms, other)
         return out
 
     __rmul__ = __mul__
+
+    def mul_into(self, acc: dict, other: "LaurentPoly") -> None:
+        """Add ``self * other`` into ``acc``, a ``v-exponent -> integer`` map
+        updated in place, one term pair at a time.  A sum that cancels is
+        deleted, so the pairs leave no zero entry behind."""
+        get = acc.get
+        right = other._terms.items()
+        for e1, c1 in self._terms.items():
+            for e2, c2 in right:
+                e = e1 + e2
+                s = get(e, 0) + c1 * c2
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
 
     def __pow__(self, k: int):
         if k < 0:
@@ -197,18 +206,30 @@ class LaurentPoly:
         """``[f]_+``: the sub-sum of terms with exponent >= 1.
 
         When ``f + bar(f) = 0`` this is the unique ``p`` in ``v*Z[v]`` with
-        ``p - bar(p) = f``.  Kept as the tests' oracle of ``_bar_correction``.
+        ``p - bar(p) = f``.  Kept as the tests' oracle of :meth:`bar_correction`.
         """
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {e: c for e, c in self._terms.items() if e >= 1}
         return out
 
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by ``v^k`` (cheap exponent shift)."""
-        if k == 0:
-            return self
+    def bar_correction(self) -> "LaurentPoly":
+        """The multiple in ``v Z[v]`` whose sum with this polynomial ``c`` is
+        bar-invariant: ``[bar(c) - c]_+``, whose coefficient at ``v^e``
+        (``e >= 1``) is ``c[-e] - c[e]``, read straight from the terms."""
+        get = self._terms.get
+        return LaurentPoly({e: get(-e, 0) - get(e, 0) for e in map(abs, self._terms) if e})
+
+    def shifted(self, k: int, sign: int = 1) -> "LaurentPoly":
+        """Multiply by the unit ``sign * v^k``, ``sign = +-1``: an exponent
+        shift, with the sign folded into each coefficient."""
+        if sign == 1:
+            if k == 0:
+                return self
+            terms = {e + k: c for e, c in self._terms.items()}
+        else:
+            terms = {e + k: -c for e, c in self._terms.items()}
         out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + k: c for e, c in self._terms.items()}
+        out._terms = terms
         return out
 
     def substitute_power(self, k: int) -> "LaurentPoly":
@@ -313,12 +334,16 @@ class LaurentPoly:
     def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient ``self / divisor``; raises ValueError if inexact.
 
-        Works by shifting both operands into ordinary polynomials and running
-        integer long division from the top degree down.
+        A unit divisor ``+-v^k`` is a shift by its inverse.  Otherwise both
+        operands shift into ordinary polynomials and integer long division
+        runs from the top degree down.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
+        if divisor.is_unit():
+            ((k, sign),) = divisor._terms.items()
+            return self.shifted(-k, sign)
         if self.is_zero():
             return LaurentPoly.zero()
         # Shift both operands so they become ordinary polynomials; divisibility

@@ -5,8 +5,9 @@ The triangular element ``C(a)`` is the unique bar-invariant element of
 the terms of ``E(a)`` from the order-highest exponent down, and wherever a
 coefficient ``c`` is not bar-invariant add ``[bar(c) - c]_+`` times the
 standard element led by that exponent, the unique multiple in ``v Z[v]``
-that makes the coefficient bar-invariant.  Each added element lies strictly
-below the exponent it corrects, so coefficients already visited stay fixed.
+that makes the coefficient bar-invariant (:meth:`LaurentPoly.bar_correction`).
+Each added element lies strictly below the exponent it corrects, so
+coefficients already visited stay fixed.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class TriangularTable:
                 self._rows[a] = row
                 return row
         basis = self.basis
-        row, element = basis.sweep(basis.element(a), _bar_correction)
+        row, element = basis.sweep(basis.element(a), LaurentPoly.bar_correction)
         # The sweep makes the element bar-invariant: no bar() is spent on it.
         faults = self._row_faults(a, row, assemble=False)
         if faults:
@@ -101,14 +102,6 @@ class TriangularTable:
         a = tuple(a)
         row = self.p_row(a)
         return Report(f"triangular properties at {a}", 1 + 2 * len(row), self._row_faults(a, row))
-
-
-def _bar_correction(c: LaurentPoly) -> LaurentPoly:
-    """The multiple in ``v Z[v]`` whose sum with ``c`` is bar-invariant:
-    ``[bar(c) - c]_+``, whose coefficient at ``v^e`` (``e >= 1``) is
-    ``c[-e] - c[e]``, read straight from the terms of ``c``."""
-    get = c._terms.get
-    return LaurentPoly({e: get(-e, 0) - get(e, 0) for e in map(abs, c._terms) if e})
 
 
 def phi_rank2_principal(a, b: int, c: int):

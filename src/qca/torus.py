@@ -5,7 +5,9 @@ monomials multiply by ``X^e * X^f = v^L(e,f) * X^{e+f}`` for a fixed
 skew-symmetric integer form ``L``.  The module also provides the
 bar-involution (an anti-automorphism fixing every ``X^e``), weight-based
 term orders with lexicographic tiebreak, and exact right division by greedy
-leading-term elimination.
+leading-term elimination.  Coefficient rules (unit shifts, exact division,
+term-pair products) are :class:`LaurentPoly` methods; the only term-map
+reads here are the unpacking of a unit and measured inner loops.
 """
 
 from __future__ import annotations
@@ -107,20 +109,6 @@ def _add_packed(acc, lo: int, n: int, k: int, step: int):
     else:
         acc[1] = (acc[1] << (k * ((acc[0] - lo) // step))) + n
         acc[0] = lo
-
-
-def _unit_times(c: LaurentPoly, k: int, sign: int) -> LaurentPoly:
-    """``sign * v^k * c`` for a unit ``sign * v^k``: each coefficient is
-    built once, with the sign folded in."""
-    if sign == 1:
-        if k == 0:
-            return c
-        terms = {e + k: x for e, x in c._terms.items()}
-    else:
-        terms = {e + k: -x for e, x in c._terms.items()}
-    out = LaurentPoly.__new__(LaurentPoly)
-    out._terms = terms
-    return out
 
 
 class ContextMismatch(ValueError):
@@ -263,7 +251,7 @@ class TorusElement:
             return TorusElement(self.form, {})
         if c.is_unit():  # +-v^k: an exponent shift
             ((k, sign),) = c._terms.items()
-            terms = {e: _unit_times(x, k, sign) for e, x in self.terms.items()}
+            terms = {e: x.shifted(k, sign) for e, x in self.terms.items()}
             return TorusElement(self.form, terms)
         return TorusElement(self.form, {e: x * c for e, x in self.terms.items()})
 
@@ -291,6 +279,7 @@ class TorusElement:
                 return self._packed_mul(other)
         lvec = self.form.lvec
         acc: dict = {}  # exponent -> {v-exponent: integer coefficient}
+        # Inline, not mul_into: a call per torus term pair cost rank3_deep 6% CPU (2-core Xeon).
         for f, cf in other.terms.items():
             lf = lvec(f)
             right = cf._terms.items()
@@ -323,7 +312,7 @@ class TorusElement:
         terms = {}
         for e, ce in self.terms.items():
             twist = side * sum(map(mul, e, lu))
-            terms[tuple(map(add, e, u))] = _unit_times(ce, k + twist, sign)
+            terms[tuple(map(add, e, u))] = ce.shifted(k + twist, sign)
         return TorusElement(self.form, terms)
 
     def _packed_mul(self, other):
@@ -508,9 +497,7 @@ def divide(
     coefficient.  Before a bound would reach the digit capacity, or when a
     contribution would land on a lattice offset from its target's by a
     non-multiple of the step, the whole remainder is re-packed, at double
-    width or at the gcd of the step and the offset.  When the leading
-    coefficient of ``q`` is a unit ``+-v^k``, each quotient coefficient is a
-    shift of the remainder's.
+    width or at the gcd of the step and the offset.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by zero torus element")
@@ -518,11 +505,10 @@ def divide(
     lvec = p.form.lvec
     gq, cq = q.leading_term(order)
     lead = lvec(gq)
-    unit = next(iter(cq._terms.items())) if cq.is_unit() else None
     # The terms of q below its leading term: exponent, twist vector
     # (``X^g * X^h = v^(g . lvec(h)) X^(g+h)``), lowest v-exponent, L1 norm
     # and coefficient.  q's leading term cancels by construction.
-    rest = [(h, lvec(h), min(c._terms), c.l1(), c) for h, c in q.terms.items() if h != gq]
+    rest = [(h, lvec(h), c.min_exponent(), c.l1(), c) for h, c in q.terms.items() if h != gq]
     coeffs = (*p.terms.values(), *q.terms.values())
     width = digit_width(max(c.l1() for c in coeffs))
     step = lattice_step(coeffs)
@@ -544,23 +530,17 @@ def divide(
             raise DivisionError(f"division exceeded {cap} steps")
         g = tuple(map(sub, gr, gq))
         cr = LaurentPoly.from_packed(lo, n, width, step)
-        shift = -sum(map(mul, g, lead))
-        if unit is not None:
-            t = _unit_times(cr, shift - unit[0], unit[1])
-            # t packs to the remainder's digits, from a shifted digit 0.
-            lo_t, n_t = lo + shift - unit[0], unit[1] * n
-        else:
-            try:
-                t = cr.shifted(shift).divide_exact(cq)
-            except ValueError as exc:
-                raise DivisionError("not divisible") from exc
-            lo_t, n_t = min(t._terms), None
+        try:
+            t = cr.shifted(-sum(map(mul, g, lead))).divide_exact(cq)
+        except ValueError as exc:
+            raise DivisionError("not divisible") from exc
         quot[g] = t
         if not rest:
             continue
         # One pass over the targets: exponent, v-exponent offset of the
         # contribution less lo_t, its remainder entry, and the L1 norm of
         # the term of q; with the largest bound and the step that aligns all.
+        lo_t = t.min_exponent()
         l1_t = t.l1()
         top = 0
         new_step = step
@@ -587,9 +567,7 @@ def divide(
                     a[2] = c.l1()
             rest_packed = [c.packed(wider, new_step)[1] for *_, c in rest]
             width, step = wider, new_step
-            n_t = None
-        if n_t is None:
-            lo_t, n_t = t.packed(width, step)
+        n_t = t.packed(width, step)[1]
         k = 8 * width
         for (e, off, a, l1_h), n_h in zip(targets, rest_packed):
             lo = lo_t + off
@@ -624,19 +602,15 @@ def vanishes(pairs) -> bool:
         elif len(c._terms) == 1:
             ((k, a),) = c._terms.items()
         else:
-            right = c._terms.items()
             for e, ce in x.terms.items():
                 out = acc.get(e)
                 if out is None:
                     out = acc[e] = {}
-                get = out.get
-                for e1, c1 in ce._terms.items():
-                    for e2, c2 in right:
-                        j = e1 + e2
-                        out[j] = get(j, 0) + c1 * c2
+                ce.mul_into(out, c)
             continue
         # A monomial coefficient a * v^k shifts and scales each term; a
-        # coefficient 1 starts a new exponent's map as a copy.
+        # coefficient 1 starts a new exponent's map as a copy.  Inline, not
+        # mul_into: a call per term cost identity_suite 11-18% CPU (2-core Xeon).
         copy = k == 0 and a == 1
         for e, ce in x.terms.items():
             out = acc.get(e)

@@ -43,8 +43,7 @@ __all__ = [
     "random_principal_seed",
     "check_exchange_relations",
     "check_principal_identities",
-    "psi_label",
-    "psi_prime_label",
+    "label_maps",
     "check_bullet_embedding",
     "check_qbinomial_products",
     "check_expand_roundtrip",
@@ -244,14 +243,11 @@ def _label_maps(exps, pmut: MutatedBasis, dmut: MutatedBasis):
     return transport(pbasis, dbasis, exps), transport(pmut.abstract, dmut.abstract, primed)
 
 
-def psi_label(seed: QuantumSeed, a):
-    """Label of the doubled-seed element matching a principal-seed element."""
-    return _label_maps(*_embedding_bases(seed))[0](a)
-
-
-def psi_prime_label(seed: QuantumSeed, a):
-    """Mutated-side counterpart of :func:`psi_label`."""
-    return _label_maps(*_embedding_bases(seed))[1](a)
+def label_maps(seed: QuantumSeed):
+    """``(psi, psi')``: the maps from a principal-seed label to the label of
+    the matching doubled-seed element, unmutated and mutated.  The bases
+    behind them are built once, so build the maps once per seed."""
+    return _label_maps(*_embedding_bases(seed))
 
 
 def check_bullet_embedding(seed: QuantumSeed, samples) -> Report:

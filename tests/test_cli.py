@@ -707,6 +707,8 @@ def test_broken_unit_coefficient_fails_the_checks(coeffs, message, monkeypatch, 
 # Seed files whose ``seed check`` output is pinned: every index is 1-based.
 GOLDEN_SEEDS = {
     "a11": seed_to_dict(a11_seed()),
+    # Valid, but its exchange graph is the directed 3-cycle: no order fits.
+    "cyclic": seed_to_dict(principal_seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0)), (1, 1, 1))),
     "fork-order-3-2-1": seed_to_dict(replace(FORK, order=(2, 1, 0))),
     "non-skew": dict(m=2, n=2, B=[[0, -2], [2, 0]], Lambda=[[0, -1], [2, 0]], d=[2, 2]),
     # The (1, 1) principal exchange matrix under a form that is skew but
@@ -737,6 +739,26 @@ GOLDEN_CHECK = {
             "compatible_orders_complete": True,
             "sink_source_exchange": ["source", "sink"],
             "sink_source_extended": ["source", "sink"],
+        },
+    ),
+    "cyclic": (
+        1,
+        "valid; not acyclic\n"
+        "seed order NOT compatible: [(1, 2), (2, 3)]\n"
+        "  k=1: neither in exchange graph, neither in extended graph\n"
+        "  k=2: neither in exchange graph, neither in extended graph\n"
+        "  k=3: neither in exchange graph, neither in extended graph\n",
+        {
+            "valid": True,
+            "acyclic": False,
+            "order_compatible": False,
+            "skew_violations": [],
+            "compat_violations": [],
+            "order_violations": [[1, 2], [2, 3]],
+            "compatible_orders": [],
+            "compatible_orders_complete": True,
+            "sink_source_exchange": ["neither", "neither", "neither"],
+            "sink_source_extended": ["neither", "neither", "neither"],
         },
     ),
     "fork-order-3-2-1": (

@@ -18,8 +18,7 @@ from qca.verify import (
     check_exchange_relations,
     check_principal_identities,
     check_qbinomial_products,
-    psi_label,
-    psi_prime_label,
+    label_maps,
     random_principal_seed,
 )
 from qca.torus import basis_vector, vec_neg, vec_restrict
@@ -78,6 +77,11 @@ def test_monomial_matches_uncached_chain(b, c):
         assert cr.raw_monomial(mm) == expected.scalar_mul(v(-cr.nu_explicit(mm))), mm
     with pytest.raises(ValueError):
         cr.raw_monomial((0, 0, 0, 0, -1, 0, 0))
+
+
+def test_rank2_principal_seed_rejects_nonpositive_parameters():
+    with pytest.raises(ValueError, match="^parameters must be positive integers$"):
+        rank2_principal_seed(0, 1)
 
 
 def test_monomial_rejects_index_outside_set():
@@ -324,22 +328,23 @@ def test_principal_identities_reject_other_orders():
 def test_psi_generator_images():
     s = a11_seed()
     n, m = s.n, s.m
+    psi, psi_prime = label_maps(s)
     for k in range(n):
         bk = s.column(k)
         ek = basis_vector(m, k)
         frozen = vec_restrict(bk, lambda i: i >= n)
         cluster = vec_restrict(bk, lambda i: i < n)
         e_frozen = tuple(1 if j == n + k else 0 for j in range(2 * n))
-        assert psi_label(s, e_frozen) == frozen + vec_neg(cluster)
-        assert psi_prime_label(s, e_frozen) == frozen + vec_neg(cluster)
+        assert psi(e_frozen) == frozen + vec_neg(cluster)
+        assert psi_prime(e_frozen) == frozen + vec_neg(cluster)
         e_k = tuple(1 if j == k else 0 for j in range(2 * n))
-        assert psi_label(s, e_k) == ek + ek
+        assert psi(e_k) == ek + ek
     # Truncation property on random labels.
     rng = random.Random(17)
     for _ in range(30):
         a = tuple(rng.randint(-2, 2) for _ in range(2 * n))
-        assert psi_label(s, a)[:n] == a[:n]
-        assert psi_prime_label(s, a)[:n] == a[:n]
+        assert psi(a)[:n] == a[:n]
+        assert psi_prime(a)[:n] == a[:n]
 
 
 def test_bullet_embedding_affine_window():
@@ -465,10 +470,10 @@ PSI_VALUES = {
 
 @pytest.mark.parametrize("name", list(EMBEDDING_SEEDS))
 def test_psi_pinned_values(name):
-    s = EMBEDDING_SEEDS[name]
+    psi, psi_prime = label_maps(EMBEDDING_SEEDS[name])
     for a, lbl, lblp in PSI_VALUES[name]:
-        assert psi_label(s, a) == lbl, a
-        assert psi_prime_label(s, a) == lblp, a
+        assert psi(a) == lbl, a
+        assert psi_prime(a) == lblp, a
 
 
 @pytest.mark.parametrize("name", list(EMBEDDING_SEEDS))

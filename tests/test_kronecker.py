@@ -47,6 +47,11 @@ def test_horizon(alg):
         alg.var(9)
 
 
+def test_cluster_monomial_rejects_negative_exponents(alg):
+    with pytest.raises(ValueError, match="^cluster monomial exponents must be nonnegative$"):
+        alg.cluster_monomial(0, -1, 0)
+
+
 def test_x_delta(alg):
     xd = alg.x_delta()
     basis = alg.basis

@@ -1,5 +1,8 @@
 """Ring arithmetic, involution, positive parts, Gaussian binomials."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,6 +138,8 @@ def test_parse_examples():
     assert parse_laurent("v") == v(1)
     assert parse_laurent("-v") == -v(1)
     assert parse_laurent("0") == LaurentPoly.zero()
+    assert parse_laurent("v - v") == 0
+    assert parse_laurent("1  + v") == 1 + v(1)
     with pytest.raises(ValueError):
         parse_laurent("x^2")
 
@@ -150,3 +155,76 @@ def test_pow_matches_repeated_multiplication(f, k):
     for _ in range(k):
         expected = expected * f
     assert f**k == expected
+
+
+def pair_sum(f, g):
+    """``f * g`` summed one term pair at a time: the oracle of ``mul_into``."""
+    out = LaurentPoly.zero()
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out = out + v(e1 + e2, c1 * c2)
+    return out
+
+
+@given(laurents, st.integers(min_value=-8, max_value=8))
+def test_shift_by_minus_a_power_negates_the_shift(c, k):
+    assert c.shifted(k, -1) == -c.shifted(k)
+
+
+@given(laurents, st.integers(min_value=-8, max_value=8), st.sampled_from((1, -1)))
+def test_divide_exact_by_a_unit_is_a_shift(c, k, sign):
+    u = v(k, sign)
+    assert c.divide_exact(u) == c.shifted(-k, sign)
+    assert (c * u).divide_exact(u) == c
+
+
+@given(laurents, laurents, laurents, laurents)
+def test_mul_into_adds_products_in_place(f, g, h, k):
+    # The map starts at h - f*g, so the pairs of f*g cancel every entry of
+    # it that h lacks; a cancelled entry must be gone, not left at zero.
+    acc = dict((h - pair_sum(f, g))._terms)
+    f.mul_into(acc, g)
+    g.mul_into(acc, k)
+    assert acc == (h + pair_sum(g, k))._terms
+
+
+# Outside ``qca.laurent``, the functions that may read a polynomial's term
+# map, each with its reason; every other coefficient rule is a LaurentPoly
+# method.
+TERM_MAP_READERS = {
+    "ebasis.py": {"EBasis.sweep": "measured inner loop: the accumulation of p * E(a)"},
+    "torus.py": {
+        "TorusElement.__mul__": "measured inner loop: the dict product and its pack test",
+        "TorusElement.scalar_mul": "unpacks a unit scalar +-v^k",
+        "TorusElement._shift_by_unit": "unpacks a unit coefficient +-v^k",
+        "vanishes": "measured inner loop: the monomial branch, and its unpacked monomial",
+    },
+}
+
+
+def term_map_readers(tree) -> set:
+    """Qualified names of the functions that read an attribute ``_terms``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.Attribute) and child.attr == "_terms":
+                found.add(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_listed_functions_read_the_term_map():
+    sources = Path(__file__).parent.parent / "src" / "qca"
+    found = {}
+    for path in sorted(sources.glob("*.py")):
+        if path.name != "laurent.py":
+            readers = term_map_readers(ast.parse(path.read_text(encoding="utf-8")))
+            if readers:
+                found[path.name] = readers
+    assert found == {name: set(allowed) for name, allowed in TERM_MAP_READERS.items()}

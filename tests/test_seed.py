@@ -17,6 +17,7 @@ from qca.seed import (
     bullet_exponents,
     compatible_orders,
     double_seed,
+    exchange_vector,
     integer_rank,
     is_acyclic,
     mutate,
@@ -200,6 +201,28 @@ def test_mutation_rank2_principal_matches_closed_form():
 def test_mutation_range_checked():
     with pytest.raises(ValueError):
         mutate(a11_seed(), 2)
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_exchange_index_range_checked(k):
+    for fn in (exchange_vector, sink_or_source):
+        with pytest.raises(ValueError, match="^index out of exchange range$"):
+            fn(a11_seed(), k)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(lam=((0, -1),)), "skew form matrix must be m x m"),
+        (dict(lam=((0, -1), (1,))), "skew form matrix must be m x m"),
+        (dict(d=(1,)), "need n positive symmetrizers"),
+        (dict(d=(1, 0)), "need n positive symmetrizers"),
+        (dict(order=(0, 0)), "order must be a permutation of the exchange indices"),
+    ],
+)
+def test_quantum_seed_shape_errors(change, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(a11_seed(), **change)
 
 
 def test_acyclicity_cases():

@@ -178,6 +178,18 @@ def test_divide_examples():
         assert divide(x * qq, qq, ORDER) == x
         r = left_divide(qq * x, qq, ORDER)
         assert r == x and qq * r == qq * x
+    # A divisor led by the unit -v^2: each quotient coefficient is a shift.
+    q = mono((0, 1), -v(2)) + mono((1, 0), 3)
+    x = mono((1, -1), v(1) + 2) + mono((0, -2), v(-1))
+    assert divide(x * q, q, ORDER) == x
+    assert left_divide(q * x, q, ORDER) == x
+
+
+def test_str_format():
+    assert str(FORM.zero()) == "0"
+    assert str(mono((1, 0), -1)) == "-X^(1,0)"
+    assert str(mono((1, 0), 2)) == "2*X^(1,0)"
+    assert str(mono((1, 0), v(2))) == "v^2*X^(1,0)"
 
 
 def test_divide_failure_modes():
