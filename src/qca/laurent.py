@@ -338,7 +338,10 @@ class LaurentPoly:
         operands shift into ordinary polynomials and integer long division
         runs from the top degree down.
         """
-        divisor = self._coerce(divisor)
+        coerced = self._coerce(divisor)
+        if coerced is NotImplemented:
+            raise TypeError(f"cannot divide a LaurentPoly by {type(divisor).__name__}")
+        divisor = coerced
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if divisor.is_unit():

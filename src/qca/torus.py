@@ -220,7 +220,9 @@ class TorusElement:
     # -- module structure ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, TorusElement):
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.form.monomial((0,) * self.form.m, other)
         self._check(other)
         terms = dict(self.terms)
@@ -239,7 +241,9 @@ class TorusElement:
         return TorusElement(self.form, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, TorusElement):
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.form.monomial((0,) * self.form.m, other)
         return self + (-other)
 
@@ -258,8 +262,11 @@ class TorusElement:
     # -- twisted multiplication -------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            return self.scalar_mul(other)
+        # The torus product is tested first: it is the hot path.
+        if not isinstance(other, TorusElement):
+            if isinstance(other, (int, LaurentPoly)):
+                return self.scalar_mul(other)
+            return NotImplemented
         self._check(other)
         # A unit monomial +-v^k X^u on either side only shifts exponents.
         if len(other.terms) == 1:
@@ -394,7 +401,16 @@ class TorusElement:
         return self.form == other.form and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.form, frozenset(self.terms.items())))
+        # An element at X^0 alone equals the integer k when its coefficient
+        # is k, so it hashes as that coefficient, which hashes as k.
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1:
+            ((e, c),) = terms.items()
+            if not any(e):
+                return hash(c)
+        return hash((self.form, frozenset(terms.items())))
 
     def __bool__(self):
         return bool(self.terms)

@@ -409,7 +409,8 @@ def test_verify_compare_bases_parallel(tmp_path, capsys):
 
 def test_compare_bases_jobs_clamped(tmp_path, capsys, monkeypatch):
     # Only the recorded worker count matters; the fake pool runs the chunks
-    # in this process, so no pool is ever started.
+    # in this process, so no pool is ever started.  The pool is imported
+    # where it is started, so the fake replaces it in concurrent.futures.
     requested = []
 
     class FakePool:
@@ -425,20 +426,28 @@ def test_compare_bases_jobs_clamped(tmp_path, capsys, monkeypatch):
         def map(self, fn, payloads):
             return [fn(x) for x in payloads]
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     bfile = tmp_path / "b.json"
     bfile.write_text("[[0,-1],[1,0]]")
     seed_path = str(tmp_path / "p.json")
     run(capsys, "seed", "principal", "--B", str(bfile), "--d", "1,1", "-o", seed_path)
     args = ("verify", "compare-bases", "--seed", seed_path, "--window", "1")
+    # An affinity mask of two CPUs bounds the workers, not the host's eight.
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     code, out = run(capsys, *args, "--jobs", "100000")
     assert code == 0 and "(9 checks)" in out
-    assert requested == [4]
+    assert requested == [2]
+    # Without an affinity mask, the host's count bounds them.
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    code, out = run(capsys, *args, "--jobs", "100000")
+    assert code == 0 and "(9 checks)" in out
+    assert requested == [2, 4]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker, no pool
     code, out = run(capsys, *args, "--jobs", "100000")
     assert code == 0 and "(9 checks)" in out
-    assert requested == [4]
+    assert requested == [2, 4]
 
 
 def test_cache_env_override(a11_file, tmp_path, capsys, monkeypatch):

@@ -112,6 +112,12 @@ def test_divide_exact():
         v(1).divide_exact(LaurentPoly.zero())
 
 
+def test_divide_exact_by_an_unsupported_operand_is_a_type_error():
+    for divisor in (1.5, "v", None):
+        with pytest.raises(TypeError, match="cannot divide a LaurentPoly by"):
+            LaurentPoly.one().divide_exact(divisor)
+
+
 def test_constants_hash_as_their_integers():
     for c in (-3, 0, 1, 3, 2**70):
         p = LaurentPoly.from_int(c)

@@ -661,6 +661,41 @@ def test_element_records_roundtrip():
     assert x == x.__class__.from_records(FORM, x.to_records())
 
 
+def test_unsupported_operands_are_type_errors():
+    x = FORM.one()
+    for other in (1.5, LaurentPoly.one(), "1", None):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            other + x
+        with pytest.raises(TypeError):
+            x - other
+    for other in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
+    # Integers and Laurent scalars still act.
+    assert x + 1 == 1 + x == 2 and x - 1 == 0
+    assert x * v(1) == v(1) * x == FORM.monomial((0, 0), v(1))
+
+
+def test_constant_elements_hash_as_their_integers():
+    zero_exp = (0, 0)
+    for x, k in ((FORM.one(), 1), (FORM.zero(), 0), (FORM.monomial(zero_exp, -3), -3)):
+        assert x == k and hash(x) == hash(k)
+        assert len({x, k}) == 1
+        assert {k: "a"}.get(x) == "a" and {x: "a"}.get(k) == "a"
+    # A non-constant X^0 coefficient equals no integer; equal elements still
+    # hash alike.
+    x = FORM.monomial(zero_exp, v(1) + 2)
+    y = FORM.element({zero_exp: 2 + v(1)})
+    assert x == y and hash(x) == hash(y) and len({x, y, 2}) == 2
+    # An element off X^0 hashes by its form and terms.
+    assert hash(mono((1, 0)) + 1) == hash(1 + mono((1, 0)))
+    assert len({mono((1, 0)), mono((0, 1)), FORM.one(), 1}) == 3
+
+
 def test_negative_power_raises():
     x = mono((2, -1), v(3))
     # The inverse of a unit monomial is still one constructor call away.
