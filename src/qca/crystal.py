@@ -15,7 +15,8 @@ from .ebasis import EBasis, MutatedBasis
 from .laurent import LaurentPoly, gaussian_binomial
 from .report import Report
 from .seed import QuantumSeed, principal_seed
-from .torus import TorusElement, vanishes, vec_scale
+from .torus import TorusElement, vanishes
+from .verify import principal_product_identities
 
 __all__ = ["rank2_principal_seed", "Rank2Crystal"]
 
@@ -46,26 +47,11 @@ class Rank2Crystal:
         self.basis = EBasis(self.seed)
         self.mutated = MutatedBasis(self.basis)
         self.form = self.basis.form
-        self.X1 = self.form.monomial((1, 0, 0, 0))
-        self.X2 = self.form.monomial((0, 1, 0, 0))
-        self.X1p = self.basis.x_prime(0)
-        self.X2p = self.basis.x_prime(1)
-        self.X1pp = self.mutated.x_dprime(0)
-        # Leading-term replacements for the three non-monomial factors.
-        self._lt = {
-            "x1p": (-1, 0, 0, 0),
-            "x2p": (0, -1, 0, 1),
-            "x1pp": (-1, 0, 1, c),
-        }
         self._monomials: dict = {}
-        # X1p^m1p * X^(0,m2,0,0) * X^(m1,0,0,0) by (m1p, m2, m1), and
-        # X2p^m2p * X1pp^m1pp by (m2p, m1pp).
+        # X'1^m'1 X^(m1,m2,0,0) by (m'1, m2, m1), and X'2^m'2 X''1^m''1 by
+        # (m'2, m''1).
         self._heads: dict = {}
         self._tails: dict = {}
-        # The Gaussian coefficients of the fourth identity, by s - 1.
-        self._gauss = [
-            gaussian_binomial(c, s).substitute_power(2 * b) for s in range(1, c + 1)
-        ]
 
     # -- index set ----------------------------------------------------------
 
@@ -87,7 +73,9 @@ class Rank2Crystal:
         m3, m4, m1p, m2, m1, m2p, m1pp = mm
         head = self._heads.get((m1p, m2, m1))
         if head is None:
-            head = self.basis.x_prime_power(0, m1p) * self.X2**m2 * self.X1**m1
+            # X^(0,m2,0,0) X^(m1,0,0,0) is one monomial: the exchange block of
+            # a principal twist matrix is zero.
+            head = self.basis.x_prime_power(0, m1p) * self.form.monomial((m1, m2, 0, 0))
             self._heads[(m1p, m2, m1)] = head
         tail = self._tails.get((m2p, m1pp))
         if tail is None:
@@ -100,44 +88,45 @@ class Rank2Crystal:
         """The ordered product for the 7-tuple: the tests' oracle of the frozen-part shift."""
         return self._ordered_product(mm, 0)
 
+    def _leading_vectors(self, mm) -> list:
+        """The leading exponents of the five factors after ``X^(0,0,m3,m4)``:
+        ``X'1^m'1``, ``X^(0,m2,0,0)``, ``X^(m1,0,0,0)``, ``X'2^m'2`` and
+        ``X''1^m''1``."""
+        _, _, m1p, m2, m1, m2p, m1pp = mm
+        return [
+            (-m1p, 0, 0, 0),
+            (0, m2, 0, 0),
+            (m1, 0, 0, 0),
+            (0, -m2p, 0, m2p),
+            (-m1pp, 0, m1pp, self.c * m1pp),
+        ]
+
     def normalization_exponent(self, mm) -> int:
         """Normalizes the leading term up to the interior twist correction."""
-        m3, m4, m1p, m2, m1, m2p, m1pp = mm
-        sigma = self.form.chain_twist(
-            (
-                (0, 0, m3, m4),
-                vec_scale(m1p, self._lt["x1p"]),
-                (0, m2, 0, 0),
-                (m1, 0, 0, 0),
-                vec_scale(m2p, self._lt["x2p"]),
-                vec_scale(m1pp, self._lt["x1pp"]),
-            )
-        )
+        m3, m4, m1p, _, _, _, m1pp = mm
+        sigma = self.form.chain_twist(((0, 0, m3, m4), *self._leading_vectors(mm)))
         return self.c * m1p * m1pp - sigma
 
     def monomial(self, mm) -> TorusElement:
         """The normalized crystal monomial for an index in the set.
 
         Only the base index ``(0, 0, m'1, m2, m1, m'2, m''1)`` is an ordered
-        product.  Any other frozen part ``f = (0, 0, m3, m4)`` is the unit
-        shift ``v^(-L(f, l)) X^f`` times the base, where ``l`` is the sum of
-        the five leading vectors that follow ``f`` in
-        :meth:`normalization_exponent`.
+        product, which rejects an index outside the set.  Any other frozen
+        part ``f = (0, 0, m3, m4)`` is the unit shift ``v^(-L(f, l)) X^f``
+        times the base, where ``l`` is the sum of the five leading vectors
+        that follow ``f`` in :meth:`normalization_exponent`.
         """
         mm = tuple(mm)
         out = self._monomials.get(mm)
         if out is None:
-            if not self.in_index_set(mm):
-                raise ValueError(f"index {mm} outside the admissible set")
             base = (0, 0, *mm[2:])
             out = self._monomials.get(base)
             if out is None:
                 out = self._ordered_product(base, self.normalization_exponent(base))
                 self._monomials[base] = out
             if mm != base:
-                m3, m4, m1p, m2, m1, m2p, m1pp = mm
-                f = (0, 0, m3, m4)
-                lead = (m1 - m1p - m1pp, m2 - m2p, m1pp, m2p + self.c * m1pp)
+                f = (0, 0, *mm[:2])
+                lead = tuple(map(sum, zip(*self._leading_vectors(mm))))
                 shift = LaurentPoly.v_power(-self.form.skew(f, lead))
                 out = out._shift_by_unit(f, shift, -1)
                 self._monomials[mm] = out
@@ -224,7 +213,8 @@ class Rank2Crystal:
             ]))
         if m1 == 0 and m1pp > 0:
             terms = [((m3, m4, m1p + 1, m2, 0, m2p + c, m1pp - 1), 1)]
-            for s, coeff in enumerate(self._gauss, 1):
+            for s in range(1, c + 1):
+                coeff = gaussian_binomial(c, s).substitute_power(2 * b)
                 terms.append((
                     (m3 + 1, m4 + c - s, m1p, m2, b * s - 1, m2p, m1pp - 1),
                     -coeff.shifted(c * m1p + b * s * (m2 + m2p + s)),
@@ -241,26 +231,11 @@ class Rank2Crystal:
         return itertools.product(span, span, *[range(bound + 1)] * 5)
 
     def verify_block_relations(self) -> Report:
-        """The three short product relations the identities are built from."""
+        """The three short product relations the identities are built from:
+        the principal product identities of the crystal's seed."""
         rep = Report(name=f"rank-2 block relations (b={self.b}, c={self.c})")
-        b, c = self.b, self.c
-        v = LaurentPoly.v_power
-        mono = self.form.monomial
-        rep.record(vanishes((
-            (self.X1p * self.X1, 1),
-            (self.form.one(), -1),
-            (mono((0, 0, 1, 0)) * self.X2**c, v(c, -1)),
-        )), "first exchange product fails")
-        rep.record(vanishes((
-            (self.X2 * self.X2p, 1),
-            (mono((0, 0, 0, 1)), v(-b, -1)),
-            (self.X1**b, -1),
-        )), "second exchange product fails")
-        rep.record(vanishes((
-            (self.X1 * self.X1pp, 1),
-            (mono((0, 0, 1, c)), v(-c, -1)),
-            (self.basis.x_prime_power(1, c), -1),
-        )), "mutated exchange product fails")
+        for name, terms in principal_product_identities(self.basis, self.mutated):
+            rep.record(vanishes(terms), name)
         return rep
 
     def verify_identities(self, bound: int = 2, frozen_range=(-1, 1)) -> Report:

@@ -69,6 +69,8 @@ class _StandardMonomials:
         a = tuple(a)
         cached = self._elements.get(a)
         if cached is None:
+            if len(a) != self.form.m:
+                raise ValueError(f"label {a} has length {len(a)}, not m = {self.form.m}")
             cached = self._ordered_product(a, self.abstract.normalization_exponent(a))
             self._elements[a] = cached
         return cached

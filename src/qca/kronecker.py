@@ -78,11 +78,17 @@ class KroneckerAlgebra:
         rhs = (x * x).scalar_mul(LaurentPoly.v_power(t)) + 1
         return divide(rhs, self._vars[j], self.basis.order)
 
-    def x_delta(self) -> TorusElement:
+    def product_form(self, r: int) -> TorusElement:
+        """``v^r X_(r+2) X_0 - v^(r+2) X_(r+1) X_1``, the closed form of the
+        degree-``r`` Chebyshev element."""
         v = LaurentPoly.v_power
-        return (self.var(3) * self.var(0)).scalar_mul(v(1)) - (
-            self.var(2) * self.var(1)
-        ).scalar_mul(v(3))
+        return (self.var(r + 2) * self.var(0)).scalar_mul(v(r)) - (
+            self.var(r + 1) * self.var(1)
+        ).scalar_mul(v(r + 2))
+
+    def x_delta(self) -> TorusElement:
+        """The imaginary-root element: the product form at ``r = 1``."""
+        return self.product_form(1)
 
     def chebyshev(self, r: int) -> TorusElement:
         """Normalized second-kind Chebyshev evaluation at the imaginary-root
@@ -120,13 +126,9 @@ class KroneckerAlgebra:
         """Triangular elements on the diagonal ray equal the Chebyshev family,
         and the family telescopes into the two-product closed form."""
         rep = Report(name=f"chebyshev family r<= {r_max}")
-        v = LaurentPoly.v_power
         for r in range(0, r_max + 1):
             s = self.chebyshev(r)
-            product_form = (self.var(r + 2) * self.var(0)).scalar_mul(v(r)) - (
-                self.var(r + 1) * self.var(1)
-            ).scalar_mul(v(r + 2))
-            rep.record(s == product_form, f"product form fails at r={r}")
+            rep.record(s == self.product_form(r), f"product form fails at r={r}")
             rep.record(s.bar() == s, f"bar-invariance fails at r={r}")
         for r in range(1, r_max + 1):
             c = self.table.element((-r, -r))

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from functools import cache
 from math import gcd
 
 __all__ = ["LaurentPoly", "digit_width", "gaussian_binomial", "lattice_step", "parse_laurent"]
@@ -442,13 +443,16 @@ def parse_laurent(text: str) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+@cache
 def gaussian_binomial(r: int, s: int) -> LaurentPoly:
     """The Gaussian binomial coefficient of ``r`` over ``s`` as a polynomial.
 
     Computed from the defining ratio of products of ``t^i - 1`` factors by
-    exact division (the division is checked to leave no remainder).  The
-    result is an ordinary polynomial in the formal variable; substitute a
-    power of ``v`` as needed via :meth:`LaurentPoly.substitute_power`.
+    exact division (the division is checked to leave no remainder), once per
+    ``(r, s)``: later calls return the same object.  Sharing it is safe
+    because no caller mutates a :class:`LaurentPoly`.  The result is an
+    ordinary polynomial in the formal variable; substitute a power of ``v``
+    as needed via :meth:`LaurentPoly.substitute_power`.
     """
     if r < 0 or s < 0 or r < s:
         raise ValueError(f"gaussian binomial needs r >= s >= 0, got ({r}, {s})")

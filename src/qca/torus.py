@@ -217,13 +217,21 @@ class TorusElement:
         if self.form != other.form:
             raise ContextMismatch("torus elements live in different contexts")
 
+    def _coerce(self, other):
+        """``other`` as an element of this torus, an int ``k`` as ``k X^0``;
+        None for an operand of any other type."""
+        if isinstance(other, TorusElement):
+            return other
+        if isinstance(other, int):
+            return self.form.monomial((0,) * self.form.m, other)
+        return None
+
     # -- module structure ------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, TorusElement):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = self.form.monomial((0,) * self.form.m, other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -241,16 +249,17 @@ class TorusElement:
         return TorusElement(self.form, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, TorusElement):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = self.form.monomial((0,) * self.form.m, other)
-        return self + (-other)
+        return self.__add__(-other) if isinstance(other, (TorusElement, int)) else NotImplemented
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def scalar_mul(self, c) -> "TorusElement":
         """Multiply by a Laurent (or integer) scalar."""
         if isinstance(c, int):
             c = LaurentPoly.from_int(c)
+        elif not isinstance(c, LaurentPoly):
+            raise TypeError(f"a torus scalar is an int or a LaurentPoly, not {type(c).__name__}")
         if c.is_zero():
             return TorusElement(self.form, {})
         if c.is_unit():  # +-v^k: an exponent shift
@@ -394,9 +403,8 @@ class TorusElement:
         return not self.terms
 
     def __eq__(self, other):
-        if not isinstance(other, TorusElement):
-            if isinstance(other, int):
-                return self == self.form.monomial((0,) * self.form.m, other)
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self.form == other.form and self.terms == other.terms
 

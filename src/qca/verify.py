@@ -42,6 +42,7 @@ from .torus import (
 __all__ = [
     "random_principal_seed",
     "check_exchange_relations",
+    "principal_product_identities",
     "check_principal_identities",
     "label_maps",
     "check_bullet_embedding",
@@ -130,66 +131,63 @@ def check_exchange_relations(basis: EBasis) -> Report:
     return rep
 
 
+def _mutated_exponent(seed: QuantumSeed, j: int):
+    """The part of ``b_j`` above ``j``, moved by ``b_(n-1),j (e_(m-1) - e_(n-1))``:
+    the exponent of the monomial in the mutated product identity at ``j``."""
+    last = seed.n - 1
+    above = vec_restrict(seed.column(j), lambda i: i > j)
+    move = vec_sub(basis_vector(seed.m, seed.m - 1), basis_vector(seed.m, last))
+    return vec_add(above, vec_scale(seed.btilde[last][j], move))
+
+
+def principal_product_identities(basis: EBasis, mut: MutatedBasis):
+    """The short product identities of a principal seed in natural order, as
+    ``(name, terms)`` pairs for :func:`qca.torus.vanishes`: ``X_j X'_j``
+    (right, j > 0), ``X'_j X_j`` (left, j < n - 1) and ``X_j X''_j``
+    (mutated, j < n - 1) against monomials of the parts of ``b_j`` off ``j``."""
+    seed, form = basis.seed, basis.form
+    v = LaurentPoly.v_power
+    last = seed.n - 1
+    for j in range(seed.n):
+        bj, dj = seed.column(j), seed.d[j]
+        xj, xjp = form.generator(j), basis.x_prime(j)
+        low = form.monomial(vec_neg(vec_restrict(bj, lambda i: i < j)))
+        high = form.monomial(vec_restrict(bj, lambda i: i > j))
+        if j > 0:
+            yield f"right product identity at {j}", ((xj * xjp, 1), (high, v(-dj, -1)), (low, -1))
+        if j < last:
+            yield f"left product identity at {j}", ((xjp * xj, 1), (low, -1), (high, v(dj, -1)))
+            yield f"mutated product identity at {j}", (
+                (xj * mut.x_dprime(j), 1),
+                (form.monomial(_mutated_exponent(seed, j)), v(-dj, -1)),
+                (low * basis.x_prime_power(last, seed.btilde[last][j]), -1),
+            )
+
+
 def check_principal_identities(seed: QuantumSeed) -> Report:
-    """Short product identities specific to principal seeds in natural order,
-    each checked as the vanishing of its left side minus its right side.
-    Raises ValueError for any other order, where they do not hold as stated."""
+    """The principal product identities, then the Gaussian-binomial expansion
+    of each mutated exchange element, each checked as the vanishing of its
+    left side minus its right side.  Raises ValueError for any order but the
+    natural one, where they do not hold as stated."""
     if seed.order != tuple(range(seed.n)):
         raise ValueError("the principal identities are stated for the natural order")
     basis = EBasis(seed)
     mut = MutatedBasis(basis)
     form = basis.form
-    n, m = seed.n, seed.m
-    v = LaurentPoly.v_power
     rep = Report(name="principal product identities")
-    last = n - 1
-    e_last = basis_vector(m, last)
-    e_top = basis_vector(m, m - 1)
-    b_last = seed.column(last)
-    for j in range(n):
-        bj = seed.column(j)
-        below = vec_restrict(bj, lambda i, j=j: i < j)
-        above = vec_restrict(bj, lambda i, j=j: i > j)
-        xj = form.generator(j)
-        xjp = basis.x_prime(j)
-        low = form.monomial(vec_neg(below))
-        high = form.monomial(above)
-        if j < last:
-            rep.record(
-                vanishes(((xjp * xj, 1), (low, -1), (high, v(seed.d[j], -1)))),
-                f"left product identity at {j}",
-            )
-        if j > 0:
-            rep.record(
-                vanishes(((xj * xjp, 1), (high, v(-seed.d[j], -1)), (low, -1))),
-                f"right product identity at {j}",
-            )
-        if j < last:
-            bnj = seed.btilde[last][j]
-            xjpp = mut.x_dprime(j)
-            shifted = vec_add(above, vec_scale(bnj, vec_sub(e_top, e_last)))
-            power = basis.x_prime_power(last, bnj)
-            rep.record(
-                vanishes((
-                    (xj * xjpp, 1),
-                    (form.monomial(shifted), v(-seed.d[j], -1)),
-                    (low * power, -1),
-                )),
-                f"mutated product identity at {j}",
-            )
-            # The Gaussian-binomial lemma; x_dprime is the mutated binomial.
-            expansion = [(xjpp, 1), (xjp * power, -1)]
-            for s in range(1, bnj + 1):
-                coeff = (
-                    gaussian_binomial(bnj, s)
-                    .substitute_power(2 * seed.d[last])
-                    .shifted(s * s * seed.d[last])
-                )
-                mono = vec_sub(
-                    vec_add(vec_neg(basis_vector(m, j)), shifted), vec_scale(s, b_last)
-                )
-                expansion.append((form.monomial(mono), coeff))
-            rep.record(vanishes(expansion), f"mutated element expansion at {j}")
+    for name, terms in principal_product_identities(basis, mut):
+        rep.record(vanishes(terms), name)
+    # The Gaussian-binomial lemma; x_dprime is the mutated binomial.
+    last = seed.n - 1
+    dn, b_last = seed.d[last], seed.column(last)
+    for j in range(last):
+        bnj = seed.btilde[last][j]
+        top = vec_sub(_mutated_exponent(seed, j), basis_vector(seed.m, j))
+        expansion = [(mut.x_dprime(j), 1), (basis.x_prime(j) * basis.x_prime_power(last, bnj), -1)]
+        for s in range(1, bnj + 1):
+            coeff = gaussian_binomial(bnj, s).substitute_power(2 * dn).shifted(s * s * dn)
+            expansion.append((form.monomial(vec_sub(top, vec_scale(s, b_last))), coeff))
+        rep.record(vanishes(expansion), f"mutated element expansion at {j}")
     return rep
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qca import crystal
 from qca.crystal import Rank2Crystal, rank2_principal_seed
 from qca.ebasis import EBasis
 from qca.kronecker import a11_seed
@@ -19,6 +20,7 @@ from qca.verify import (
     check_principal_identities,
     check_qbinomial_products,
     label_maps,
+    principal_product_identities,
     random_principal_seed,
 )
 from qca.torus import basis_vector, vec_neg, vec_restrict
@@ -56,11 +58,11 @@ def uncached_chain(cr, mm):
     m3, m4, m1p, m2, m1, m2p, m1pp = mm
     out = cr.form.monomial((0, 0, m3, m4), v(cr.nu_explicit(mm)))
     for factor in (
-        cr.X1p**m1p,
+        cr.basis.x_prime(0) ** m1p,
         cr.form.monomial((0, m2, 0, 0)),
         cr.form.monomial((m1, 0, 0, 0)),
-        cr.X2p**m2p,
-        cr.X1pp**m1pp,
+        cr.basis.x_prime(1) ** m2p,
+        cr.mutated.x_dprime(0) ** m1pp,
     ):
         out = out * factor
     return out
@@ -170,10 +172,49 @@ def test_frozen_shift_shares_coefficients(b, c):
         assert all(x is y for x, y in zip(shifted.values(), base.values())), mm
 
 
-def test_block_relations_all_pairs():
+def test_block_relations_all_pairs(monkeypatch):
     for b, c in [(1, 1), (2, 1), (2, 2), (1, 3)]:
-        rep = Rank2Crystal(b, c).verify_block_relations()
-        assert rep.ok, rep.summary()
+        cr = Rank2Crystal(b, c)
+        rep = cr.verify_block_relations()
+        assert rep.ok and rep.checks == 3, rep.summary()
+        # The same three, plus the Gaussian expansion at 0.
+        rep = check_principal_identities(cr.seed)
+        assert rep.ok and rep.checks == 4, rep.summary()
+    # The block relations are the principal product identities, read from
+    # the crystal's own bases: building another basis would raise.
+    monkeypatch.setattr(crystal, "vanishes", lambda terms: False)
+    monkeypatch.setattr(EBasis, "__init__", None)
+    rep = cr.verify_block_relations()
+    assert rep.failures == [
+        "left product identity at 0",
+        "mutated product identity at 0",
+        "right product identity at 1",
+    ]
+
+
+@pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (2, 2), (3, 2), (1, 4)])
+def test_block_relations_are_the_rank2_exchange_products(b, c):
+    # The three rank-2 exchange products written out by hand; each generated
+    # identity has these terms, term for term, as torus elements.
+    cr = Rank2Crystal(b, c)
+    mono = cr.form.monomial
+    x1, x2 = mono((1, 0, 0, 0)), mono((0, 1, 0, 0))
+    x1p, x2p, x1pp = cr.basis.x_prime(0), cr.basis.x_prime(1), cr.mutated.x_dprime(0)
+    want = {
+        "left product identity at 0": [
+            (x1p * x1, 1), (cr.form.one(), -1), (mono((0, 0, 1, 0)) * x2**c, v(c, -1)),
+        ],
+        "right product identity at 1": [
+            (x2 * x2p, 1), (mono((0, 0, 0, 1)), v(-b, -1)), (x1**b, -1),
+        ],
+        "mutated product identity at 0": [
+            (x1 * x1pp, 1), (mono((0, 0, 1, c)), v(-c, -1)), (x2p**c, -1),
+        ],
+    }
+    got = dict(principal_product_identities(cr.basis, cr.mutated))
+    assert got.keys() == want.keys()
+    for name, terms in got.items():
+        assert [x * k for x, k in terms] == [x * k for x, k in want[name]], name
 
 
 def test_identity_example(cr11):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 
@@ -98,6 +99,14 @@ def test_order_incompatible_seed_rejected():
     s = a11_seed()
     with pytest.raises(ValueError):
         EBasis(replace(s, order=(1, 0)))
+
+
+def test_label_of_wrong_length_is_a_value_error(affine):
+    for lookup in (affine.element, MutatedBasis(affine).element, TriangularTable(affine).element):
+        for a in ((-1,), (1, 0, 0)):
+            message = f"label {a} has length {len(a)}, not m = 2"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                lookup(a)
 
 
 def test_standard_monomial_positive_labels(affine):

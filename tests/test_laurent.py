@@ -95,6 +95,23 @@ def test_gaussian_binomial_pascal_recurrence():
             assert lhs == rhs
 
 
+def test_gaussian_binomial_divides_once_per_pair(monkeypatch):
+    gaussian_binomial.cache_clear()
+    divisions = []
+    divide_exact = LaurentPoly.divide_exact
+
+    def spy(self, other):
+        divisions.append(other)
+        return divide_exact(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "divide_exact", spy)
+    first = gaussian_binomial(6, 3)
+    assert len(divisions) == 1
+    # A second call returns the same polynomial and divides nothing.
+    assert gaussian_binomial(6, 3) is first and len(divisions) == 1
+    assert first == parse_laurent("1 + v + 2*v^2 + 3*v^3 + 3*v^4 + 3*v^5 + 3*v^6 + 2*v^7 + v^8 + v^9")
+
+
 def test_substitute_power_examples():
     assert (v(1) + 1).substitute_power(4) == v(4) + 1
     assert LaurentPoly.one().substitute_power(-3) == LaurentPoly.one()

@@ -670,6 +670,8 @@ def test_unsupported_operands_are_type_errors():
             other + x
         with pytest.raises(TypeError):
             x - other
+        with pytest.raises(TypeError):
+            other - x
     for other in (1.5, "1", None):
         with pytest.raises(TypeError):
             x * other
@@ -678,6 +680,29 @@ def test_unsupported_operands_are_type_errors():
     # Integers and Laurent scalars still act.
     assert x + 1 == 1 + x == 2 and x - 1 == 0
     assert x * v(1) == v(1) * x == FORM.monomial((0, 0), v(1))
+
+
+def test_int_minus_element():
+    x = mono((1, 0), v(1)) + 2
+    assert 1 - x == -(x - 1) == FORM.element({(1, 0): -v(1), (0, 0): -1})
+    assert 3 - FORM.one() == 2 and 0 - FORM.zero() == 0
+
+
+def test_scalar_mul_rejects_other_scalars():
+    for c in (1.5, "1", None, FORM.one()):
+        with pytest.raises(TypeError, match="^a torus scalar is an int or a LaurentPoly, not "):
+            FORM.one().scalar_mul(c)
+
+
+def test_int_operand_is_its_constant_element():
+    # +, - and == read an int k as k X^0, on either side.
+    x = mono((1, 0), v(1))
+    for k in (-2, 0, 3):
+        kx = FORM.monomial((0, 0), k)
+        assert x + k == k + x == x + kx
+        assert x - k == x - kx and k - x == kx - x
+        assert kx == k and k == kx and kx != k + 1
+    assert x != 0 and x != 1
 
 
 def test_constant_elements_hash_as_their_integers():
