@@ -36,7 +36,8 @@ class ExpansionError(RuntimeError):
 class _StandardMonomials:
     """Ordered products ``v^nu X^g x_k1^q1 x_k2^q2 ...`` cached per label, with
     the label data read from the :class:`EBasis` ``abstract``.  A subclass
-    realizes ``v^nu X^g`` as :meth:`_front` and ``x_k`` as :meth:`_generator`."""
+    realizes ``v^nu X^g`` as :meth:`_front`, which also builds the exchange
+    binomials ``x_k`` of :meth:`_generator`."""
 
     def __init__(self, form):
         self.form = form
@@ -53,6 +54,12 @@ class _StandardMonomials:
         while len(ladder) <= q:
             ladder.append(ladder[-1] * ladder[1])
         return ladder[q]
+
+    def _generator(self, k: int) -> TorusElement:
+        """The exchange binomial ``X^e + X^(e - b_k)``, ``e = e'_k``, of
+        ``abstract``, with each monomial realized by :meth:`_front`."""
+        e = self.abstract.e_prime(k)
+        return self._front(e, 0) + self._front(vec_sub(e, self.abstract.seed.column(k)), 0)
 
     def _ordered_product(self, a, nu: int) -> TorusElement:
         """``v^nu X^[a]_+`` times the exchange powers of ``a`` in order: one
@@ -119,10 +126,6 @@ class EBasis(_StandardMonomials):
 
     def _front(self, g, nu: int) -> TorusElement:
         return self.form.monomial(g, LaurentPoly.v_power(nu))
-
-    def _generator(self, k: int) -> TorusElement:
-        ep = self.e_prime(k)
-        return self.form.monomial(ep) + self.form.monomial(vec_sub(ep, self.seed.column(k)))
 
     def x_prime(self, k: int) -> TorusElement:
         """The two-term exchange element replacing generator ``k``."""
@@ -279,10 +282,7 @@ class MutatedBasis(_StandardMonomials):
     def _generator(self, k: int) -> TorusElement:
         if k == self.k_mut:
             return self.form.generator(k)
-        e = self.abstract.e_prime(k)
-        return self.prime_monomial(e) + self.prime_monomial(
-            vec_sub(e, self.abstract.seed.column(k))
-        )
+        return super()._generator(k)
 
     def x_dprime(self, k: int) -> TorusElement:
         """The k-th mutated exchange element, realized in the original torus.

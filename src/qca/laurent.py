@@ -32,7 +32,9 @@ from array import array
 from functools import cache
 from math import gcd
 
-__all__ = ["LaurentPoly", "digit_width", "gaussian_binomial", "lattice_step", "parse_laurent"]
+__all__ = [
+    "LaurentPoly", "digit_width", "gaussian_binomial", "json_int", "lattice_step", "parse_laurent"
+]
 
 _BYTEORDER = sys.byteorder
 # Array and memoryview formats of native unsigned integers, by size in bytes.
@@ -441,6 +443,15 @@ def parse_laurent(text: str) -> LaurentPoly:
         else:
             terms.pop(e, None)
     return LaurentPoly(terms)
+
+
+def json_int(x) -> int:
+    """``x`` if it is an integer, as every number of the package's JSON files
+    must be; a float, a boolean, a string or anything else raises
+    ValueError, so that no reader truncates or converts a value."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 @cache

@@ -16,7 +16,7 @@ import json
 import os
 
 from .ebasis import EBasis, MutatedBasis
-from .laurent import LaurentPoly, parse_laurent
+from .laurent import LaurentPoly, json_int, parse_laurent
 from .report import Report
 from .torus import TorusElement
 
@@ -186,11 +186,11 @@ class RowCache:
             try:
                 row = {}
                 for item in json.loads(bodies[-1])["p"]:
-                    label = tuple(int(x) for x in item["a"])
+                    label = tuple(map(json_int, item["a"]))
                     if len(label) != len(a):
                         raise ValueError(f"label {label} does not match {a}")
                     row[label] = parse_laurent(item["coeff"])
-            except (KeyError, TypeError, ValueError, ArithmeticError):
+            except (KeyError, TypeError, ValueError):
                 row = None
             if row is not None and not (check and check(a, row)):
                 self.hits += 1

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 
+from .laurent import json_int
 from .torus import (
     SkewForm,
     WeightOrder,
@@ -367,9 +368,9 @@ def principal_seed(exchange_rows, d) -> QuantumSeed:
     if ``DB`` is not skew-symmetric.
     """
     try:
-        B = tuple(tuple(int(x) for x in row) for row in exchange_rows)
-        d = tuple(int(x) for x in d)
-    except (TypeError, OverflowError) as exc:
+        B = tuple(tuple(map(json_int, row)) for row in exchange_rows)
+        d = tuple(map(json_int, d))
+    except TypeError as exc:
         raise ValueError(f"malformed exchange matrix or symmetrizers: {exc}") from exc
     n = len(B)
     if any(len(r) != n for r in B):
@@ -475,18 +476,18 @@ def seed_to_dict(seed: QuantumSeed) -> dict:
 def parse_seed(data: dict) -> QuantumSeed:
     """The seed a dict describes, not validated; malformed data raises ValueError."""
     try:
-        d = tuple(int(x) for x in data["d"])
+        d = tuple(map(json_int, data["d"]))
         return QuantumSeed(
-            m=int(data["m"]),
-            n=int(data["n"]),
-            btilde=tuple(tuple(int(x) for x in r) for r in data["B"]),
-            lam=tuple(tuple(int(x) for x in r) for r in data["Lambda"]),
+            m=json_int(data["m"]),
+            n=json_int(data["n"]),
+            btilde=tuple(tuple(map(json_int, r)) for r in data["B"]),
+            lam=tuple(tuple(map(json_int, r)) for r in data["Lambda"]),
             d=d,
             # The natural order has one entry per symmetrizer; sizing it by
             # len(d) rather than "n" keeps a huge "n" from allocating it.
-            order=tuple(int(k) - 1 for k in data.get("order", range(1, len(d) + 1))),
+            order=tuple(json_int(k) - 1 for k in data.get("order", range(1, len(d) + 1))),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed seed data: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ from itertools import chain
 from math import gcd
 from operator import add, mul, neg, sub
 
-from .laurent import LaurentPoly, digit_width, lattice_step, parse_laurent
+from .laurent import LaurentPoly, digit_width, json_int, lattice_step, parse_laurent
 
 __all__ = [
     "SkewForm",
@@ -100,15 +100,36 @@ def basis_vector(m: int, i: int):
 _PACK_MIN_PAIRS = 16
 
 
-def _add_packed(acc, lo: int, n: int, k: int, step: int):
-    """Add ``n``, packed with ``k``-bit digits at exponent step ``step`` from
-    ``v^lo`` up, into the packed accumulator ``acc = [lo_acc, n_acc, ...]``;
-    ``lo - lo_acc`` must be a multiple of ``step``."""
-    if lo >= acc[0]:
-        acc[1] += n << (k * ((lo - acc[0]) // step))
-    else:
-        acc[1] = (acc[1] << (k * ((acc[0] - lo) // step))) + n
-        acc[0] = lo
+def _packed_sums(left, right, acc, width: int, step: int):
+    """Add the packed product of every term pair into ``acc``, the one packed
+    accumulation of the module: the product's and the division's.
+
+    ``left`` holds ``(e, lo, n)`` and ``right`` holds ``(f, L . f, lo, n)``,
+    each ``n`` a coefficient packed with ``width``-byte digits at exponent
+    step ``step`` from ``v^lo`` up; the pair adds ``n_e * n_f``, from
+    ``v^(lo_e + lo_f + L(e, f))`` up, to ``acc[e + f] = [lo_acc, n_acc]``.
+    Returns the exponents that entered ``acc``; or, when a pair meets its
+    entry on a lattice offset by a non-multiple of ``step``, the gcd of the
+    step and the offset, an int to start over at, leaving ``acc`` part-filled.
+    """
+    k = 8 * width
+    new = []
+    for f, lf, lo_f, n_f in right:
+        for e, lo_e, n_e in left:
+            lo = lo_e + lo_f + sum(map(mul, e, lf))
+            g = tuple(map(add, e, f))
+            a = acc.get(g)
+            if a is None:
+                acc[g] = [lo, n_e * n_f]
+                new.append(g)
+            elif (lo - a[0]) % step:
+                return gcd(step, lo - a[0])
+            elif lo >= a[0]:
+                a[1] += (n_e * n_f) << (k * ((lo - a[0]) // step))
+            else:
+                a[1] = (a[1] << (k * ((a[0] - lo) // step))) + n_e * n_f
+                a[0] = lo
+    return new
 
 
 class ContextMismatch(ValueError):
@@ -332,51 +353,34 @@ class TorusElement:
         return TorusElement(self.form, terms)
 
     def _packed_mul(self, other):
-        """The product with every coefficient in packed form: one big-integer
-        product per term pair, accumulated per output exponent and decoded
-        once.  No output digit exceeds ``L1(self) * L1(other)``.
+        """The product with every coefficient in packed form: the term pairs
+        go through :func:`_packed_sums` into a fresh accumulator, and each
+        output coefficient is decoded once.  No output digit exceeds
+        ``L1(self) * L1(other)``.
 
         Coefficients pack at the step of :func:`lattice_step` over both
-        operands, so each term pair's product lies on one lattice.  When two
-        pairs meet at an output exponent on lattices offset by a non-multiple
-        of the step, the product starts over at the gcd of the step and the
-        offset, which puts both on one lattice.
+        operands, so each term pair's product lies on one lattice.  When the
+        kernel reports two pairs meeting off one lattice, the product starts
+        over at the smaller step it returns.
         """
         bound = sum(c.l1() for c in self.terms.values()) * sum(
             c.l1() for c in other.terms.values()
         )
         width = digit_width(bound)
         step = lattice_step(chain(self.terms.values(), other.terms.values()))
-        acc = self._packed_sums(other, width, step)
-        while isinstance(acc, int):
-            step = acc
-            acc = self._packed_sums(other, width, step)
+        lvec = self.form.lvec
+        while True:
+            left = [(e, *c.packed(width, step)) for e, c in self.terms.items()]
+            right = [(f, lvec(f), *c.packed(width, step)) for f, c in other.terms.items()]
+            acc: dict = {}  # exponent -> [v-exponent of digit 0, packed sum]
+            restart = _packed_sums(left, right, acc, width, step)
+            if not isinstance(restart, int):
+                break
+            step = restart
         terms = {
             g: LaurentPoly.from_packed(lo, n, width, step) for g, (lo, n) in acc.items() if n
         }
         return TorusElement(self.form, terms)
-
-    def _packed_sums(self, other, width: int, step: int):
-        """The packed accumulators of :meth:`_packed_mul` at ``step``, or the
-        smaller step to start over at when two pairs meet off one lattice."""
-        k = 8 * width
-        lvec = self.form.lvec
-        left = [(e, *c.packed(width, step)) for e, c in self.terms.items()]
-        acc: dict = {}  # exponent -> [v-exponent of digit 0, packed sum]
-        for f, cf in other.terms.items():
-            lf = lvec(f)
-            lo_f, n_f = cf.packed(width, step)
-            for e, lo_e, n_e in left:
-                lo = lo_e + lo_f + sum(map(mul, e, lf))
-                g = tuple(map(add, e, f))
-                a = acc.get(g)
-                if a is None:
-                    acc[g] = [lo, n_e * n_f]
-                elif (lo - a[0]) % step:
-                    return gcd(step, lo - a[0])
-                else:
-                    _add_packed(a, lo, n_e * n_f, k, step)
-        return acc
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -468,13 +472,13 @@ class TorusElement:
         terms = {}
         try:
             for rec in records:
-                e = tuple(int(x) for x in rec["exp"])
+                e = tuple(map(json_int, rec["exp"]))
                 if len(e) != form.m:
                     raise ValueError("exponent length does not match context")
                 c = parse_laurent(rec["coeff"])
                 if c:
                     terms[e] = terms.get(e, LaurentPoly.zero()) + c
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed torus element records: {exc!r}") from exc
         return cls(form, {e: c for e, c in terms.items() if c})
 
@@ -512,16 +516,20 @@ def divide(
     :class:`DivisionError` after ``cap`` steps or on a coefficient that does
     not divide.
 
-    The remainder is kept in place, in packed form, with its exponents on a
-    heap: each step adds ``-t X^g * q`` below the popped exponent, so a popped
-    exponent never reappears, and only the popped coefficient is decoded.
-    Coefficients pack at the step of :func:`lattice_step` over ``p`` and
-    ``q``; every quotient coefficient then has gaps that are multiples of it
-    too.  Each exponent carries an upper bound on the L1 norm of its
-    coefficient.  Before a bound would reach the digit capacity, or when a
-    contribution would land on a lattice offset from its target's by a
-    non-multiple of the step, the whole remainder is re-packed, at double
-    width or at the gcd of the step and the offset.
+    The remainder is kept in packed form, with its exponents on a heap: each
+    elimination adds ``-t X^g * q`` below the popped exponent through
+    :func:`_packed_sums`, so a popped exponent never reappears, and only the
+    popped coefficient is decoded.  Coefficients pack at the step of
+    :func:`lattice_step` over ``p`` and ``q``, which every quotient
+    coefficient's gaps are multiples of too.  One running bound covers the
+    L1 norm of every remainder coefficient: the largest of ``p``'s, plus,
+    per elimination, ``L1(t)`` times the largest over the rest of ``q``,
+    since an elimination reaches each exponent at most once.  When the bound
+    would reach the digit capacity, or the kernel reports a contribution off
+    its target's lattice, the division starts over, at double width or at
+    the kernel's smaller step, as the product does; ``cap`` counts the
+    eliminations of the final attempt, and ``t`` is packed only after the
+    bound check, and not at all for a monomial ``q``.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by zero torus element")
@@ -529,79 +537,52 @@ def divide(
     lvec = p.form.lvec
     gq, cq = q.leading_term(order)
     lead = lvec(gq)
-    # The terms of q below its leading term: exponent, twist vector
-    # (``X^g * X^h = v^(g . lvec(h)) X^(g+h)``), lowest v-exponent, L1 norm
-    # and coefficient.  q's leading term cancels by construction.
-    rest = [(h, lvec(h), c.min_exponent(), c.l1(), c) for h, c in q.terms.items() if h != gq]
+    # The terms of q below its leading term, with their twist vectors
+    # (``X^g * X^h = v^(g . lvec(h)) X^(g+h)``); q's leading term cancels by
+    # construction.
+    rest = [(h, lvec(h), c) for h, c in q.terms.items() if h != gq]
+    l1_rest = max((c.l1() for *_, c in rest), default=0)
+    l1_p = max((c.l1() for c in p.terms.values()), default=0)
     coeffs = (*p.terms.values(), *q.terms.values())
     width = digit_width(max(c.l1() for c in coeffs))
     step = lattice_step(coeffs)
-    rest_packed = [c.packed(width, step)[1] for *_, c in rest]
-    # exponent -> [v-exponent of digit 0, packed coefficient, L1 bound]
-    rem = {e: [*c.packed(width, step), c.l1()] for e, c in p.terms.items()}
     key = order.descending_key
-    heap = [(key(e), e) for e in rem]
-    heapify(heap)
-    quot: dict = {}
-    steps = 0
-    while heap:
-        gr = heappop(heap)[1]
-        lo, n, _ = rem.pop(gr)
-        if not n:
-            continue
-        steps += 1
-        if steps > cap:
-            raise DivisionError(f"division exceeded {cap} steps")
-        g = tuple(map(sub, gr, gq))
-        cr = LaurentPoly.from_packed(lo, n, width, step)
-        try:
-            t = cr.shifted(-sum(map(mul, g, lead))).divide_exact(cq)
-        except ValueError as exc:
-            raise DivisionError("not divisible") from exc
-        quot[g] = t
-        if not rest:
-            continue
-        # One pass over the targets: exponent, v-exponent offset of the
-        # contribution less lo_t, its remainder entry, and the L1 norm of
-        # the term of q; with the largest bound and the step that aligns all.
-        lo_t = t.min_exponent()
-        l1_t = t.l1()
-        top = 0
-        new_step = step
-        targets = []
-        for h, lh, lo_h, l1_h, _ in rest:
-            e = tuple(map(add, g, h))
-            off = lo_h + sum(map(mul, g, lh))
-            a = rem.get(e)
-            bound = l1_t * l1_h
-            if a is not None:
-                bound += a[2]
-                new_step = gcd(new_step, lo_t + off - a[0])
-            if bound > top:
-                top = bound
-            targets.append((e, off, a, l1_h))
-        if top.bit_length() >= 8 * width or new_step != step:
-            wider = width
-            while top.bit_length() >= 8 * wider:
-                wider *= 2
-            for a in rem.values():
-                if a[1]:
-                    c = LaurentPoly.from_packed(a[0], a[1], width, step)
-                    a[0], a[1] = c.packed(wider, new_step)
-                    a[2] = c.l1()
-            rest_packed = [c.packed(wider, new_step)[1] for *_, c in rest]
-            width, step = wider, new_step
-        n_t = t.packed(width, step)[1]
-        k = 8 * width
-        for (e, off, a, l1_h), n_h in zip(targets, rest_packed):
-            lo = lo_t + off
-            if a is None:
-                rem[e] = [lo, -n_t * n_h, l1_t * l1_h]
+    while True:  # one attempt per width and step
+        right = [(h, lh, *c.packed(width, step)) for h, lh, c in rest]
+        rem = {e: list(c.packed(width, step)) for e, c in p.terms.items()}
+        heap = [(key(e), e) for e in rem]
+        heapify(heap)
+        quot: dict = {}  # one entry per elimination
+        bound = l1_p
+        while heap:
+            gr = heappop(heap)[1]
+            lo, n = rem.pop(gr)
+            if not n:
+                continue
+            if len(quot) >= cap:
+                raise DivisionError(f"division exceeded {cap} steps")
+            g = tuple(map(sub, gr, gq))
+            cr = LaurentPoly.from_packed(lo, n, width, step)
+            try:
+                t = cr.shifted(-sum(map(mul, g, lead))).divide_exact(cq)
+            except ValueError as exc:
+                raise DivisionError("not divisible") from exc
+            quot[g] = t
+            if not rest:
+                continue
+            bound += t.l1() * l1_rest
+            if bound.bit_length() >= 8 * width:
+                width = max(2 * width, digit_width(bound))
+                break
+            lo_t, n_t = t.packed(width, step)
+            new = _packed_sums([(g, lo_t, -n_t)], right, rem, width, step)
+            if isinstance(new, int):
+                step = new
+                break
+            for e in new:
                 heappush(heap, (key(e), e))
-            else:
-                _add_packed(a, lo, -n_t * n_h, k, step)
-                a[2] += l1_t * l1_h
-    return TorusElement(p.form, quot)
+        else:
+            return TorusElement(p.form, quot)
 
 
 def vanishes(pairs) -> bool:

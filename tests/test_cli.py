@@ -67,6 +67,37 @@ def test_seed_check_malformed(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("B", [[0, -2.7], [2, 0]]),
+        ("B", [[0, "-2"], [2, 0]]),
+        ("d", [2, 2.9]),
+        ("order", [True, 2]),
+    ],
+)
+def test_seed_check_refuses_a_number_that_is_not_an_integer(tmp_path, capsys, field, value):
+    # Each value, converted with int(), gives back the valid seed a11.
+    data = {**seed_to_dict(a11_seed()), field: value}
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(data))
+    code = main(["seed", "check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: malformed seed data: expected an integer")
+    assert err.count("\n") == 1
+
+
+def test_seed_principal_refuses_a_fractional_matrix(tmp_path, capsys):
+    bfile = tmp_path / "b.json"
+    bfile.write_text("[[0,-1.9],[1,0]]")
+    out_path = tmp_path / "p.json"
+    code = main(["seed", "principal", "--B", str(bfile), "--d", "1,1", "-o", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: expected an integer, got -1.9\n"
+    assert not out_path.exists()
+
+
 def test_seed_mutate(a11_file, tmp_path, capsys):
     out_path = str(tmp_path / "mut.json")
     code, _ = run(capsys, "seed", "mutate", a11_file, "-k", "1", "-o", out_path)

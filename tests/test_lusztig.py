@@ -315,7 +315,12 @@ def test_row_cache_corrupt_file_is_a_miss(tmp_path, name):
         {"p": [{"a": [1, 1], "coeff": "-v^x"}]},
         {"p": [{"a": [1, 1], "coeff": 4}]},
         {"p": [7]},
-        {"p": [{"a": [float("inf"), 1], "coeff": "-v^4"}]},  # int() overflows
+        {"p": [{"a": [float("inf"), 1], "coeff": "-v^4"}]},
+        # Labels are JSON integers, not numbers that truncate or convert to one.
+        {"p": [{"a": [1.0, 1], "coeff": "-v^4"}]},
+        {"p": [{"a": [1.5, 1], "coeff": "-v^4"}]},
+        {"p": [{"a": [True, 1], "coeff": "-v^4"}]},
+        {"p": [{"a": ["1", 1], "coeff": "-v^4"}]},
     ],
 )
 def test_row_cache_malformed_record_is_a_miss(tmp_path, rec):

@@ -1,4 +1,7 @@
-"""The JSON readers fail on malformed input with ValueError and nothing else."""
+"""The JSON readers fail on malformed input with ValueError and nothing else,
+and read every number as the integer it is, never by truncation."""
+
+import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,11 +47,19 @@ FORM = SkewForm(((0, -1), (1, 0)))
 @given(st.one_of(seed_dicts, json_values))
 @example({"m": 2, "n": 10**12, "B": [[0, -2], [2, 0]], "Lambda": [[0, -1], [1, 0]], "d": [2, 2]})
 @example({"m": float("inf"), "n": 2, "B": [], "Lambda": [], "d": []})
+@example({"m": 2, "n": 2, "B": [[0, -2.7], [2, 0]], "Lambda": [[0, -1], [1, 0]], "d": [2, 2]})
+@example({"m": 2, "n": 2, "B": [[0, -2], [2, 0]], "Lambda": [[0, -1], [1, 0]], "d": [2, 2.9]})
+@example({"m": 2, "n": 2, "B": [[0, "-2"], [2, 0]], "Lambda": [[0, -1], [1, 0]], "d": [2, 2]})
+@example({"m": 2, "n": True, "B": [[0], [2]], "Lambda": [[0, -1], [1, 0]], "d": [2]})
 def test_parse_seed_raises_only_value_error(data):
     try:
-        parse_seed(data)
+        seed = parse_seed(data)
     except ValueError:
-        pass
+        return
+    # Every field read back is the JSON the data gave, not a conversion of it.
+    written = seed_to_dict(seed)
+    for key in written.keys() & data.keys():
+        assert json.dumps(written[key]) == json.dumps(data[key])
 
 
 @settings(deadline=None)
@@ -57,11 +68,16 @@ def test_parse_seed_raises_only_value_error(data):
 @example([[0, None], [1, 0]], [1, 1])
 @example([[0, -1], [1, float("inf")]], [1, 1])
 @example([[0, -1], [1, 0]], [float("inf"), 1])
+@example([[0, -1.9], [1, 0]], [1, 1])
+@example([[0, -1], [1, 0]], [True, 1])
+@example([[0, -1], [1, 0]], ["1", 1])
 def test_principal_seed_raises_only_value_error(rows, d):
     try:
-        principal_seed(rows, d)
+        seed = principal_seed(rows, d)
     except ValueError:
-        pass
+        return
+    assert json.dumps([list(r) for r in seed.btilde[: seed.n]]) == json.dumps(rows)
+    assert json.dumps(list(seed.d)) == json.dumps(d)
 
 
 def test_parse_seed_round_trip():
@@ -89,11 +105,14 @@ def test_parse_laurent_rejects_empty_and_non_text(text):
 
 @settings(deadline=None)
 @given(st.one_of(records, json_values))
+@example([{"exp": [1.5, True], "coeff": "1"}])
+@example([{"exp": [1, "0"], "coeff": "1"}])
 def test_from_records_raises_only_value_error(data):
     try:
         element = TorusElement.from_records(FORM, data)
     except ValueError:
         return
+    assert all(type(x) is int for rec in data for x in rec["exp"])
     assert TorusElement.from_records(FORM, element.to_records()) == element
 
 
@@ -110,6 +129,10 @@ def test_from_records_raises_only_value_error(data):
         [{"exp": 1, "coeff": "1"}],
         [{"exp": [1, None], "coeff": "1"}],
         [{"exp": [float("inf"), 0], "coeff": "1"}],
+        [{"exp": [1.5, True], "coeff": "1"}],
+        [{"exp": [1.0, 0], "coeff": "1"}],
+        [{"exp": [False, 0], "coeff": "1"}],
+        [{"exp": ["1", 0], "coeff": "1"}],
         [{"exp": [1, 0], "coeff": None}],
         [{"exp": [1, 0], "coeff": ""}],
     ],

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qca import torus
 from qca.laurent import LaurentPoly
 from qca.torus import (
     ContextMismatch,
@@ -490,13 +491,13 @@ def strided_element(rng, form, terms, coeff_terms, mag, step, offsets, spread=3)
 @pytest.mark.parametrize("step", [2, 3, 4])
 def test_strided_products_match_monomial_rule(monkeypatch, step):
     runs = []  # the steps of each packed product, one list per product
-    packed_sums = TorusElement._packed_sums
+    packed_sums = torus._packed_sums
 
-    def spy(x, y, width, at):
+    def spy(left, right, acc, width, at):
         runs[-1].append(at)
-        return packed_sums(x, y, width, at)
+        return packed_sums(left, right, acc, width, at)
 
-    monkeypatch.setattr(TorusElement, "_packed_sums", spy)
+    monkeypatch.setattr(torus, "_packed_sums", spy)
     rng = random.Random(20 + step)
     # Offset 0 only keeps every pair on one lattice; offsets 0 and 1 make
     # pairs meet off it, which restarts the product at a smaller step.
@@ -542,7 +543,7 @@ def test_strided_division_restarts_off_the_lattice(monkeypatch, lead):
     # rest of q that meet at X^(-1,-1) cancel, so p = x q keeps every
     # coefficient on one lattice of step 2 (p at X^(-1,-1) is s c).  The
     # first elimination still sends v t (odd exponents) to X^(-1,-1), whose
-    # remainder entry has even ones: the remainder is re-packed at step 1.
+    # remainder entry has even ones: the division starts over at step 1.
     steps = packing_steps(monkeypatch)
     flat = SkewForm(((0, 0), (0, 0)))
     order = WeightOrder((1, 1))
@@ -557,10 +558,11 @@ def test_strided_division_restarts_off_the_lattice(monkeypatch, lead):
 
 def test_divide_bounds_sum_over_eliminations():
     # With y = X^(0,-1), every coefficient of q and of p = x q fits in one
-    # byte, so the remainder starts one byte wide.  By the time an
-    # elimination calls for wider digits, earlier eliminations have pushed
-    # one remainder coefficient past a byte; re-packing decodes it exactly
-    # only because its bound counts every elimination that reached it.
+    # byte, so the remainder starts one byte wide, and eliminations push one
+    # remainder coefficient past a byte.  The running bound adds every
+    # elimination's largest contribution, so it reaches a byte's capacity no
+    # later than that coefficient: the division starts over at two bytes and
+    # decodes it exactly.
     flat = SkewForm(((0, 0), (0, 0)))
     q = flat.element({(0, -k): c for k, c in enumerate((1, -1, -64, -2, 2))})
     x = flat.element({(0, -k): c for k, c in enumerate((1, -1, 1, -2, 0, 0, 0, 1)) if c})
@@ -568,6 +570,68 @@ def test_divide_bounds_sum_over_eliminations():
     assert max(coeff.l1() for coeff in p.terms.values()) < 128
     assert divide(p, q, ORDER, cap=50) == x
     assert q * left_divide(p, q, ORDER, cap=50) == p
+
+
+def kernel_calls(monkeypatch):
+    """The list, filled as they happen, of the ``(left, width, step)`` of each
+    call to the packed kernel."""
+    calls = []
+    packed_sums = torus._packed_sums
+
+    def spy(left, right, acc, width, step):
+        calls.append((left, width, step))
+        return packed_sums(left, right, acc, width, step)
+
+    monkeypatch.setattr(torus, "_packed_sums", spy)
+    return calls
+
+
+def test_divide_eliminates_through_the_packed_kernel(monkeypatch):
+    calls = kernel_calls(monkeypatch)
+    q = mono((0, 0), LaurentPoly({0: 1, 1: 2})) + mono((-1, 0), v(1)) + mono((0, -1), 3)
+    x = mono((2, 1), LaurentPoly({0: 1, 2: -1})) + mono((1, 1)) + mono((0, 0), v(-2))
+    p = naive_mul(x, q)
+    assert divide(p, q, ORDER) == x == rebuild_divide(p, q, ORDER)
+    # One call per elimination, with the one quotient term on the left.
+    assert [len(left) for left, *_ in calls] == [1] * len(x.terms)
+    assert {left[0][0] for left, *_ in calls} == set(x.terms)
+
+
+def test_divide_by_a_monomial_packs_no_quotient(monkeypatch):
+    # Every digit of p and q fits one byte, but the quotient
+    # (1 + v + ... + v^199)^2 X^(1,0) has the digit 200.
+    calls = kernel_calls(monkeypatch)
+    p = mono((1, 0), LaurentPoly({0: 1, 200: -2, 400: 1}))
+    q = mono((0, 0), LaurentPoly({0: 1, 1: -2, 2: 1}))
+    want = mono((1, 0), LaurentPoly({k: 1 for k in range(200)}) ** 2)
+    assert max(want.terms[(1, 0)]._terms.values()) == 200
+    assert divide(p, q, ORDER) == want == rebuild_divide(p, q, ORDER)
+    assert q * left_divide(p, q, ORDER) == p
+    assert not calls
+
+
+def test_divide_cap_counts_the_final_attempt(monkeypatch):
+    # The division of test_divide_bounds_sum_over_eliminations starts over
+    # at a wider digit; its cap still counts the oracle's eliminations.
+    calls = kernel_calls(monkeypatch)
+    widths = []
+    packed = LaurentPoly.packed
+
+    def spy(self, width, step=1):
+        widths.append(width)
+        return packed(self, width, step)
+
+    monkeypatch.setattr(LaurentPoly, "packed", spy)
+    flat = SkewForm(((0, 0), (0, 0)))
+    q = flat.element({(0, -k): c for k, c in enumerate((1, -1, -64, -2, 2))})
+    x = flat.element({(0, -k): c for k, c in enumerate((1, -1, 1, -2, 0, 0, 0, 1)) if c})
+    p = naive_mul(x, q)
+    cap = len(x.terms)  # one oracle step per quotient term
+    assert divide(p, q, ORDER, cap) == x == rebuild_divide(p, q, ORDER, cap)
+    assert widths[0] == 1 and {width for _, width, _ in calls} == {2}
+    for divider in (divide, rebuild_divide):
+        with pytest.raises(DivisionError, match=rf"^division exceeded {cap - 1} steps$"):
+            divider(p, q, ORDER, cap - 1)
 
 
 def test_divide_failures_match_rebuild_oracle():
