@@ -165,6 +165,7 @@ class Rank2Crystal:
 
         The priority is: third, fourth, second, first.  Returns None on the
         terminal indices (those naming standard basis elements directly).
+        A test oracle: no CLI suite runs it, only ``tests/test_crystal.py``.
         """
         rows = dict(self._identity_terms(mm))
         for name in ("third", "fourth", "second", "first"):
@@ -269,7 +270,8 @@ class Rank2Crystal:
         return rep
 
     def verify_standard_correspondence(self, bound: int = 2) -> Report:
-        """Crystal monomials at unmixed indices are standard basis elements."""
+        """Crystal monomials at unmixed indices are standard basis elements.
+        A test oracle: no CLI suite runs it, only ``tests/test_crystal.py``."""
         rep = Report(name=f"standard correspondence (b={self.b}, c={self.c})")
         for a1 in range(-bound, bound + 1):
             for a2 in range(-bound, bound + 1):
@@ -290,7 +292,8 @@ class Rank2Crystal:
 
     def verify_reduction_targets(self, bound: int = 2) -> Report:
         """Interior monomials expand with a unit at the predicted label and
-        every other coefficient in ``v Z[v]``."""
+        every other coefficient in ``v Z[v]``.  A test oracle: no CLI suite
+        runs it, only ``tests/test_crystal.py``."""
         rep = Report(name=f"reduction targets (b={self.b}, c={self.c})")
         for mm in self._window(bound, (-1, 1)):
             if not self.in_interior(mm):

@@ -21,8 +21,9 @@ original torus, which is what the basis-independence comparisons consume.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import mul
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, cancel_rule
 from .seed import QuantumSeed, _one_based, exchange_vector, mutate, require_valid, seed_weight_order
 from .torus import ContextMismatch, TorusElement, r_of, vec_add, vec_scale, vec_sub
 
@@ -109,6 +110,7 @@ class EBasis(_StandardMonomials):
         self.seed = seed
         self.order = seed_weight_order(seed)
         self.expansion_cap = expansion_cap
+        self._index_data: dict = {}  # k -> (e'_k, positive (i, b_ik), L e'_k)
 
     @property
     def abstract(self) -> EBasis:
@@ -120,9 +122,19 @@ class EBasis(_StandardMonomials):
 
     # -- generators ----------------------------------------------------------
 
+    def _index(self, k: int):
+        """``(e'_k, ((i, b_ik) with b_ik > 0), L e'_k)``, computed when first
+        asked for, so that a basis built for one label pays for no other."""
+        data = self._index_data.get(k)
+        if data is None:
+            e = exchange_vector(self.seed, k)
+            positive = tuple((i, b) for i, b in enumerate(self.seed.column(k)) if b > 0)
+            data = self._index_data[k] = (e, positive, self.form.lvec(e))
+        return data
+
     def e_prime(self, k: int):
         """Leading exponent of the k-th exchange binomial."""
-        return exchange_vector(self.seed, k)
+        return self._index(k)[0]
 
     def _front(self, g, nu: int) -> TorusElement:
         return self.form.monomial(g, LaurentPoly.v_power(nu))
@@ -159,23 +171,29 @@ class EBasis(_StandardMonomials):
         column ``k`` in a later row or a frozen row, so ``a_k`` is final when
         the sweep reaches it.
         """
-        seed = self.seed
         a = list(t)
-        for k in seed.order:
+        for k in self.seed.order:
             q = -a[k]
             if q > 0:
-                for i, bik in enumerate(seed.column(k)):
-                    if bik > 0:
-                        a[i] -= q * bik
+                for i, bik in self._index(k)[1]:
+                    a[i] -= q * bik
         return tuple(a)
 
     # -- normalization -----------------------------------------------------------
 
     def normalization_exponent(self, a) -> int:
-        """Power of ``v`` making the leading term bar-invariant."""
-        factors = [self._base_exponent(a)]
-        factors += [vec_scale(-a[k], self.e_prime(k)) for k in self.seed.order if a[k] < 0]
-        return -self.form.chain_twist(factors)
+        """Power of ``v`` making the leading term bar-invariant: minus the chain
+        twist of ``X^b``, ``b = [a]_+`` on exchange entries, and ``X^(q_k e'_k)``,
+        ``q = [-a]_+``, bilinearly ``sum_k q_k L(b, e'_k) + sum_{k<l} q_k q_l L(e'_k, e'_l)``."""
+        acc = self._base_exponent(a)
+        twist = 0
+        for k in self.seed.order:
+            q = -a[k]
+            if q > 0:
+                e, _, le = self._index(k)
+                twist += q * sum(map(mul, acc, le))
+                acc = tuple(x + q * y for x, y in zip(acc, e))
+        return -twist
 
     # -- expansion ------------------------------------------------------------------
 
@@ -183,18 +201,19 @@ class EBasis(_StandardMonomials):
         """Walk the terms of ``x`` from the order-highest exponent down.
 
         At each exponent ``g`` with coefficient ``c`` the sweep adds
-        ``p * E(a)`` with ``p = rule(c)``, where ``a`` is the label led by
-        ``g``.  That element has unit coefficient at ``g`` and all other
-        terms strictly below it, so the coefficient at ``g`` settles as
-        ``c + p``, a visited coefficient never changes again, and the terms
-        not yet visited form a heap.  Only the terms of ``E(a)`` below ``g``
-        are added, and a label with no negative exchange entry has none
-        (``E(a) = X^a``), so no element is built for it.  Each unvisited
-        coefficient is a plain ``{v-exponent: integer}`` accumulator updated
-        in place; only the popped coefficient becomes a
-        :class:`LaurentPoly`.  Returns the nonzero multiples by label and
-        the resulting element.  Raises :class:`ExpansionError` when more
-        than ``expansion_cap`` multiples are needed.
+        ``p * E(a)``, where ``a`` is the label led by ``g``.  That element
+        has unit coefficient at ``g`` and all other terms strictly below it,
+        so the coefficient at ``g`` settles as ``c + p``, a visited
+        coefficient never changes again, and the terms not yet visited form
+        a heap.  Only the terms of ``E(a)`` below ``g`` are added, and a
+        label with no negative exchange entry has none (``E(a) = X^a``), so
+        no element is built for it.  Each unvisited coefficient is a plain
+        ``{v-exponent: integer}`` accumulator updated in place, zeros kept;
+        ``rule`` (``bar_rule`` or ``cancel_rule`` of :mod:`qca.laurent`)
+        takes the popped one and returns ``(p, c + p)``.  Returns the nonzero
+        multiples by label and the resulting element.  Raises
+        :class:`ExpansionError` when more than ``expansion_cap`` multiples
+        are needed.
         """
         if x.form != self.form:
             raise ContextMismatch("element lives in a different torus context")
@@ -207,14 +226,12 @@ class EBasis(_StandardMonomials):
         result: dict = {}
         while heap:
             g = heappop(heap)[1]
-            c = LaurentPoly(terms.pop(g))
-            p = rule(c)
+            p, c = rule(terms.pop(g))
             if p:
                 if len(multiples) == self.expansion_cap:
                     raise ExpansionError(f"expansion exceeded {self.expansion_cap} steps")
                 a = self.leading_exponent_inverse(g)
                 multiples[a] = p
-                c = c + p
                 if any(ak < 0 for ak in a[:n]):
                     # Inline, not mul_into: a call per term cost rank3_deep 2-10% CPU (2-core Xeon).
                     right = p._terms.items()
@@ -241,7 +258,7 @@ class EBasis(_StandardMonomials):
         terminates for any ``x`` in the span.  Raises :class:`ExpansionError`
         if the cap is hit (the typical cause is an ``x`` outside the span).
         """
-        multiples, _ = self.sweep(x, lambda c: -c)
+        multiples, _ = self.sweep(x, cancel_rule)
         return {a: -p for a, p in multiples.items()}
 
     def r_row(self, a) -> dict:

@@ -19,7 +19,9 @@ which is the scalar part of the bar-involution used everywhere else in this
 package, and the positive-part extraction ``[f]_+``: whenever
 ``f + bar(f) = 0``, ``p = [f]_+`` is the unique polynomial in ``v*Z[v]``
 with ``p - bar(p) = f``; it is the test oracle of the triangular row's
-rule ``[bar(c) - c]_+`` (:meth:`LaurentPoly.bar_correction`).  That rule,
+rule :func:`bar_rule`, ``p = [bar(c) - c]_+``.  It and the expansion's
+:func:`cancel_rule`, ``p = -c``, settle a popped raw coefficient map of the
+elimination sweep, zeros allowed, into ``(p, c + p)`` in one pass; they,
 unit shifts, exact division and the in-place term-pair product
 (:meth:`LaurentPoly.mul_into`) have their one implementation here.
 """
@@ -33,7 +35,8 @@ from functools import cache
 from math import gcd
 
 __all__ = [
-    "LaurentPoly", "digit_width", "gaussian_binomial", "json_int", "lattice_step", "parse_laurent"
+    "LaurentPoly", "bar_rule", "cancel_rule", "digit_width", "gaussian_binomial", "json_int",
+    "lattice_step", "parse_laurent",
 ]
 
 _BYTEORDER = sys.byteorder
@@ -69,6 +72,13 @@ def lattice_step(coeffs) -> int:
 def _bias(count: int, width: int) -> int:
     """``2^(k-1)`` in each of ``count`` digits of ``k = 8*width`` bits."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _wrap(terms: dict) -> "LaurentPoly":
+    """The polynomial with this term map, which must hold no zero."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = terms
+    return out
 
 
 class LaurentPoly:
@@ -209,18 +219,9 @@ class LaurentPoly:
         """``[f]_+``: the sub-sum of terms with exponent >= 1.
 
         When ``f + bar(f) = 0`` this is the unique ``p`` in ``v*Z[v]`` with
-        ``p - bar(p) = f``.  Kept as the tests' oracle of :meth:`bar_correction`.
+        ``p - bar(p) = f``.  Kept as the tests' oracle of :func:`bar_rule`.
         """
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: c for e, c in self._terms.items() if e >= 1}
-        return out
-
-    def bar_correction(self) -> "LaurentPoly":
-        """The multiple in ``v Z[v]`` whose sum with this polynomial ``c`` is
-        bar-invariant: ``[bar(c) - c]_+``, whose coefficient at ``v^e``
-        (``e >= 1``) is ``c[-e] - c[e]``, read straight from the terms."""
-        get = self._terms.get
-        return LaurentPoly({e: get(-e, 0) - get(e, 0) for e in map(abs, self._terms) if e})
+        return _wrap({e: c for e, c in self._terms.items() if e >= 1})
 
     def shifted(self, k: int, sign: int = 1) -> "LaurentPoly":
         """Multiply by the unit ``sign * v^k``, ``sign = +-1``: an exponent
@@ -239,9 +240,7 @@ class LaurentPoly:
         """Substitute the variable by its ``k``-th power (``k != 0``)."""
         if k == 0:
             raise ValueError("substitution power must be nonzero")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e * k: c for e, c in self._terms.items()}
-        return out
+        return _wrap({e * k: c for e, c in self._terms.items()})
 
     # -- predicates and views ------------------------------------------------
 
@@ -445,10 +444,31 @@ def parse_laurent(text: str) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def bar_rule(raw: dict):
+    """The triangular row's rule ``p = [bar(c) - c]_+``: ``p[e] = c[-e] - c[e]``
+    for ``e >= 1``, so ``c + p`` is the part of ``c`` at exponents ``<= 0``,
+    mirrored onto ``> 0``, and ``p = -c`` where ``c`` has no such part."""
+    p = {e: -x for e, x in raw.items() if e > 0 and x}
+    low = [(e, x) for e, x in raw.items() if e <= 0 and x]
+    settled = dict(low)
+    for e, x in low:
+        if e:
+            settled[-e] = x
+            d = p.pop(-e, 0) + x
+            if d:
+                p[-e] = d
+    return _wrap(p), _wrap(settled)
+
+
+def cancel_rule(raw: dict):
+    """The expansion's rule ``p = -c``, which settles every coefficient at 0."""
+    return _wrap({e: -x for e, x in raw.items() if x}), LaurentPoly()
+
+
 def json_int(x) -> int:
     """``x`` if it is an integer, as every number of the package's JSON files
-    must be; a float, a boolean, a string or anything else raises
-    ValueError, so that no reader truncates or converts a value."""
+    and torus constructors must be; a float, a boolean, a string or anything
+    else raises ValueError, so that no reader truncates or converts a value."""
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
     return x

@@ -5,7 +5,7 @@ The triangular element ``C(a)`` is the unique bar-invariant element of
 the terms of ``E(a)`` from the order-highest exponent down, and wherever a
 coefficient ``c`` is not bar-invariant add ``[bar(c) - c]_+`` times the
 standard element led by that exponent, the unique multiple in ``v Z[v]``
-that makes the coefficient bar-invariant (:meth:`LaurentPoly.bar_correction`).
+that makes the coefficient bar-invariant (:func:`~qca.laurent.bar_rule`).
 Each added element lies strictly below the exponent it corrects, so
 coefficients already visited stay fixed.
 """
@@ -16,7 +16,7 @@ import json
 import os
 
 from .ebasis import EBasis, MutatedBasis
-from .laurent import LaurentPoly, json_int, parse_laurent
+from .laurent import LaurentPoly, bar_rule, json_int, parse_laurent
 from .report import Report
 from .torus import TorusElement
 
@@ -50,7 +50,7 @@ class TriangularTable:
                 self._rows[a] = row
                 return row
         basis = self.basis
-        row, element = basis.sweep(basis.element(a), LaurentPoly.bar_correction)
+        row, element = basis.sweep(basis.element(a), bar_rule)
         # The sweep makes the element bar-invariant: no bar() is spent on it.
         faults = self._row_faults(a, row, assemble=False)
         if faults:

@@ -150,7 +150,7 @@ class SkewForm:
     __slots__ = ("m", "rows", "_lvec")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(json_int, row)) for row in rows)
         m = len(rows)
         if any(len(row) != m for row in rows):
             raise ValueError("skew form matrix must be square")
@@ -204,7 +204,7 @@ class SkewForm:
         return self.monomial((0,) * self.m)
 
     def monomial(self, e, coeff=1) -> "TorusElement":
-        e = tuple(int(x) for x in e)
+        e = tuple(map(json_int, e))
         if len(e) != self.m:
             raise ValueError(f"exponent length {len(e)} != m = {self.m}")
         if isinstance(coeff, int):
@@ -489,7 +489,7 @@ class WeightOrder:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = tuple(map(json_int, weights))
 
     def key(self, e):
         """The plain sort key, read by ``leading_term``; the tests' oracle of ``descending_key``."""

@@ -8,9 +8,10 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
+from qca import ebasis
 from qca.ebasis import EBasis, ExpansionError, MutatedBasis
 from qca.kronecker import KroneckerAlgebra, a11_seed
-from qca.laurent import LaurentPoly, gaussian_binomial
+from qca.laurent import LaurentPoly, bar_rule, cancel_rule, gaussian_binomial
 from qca.lusztig import TriangularTable, compare_bases
 from qca.crystal import rank2_principal_seed
 from qca.seed import (
@@ -23,6 +24,7 @@ from qca.seed import (
 )
 from qca.torus import (
     ContextMismatch,
+    SkewForm,
     TorusElement,
     basis_vector,
     plus_part,
@@ -734,13 +736,23 @@ def sweep_inputs(basis, rng):
     return out
 
 
+def bar_oracle(c):
+    """``[bar(c) - c]_+`` from its definition: the oracle of :func:`bar_rule`."""
+    return (c.bar() - c).positive_part()
+
+
+# Each settle rule of the sweep next to the ``rule(c)`` that the object
+# sweep reads for it.
+SETTLE_RULES = ((cancel_rule, lambda c: -c), (bar_rule, bar_oracle))
+
+
 @pytest.mark.parametrize("seed", list(X_DPRIME_SEEDS.values()), ids=list(X_DPRIME_SEEDS))
 def test_sweep_matches_object_oracle(seed):
     basis = EBasis(seed)
     rng = random.Random(seed.m * 17 + seed.d[0])
     for x in sweep_inputs(basis, rng):
-        for rule in (lambda c: -c, LaurentPoly.bar_correction):
-            assert basis.sweep(x, rule) == object_sweep(basis, x, rule)
+        for rule, oracle in SETTLE_RULES:
+            assert basis.sweep(x, rule) == object_sweep(basis, x, oracle)
         assert basis.expand(x) == {a: -p for a, p in object_sweep(basis, x, lambda c: -c)[0].items()}
 
 
@@ -750,9 +762,9 @@ def test_sweep_cap_matches_object_oracle():
     raised = 0
     for cap in range(12):
         basis.expansion_cap = cap
-        for rule in (lambda c: -c, LaurentPoly.bar_correction):
+        for rule, oracle in SETTLE_RULES:
             try:
-                expected = object_sweep(basis, x, rule)
+                expected = object_sweep(basis, x, oracle)
             except ExpansionError:
                 with pytest.raises(ExpansionError):
                     basis.sweep(x, rule)
@@ -770,7 +782,7 @@ def test_triangular_rows_match_object_oracle():
     table = TriangularTable(EBasis(seed))
     for r in range(1, 5):
         a = (-r, -r, -r, 0, 0, 0)
-        row, element = object_sweep(oracle, oracle.element(a), LaurentPoly.bar_correction)
+        row, element = object_sweep(oracle, oracle.element(a), bar_oracle)
         assert table.p_row(a) == row
         assert table.element(a) == element
 
@@ -817,4 +829,42 @@ def test_sweep_builds_elements_only_at_negative_labels(monkeypatch):
 def test_sweep_rejects_a_foreign_element(affine, principal21):
     x = principal21.element((-1, 0, 0, 0))
     with pytest.raises(ContextMismatch):
-        affine.sweep(x, lambda c: -c)
+        affine.sweep(x, cancel_rule)
+
+
+# -- per-index label data ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", list(X_DPRIME_SEEDS.values()), ids=list(X_DPRIME_SEEDS))
+def test_label_maps_match_the_chain_twist(seed):
+    rng = random.Random(seed.m * 19 + seed.d[0])
+    for basis in (EBasis(seed), MutatedBasis(EBasis(seed)).abstract):
+        for a in sample_labels(basis.seed, rng, 40):
+            factors = [basis._base_exponent(a)]
+            factors += [vec_scale(-a[k], basis.e_prime(k)) for k in basis.seed.order if a[k] < 0]
+            assert basis.normalization_exponent(a) == -basis.form.chain_twist(factors)
+            assert basis.leading_exponent_inverse(basis.leading_exponent(a)) == a
+        for k in (basis.seed.n, -1):
+            with pytest.raises(ValueError, match="out of exchange range"):
+                basis.e_prime(k)
+
+
+def test_a_new_basis_computes_no_label_data(monkeypatch):
+    # ``qca basis c`` builds one basis per request, so construction must
+    # leave every exchange index's data to the first label that needs it.
+    calls = []
+
+    def spy(fn):
+        def recorded(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return recorded
+
+    monkeypatch.setattr(ebasis, "exchange_vector", spy(ebasis.exchange_vector))
+    monkeypatch.setattr(SkewForm, "skew", spy(SkewForm.skew))
+    bases = [EBasis(seed) for seed in X_DPRIME_SEEDS.values()]
+    assert calls == []
+    # The spies see the first label that reaches an exchange index.
+    bases[0].element((-1,) + (0,) * (bases[0].seed.m - 1))
+    assert "exchange_vector" in calls

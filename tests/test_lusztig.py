@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qca.crystal import rank2_principal_seed
 from qca.ebasis import EBasis, ExpansionError, MutatedBasis
 from qca.kronecker import KroneckerAlgebra, a11_seed
-from qca.laurent import LaurentPoly
+from qca.laurent import LaurentPoly, bar_rule, cancel_rule
 from qca.lusztig import (
     RowCache,
     TriangularTable,
@@ -65,13 +65,25 @@ def correction_inputs(draw):
     return c
 
 
+@st.composite
+def accumulators(draw):
+    """Raw ``{v-exponent: integer}`` maps as the sweep pops them: the terms
+    of a :func:`correction_inputs` polynomial plus entries cancelled to 0."""
+    zeros = draw(st.sets(st.integers(-8, 8), max_size=4))
+    return {**dict.fromkeys(zeros, 0), **dict(draw(correction_inputs()).items())}
+
+
 @settings(deadline=None, max_examples=200)
-@given(correction_inputs())
-def test_bar_correction_is_the_positive_part(c):
-    # Equality compares term maps, so it also rules out stored zeros.
-    p = c.bar_correction()
-    assert p == (c.bar() - c).positive_part()
-    assert p.in_v_zv() and (c + p).bar() == c + p
+@given(accumulators())
+def test_settle_rules_read_raw_accumulators(raw):
+    c = LaurentPoly(raw)
+    p, settled = bar_rule(raw)
+    assert p == (c.bar() - c).positive_part() and settled == c + p
+    assert p.in_v_zv() and settled.bar() == settled
+    assert cancel_rule(raw) == (-c, LaurentPoly.zero())
+    # Equality compares term maps; this names the zero-term rule outright.
+    for poly in (p, settled, *cancel_rule(raw)):
+        assert all(x for _, x in poly.items())
 
 
 def test_verify_report(affine_table):

@@ -60,6 +60,17 @@ def test_skew_form_validation():
         SkewForm(((0, 1),))
 
 
+def test_constructors_refuse_non_integers():
+    # Each of these used to truncate: rows ((0, 1), (-1, 0)), X^(0,1) and
+    # weights (1, 0).
+    with pytest.raises(ValueError, match="integer"):
+        SkewForm(((0, 1.5), (-1.5, 0)))
+    with pytest.raises(ValueError, match="integer"):
+        FORM.monomial((0.7, True))
+    with pytest.raises(ValueError, match="integer"):
+        WeightOrder((1.9, -0.5))
+
+
 def test_monomial_products():
     assert mono((0, 1)) * mono((1, 0)) == mono((1, 1), v(1))
     assert mono((1, 0)) * mono((0, 1)) == mono((1, 1), v(-1))
