@@ -6,7 +6,8 @@ binomials; the normalized element rescales it by the unique power of ``v``
 making its leading term bar-invariant.  One builder, shared by both classes,
 keeps a ladder of the powers of every exchange element, entry ``q`` built
 once as entry ``q - 1`` times the element, and the rescaling rides on the
-front monomial, so an element costs one product per nonzero exchange power.
+front monomial, so an element costs one product per nonzero exchange power,
+or one unit shift of a cached element with the same non-unit part.
 Because the order is compatible with the sign pattern of the exchange
 matrix, the map from labels to leading exponents is unimodularly
 triangular, which gives an exact greedy expansion algorithm for any element
@@ -44,6 +45,7 @@ class _StandardMonomials:
         self.form = form
         self._ladders: dict = {}  # k -> [x_k^0, x_k^1, ...]
         self._elements: dict = {}
+        self._siblings: dict = {}  # non-unit key -> (u, nu_u, its first element)
 
     def _power(self, k: int, q: int) -> TorusElement:
         """``x_k ** q`` from the ladder of its powers, extended as needed:
@@ -72,14 +74,33 @@ class _StandardMonomials:
                 out = out * self._power(k, -a[k])
         return out
 
+    def _split(self, g, nu: int):
+        """``(r, u, nu_u)`` with front ``v^nu X^g = v^nu_u X^u R``, ``R`` fixed by ``r``."""
+        return None, g, nu
+
     def element(self, a) -> TorusElement:
-        """The normalized standard basis element for label ``a``."""
+        """The normalized standard basis element for label ``a``.  The first
+        label ``a_0`` of a key ``(r, [-a]_+)`` is the ordered product
+        ``v^nu_0 X^u_0 R``, with ``R`` fixed by the key; a later one is
+        ``v^(nu_u - nu_0 - L(c, u_0)) X^c E(a_0)``, ``c = u - u_0``."""
         a = tuple(a)
         cached = self._elements.get(a)
         if cached is None:
             if len(a) != self.form.m:
                 raise ValueError(f"label {a} has length {len(a)}, not m = {self.form.m}")
-            cached = self._ordered_product(a, self.abstract.normalization_exponent(a))
+            labels = self.abstract
+            nu = labels.normalization_exponent(a)
+            r, u, nu_u = self._split(labels._base_exponent(a), nu)
+            key = (r, tuple(min(x, 0) for x in a[: labels.seed.n]))
+            first = self._siblings.get(key)
+            if first is None:
+                cached = self._ordered_product(a, nu)
+                self._siblings[key] = (u, nu_u, cached)
+            else:
+                u0, nu0, e0 = first
+                c = vec_sub(u, u0)
+                shift = LaurentPoly.v_power(nu_u - nu0 - self.form.skew(c, u0))
+                cached = e0._shift_by_unit(c, shift, -1)
             self._elements[a] = cached
         return cached
 
@@ -331,13 +352,18 @@ class MutatedBasis(_StandardMonomials):
         ``k`` and ``L'(h, e_k) = L(h, e'_k)``, so ``X'^h`` is ``X^h`` and
         ``X'_k^q`` is the base ladder entry ``x_prime_power(k, q)``.
         """
-        k = self.k_mut
-        q = g[k]
+        q, h, nu_h = self._split(g, nu)
         if q < 0:
             raise ValueError("mutated generator is not invertible in the torus")
+        front = self.form.monomial(h, LaurentPoly.v_power(nu_h))
+        return front * self.base.x_prime_power(self.k_mut, q)
+
+    def _split(self, g, nu: int):
+        """``(q, h, nu - q L(h, e'_k))`` of :meth:`_front`: ``R`` is ``X'_k^q``."""
+        k = self.k_mut
+        q = g[k]
         h = (*g[:k], 0, *g[k + 1 :])
-        shift = LaurentPoly.v_power(nu - q * self.form.skew(h, self.base.e_prime(k)))
-        return self.form.monomial(h, shift) * self.base.x_prime_power(k, q)
+        return q, h, nu - q * self.form.skew(h, self.base.e_prime(k))
 
     def expansion_in_base(self, a) -> dict:
         """Coefficients of the realized mutated element in the original basis."""

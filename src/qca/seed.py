@@ -212,8 +212,15 @@ def validate(seed: QuantumSeed) -> SeedReport:
 
 def require_valid(seed: QuantumSeed) -> SeedReport:
     """The report of a valid seed; raises ValueError naming every
-    skew-symmetry and compatibility violation of an invalid one."""
-    report = validate(seed)
+    skew-symmetry and compatibility violation of an invalid one.  Each seed
+    object is validated once: ``__dict__`` keeps its three lists, as for
+    the form, but not the report, which refers back to the seed."""
+    lists = seed.__dict__.get("_validity")
+    if lists is None:
+        r = validate(seed)
+        lists = (r.skew_violations, r.compat_violations, r.order_violations)
+        seed.__dict__["_validity"] = lists
+    report = SeedReport(seed, *map(list, lists))
     if not report.valid:
         raise ValueError("seed fails validation: " + "; ".join(report.violations()))
     return report

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from qca import cli
+from qca import seed as seed_module
 from qca.cli import main
 from qca.crystal import rank2_principal_seed
 from qca.ebasis import EBasis, MutatedBasis
@@ -219,6 +220,16 @@ def test_basis_label_length(kind, tmp_path, capsys, monkeypatch):
     code = main(["basis", kind, path, "--a=1,2", "--no-cache"])
     assert code == 2
     assert capsys.readouterr().err == "error: --a must have 4 entries, got 2\n"
+
+
+def test_basis_request_validates_its_seed_once(a11_file, capsys, monkeypatch):
+    # load_seed and the basis both require a valid seed; only the first validates.
+    calls = []
+    original = seed_module.validate
+    monkeypatch.setattr(seed_module, "validate", lambda s: calls.append(s) or original(s))
+    code, _ = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--no-cache")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_basis_e_invalid_edgeless_seed(tmp_path, capsys):

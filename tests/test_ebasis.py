@@ -647,6 +647,31 @@ def test_mutated_elements_match_scratch_in_every_compatible_order(name):
             assert mut.prime_monomial(g) == scratch_prime_monomial(mut, g)
 
 
+def sibling_labels(seed):
+    """Four fixed exchange parts, two of them with the same negative part,
+    each with every frozen part in -2..2 (-1..1 past four frozen entries)."""
+    n = seed.n
+    exchange = [(-1,) * n, (-2,) + (1,) * (n - 1), (-2,) + (0,) * (n - 1), (1,) * (n - 1) + (-1,)]
+    bound = 2 if seed.m - n <= 4 else 1
+    frozen = list(itertools.product(range(-bound, bound + 1), repeat=seed.m - n))
+    return sorted(x + f for x in exchange for f in frozen)
+
+
+@pytest.mark.parametrize("seed", list(X_DPRIME_SEEDS.values()), ids=list(X_DPRIME_SEEDS))
+def test_sibling_shifts_match_scratch_products(seed):
+    # A label sharing its non-unit part with an already-built one is built
+    # as a unit shift of it; descending order changes which label comes first.
+    labels = sibling_labels(seed)
+    basis = EBasis(seed)
+    mut = MutatedBasis(basis)
+    expected = {a: (scratch_element(basis, a), scratch_mutated_element(mut, a)) for a in labels}
+    for ordered in (labels, labels[::-1]):
+        basis = EBasis(seed)
+        mut = MutatedBasis(basis)
+        for a in ordered:
+            assert (basis.element(a), mut.element(a)) == expected[a], a
+
+
 def test_ladder_entries_built_once(monkeypatch):
     seed = LADDER_SEEDS["random-rank3"]
     xs = []
@@ -824,6 +849,28 @@ def test_sweep_builds_elements_only_at_negative_labels(monkeypatch):
     assert asked and all(any(x < 0 for x in a[: seed.n]) for a in asked)
     assert len(basis._elements) == 190
     assert len(multiplied) == 1055
+
+
+def test_deep_rows_build_one_ordered_product_per_exchange_part(monkeypatch):
+    # The rows of the deep rank-3 benchmark workload build 190 elements from
+    # 38 distinct exchange parts: one ordered product each, the rest shifts.
+    built = []
+    original = EBasis._ordered_product
+
+    def spy(self, a, nu):
+        built.append(a)
+        return original(self, a, nu)
+
+    monkeypatch.setattr(EBasis, "_ordered_product", spy)
+    basis = EBasis(X_DPRIME_SEEDS["wild-rank3"])
+    table = TriangularTable(basis)
+    for r in range(1, 8):
+        table.p_row((-r, -r, -r, 0, 0, 0))
+    assert len(basis._elements) == 190
+    assert len(built) == len(basis._siblings) == 38
+    # Each record holds the cached element itself, not a second product.
+    for a, (_, _, first) in zip(built, basis._siblings.values()):
+        assert first is basis._elements[a]
 
 
 def test_sweep_rejects_a_foreign_element(affine, principal21):

@@ -9,6 +9,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qca import seed as seed_module
 from qca.crystal import rank2_principal_seed
 from qca.ebasis import EBasis
 from qca.kronecker import a11_seed
@@ -325,6 +326,28 @@ def test_seed_json_roundtrip(tmp_path):
         bad = dict(data)
         bad["Lambda"] = [[0, 1], [1, 0]]
         require_valid(parse_seed(bad))
+
+
+def test_seed_is_validated_once_per_object(monkeypatch):
+    calls = []
+    monkeypatch.setattr(seed_module, "validate", lambda s: calls.append(s) or validate(s))
+    s = replace(a11_seed())
+    first = require_valid(s)
+    second = require_valid(s)
+    EBasis(s)
+    assert calls == [s]
+    assert second.to_dict() == first.to_dict() and second.skew_violations is not first.skew_violations
+    # The kept lists are not fields: equality, hashing and copies ignore them.
+    copy = replace(s)
+    assert copy == s and hash(copy) == hash(s)
+    require_valid(copy)
+    assert len(calls) == 2
+    # An invalid seed raises on every call, from one validation.
+    bad = replace(s, lam=((0, 1), (1, 0)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="skew-symmetry violated at"):
+            require_valid(bad)
+    assert len(calls) == 3
 
 
 def test_ebasis_on_edgeless_seed_lists_no_orders():
