@@ -31,13 +31,10 @@ def rank2_principal_seed(b: int, c: int) -> QuantumSeed:
 class Rank2Crystal:
     """Crystal-monomial machinery bound to one (b, c) principal seed.
 
-    Each non-frozen index ``(m'1, m2, m1, m'2, m''1)`` costs one ordered
-    product of a head and a tail read off the power ladders of ``basis`` and
-    ``mutated``, cached as the monomial with frozen part ``(0, 0)``.  Every
-    other frozen part is a left unit-monomial shift of that entry; since the
-    frozen vectors pair to zero with every exchange column, the shift leaves
-    each coefficient unchanged and the two entries share their
-    :class:`LaurentPoly` objects.
+    Only a core index ``(0, 0, m'1, 0, m1, m'2, m''1)`` costs an ordered
+    product, of a head and a tail read off the power ladders of ``basis``
+    and ``mutated``; :meth:`monomial` reaches every other index from its
+    core in at most two cheap steps, each entry cached.
     """
 
     def __init__(self, b: int, c: int):
@@ -48,7 +45,7 @@ class Rank2Crystal:
         self.mutated = MutatedBasis(self.basis)
         self.form = self.basis.form
         self._monomials: dict = {}
-        # X'1^m'1 X^(m1,m2,0,0) by (m'1, m2, m1), and X'2^m'2 X''1^m''1 by
+        # X'1^m'1 X^(m1,0,0,0) by (m'1, m1), and X'2^m'2 X''1^m''1 by
         # (m'2, m''1).
         self._heads: dict = {}
         self._tails: dict = {}
@@ -71,12 +68,14 @@ class Rank2Crystal:
         if not self.in_index_set(mm):
             raise ValueError(f"index {mm} outside the admissible set")
         m3, m4, m1p, m2, m1, m2p, m1pp = mm
-        head = self._heads.get((m1p, m2, m1))
+        head = self._heads.get((m1p, m1))
         if head is None:
+            head = self.basis.x_prime_power(0, m1p) * self.form.monomial((m1, 0, 0, 0))
+            self._heads[(m1p, m1)] = head
+        if m2:
             # X^(0,m2,0,0) X^(m1,0,0,0) is one monomial: the exchange block of
             # a principal twist matrix is zero.
-            head = self.basis.x_prime_power(0, m1p) * self.form.monomial((m1, m2, 0, 0))
-            self._heads[(m1p, m2, m1)] = head
+            head = head * self.form.monomial((0, m2, 0, 0))
         tail = self._tails.get((m2p, m1pp))
         if tail is None:
             tail = self.basis.x_prime_power(1, m2p) * self.mutated.x_dprime_power(0, m1pp)
@@ -85,7 +84,7 @@ class Rank2Crystal:
         return front * head * tail
 
     def raw_monomial(self, mm) -> TorusElement:
-        """The ordered product for the 7-tuple: the tests' oracle of the frozen-part shift."""
+        """The ordered product for the 7-tuple: the tests' oracle of :meth:`monomial`."""
         return self._ordered_product(mm, 0)
 
     def _leading_vectors(self, mm) -> list:
@@ -110,26 +109,40 @@ class Rank2Crystal:
     def monomial(self, mm) -> TorusElement:
         """The normalized crystal monomial for an index in the set.
 
-        Only the base index ``(0, 0, m'1, m2, m1, m'2, m''1)`` is an ordered
-        product, which rejects an index outside the set.  Any other frozen
-        part ``f = (0, 0, m3, m4)`` is the unit shift ``v^(-L(f, l)) X^f``
-        times the base, where ``l`` is the sum of the five leading vectors
-        that follow ``f`` in :meth:`normalization_exponent`.
+        Only a core index ``(0, 0, m'1, 0, m1, m'2, m''1)`` is an ordered
+        product.  Compatibility gives ``L(b_0, e_1) = 0``, so all terms of
+        ``X'1^m'1`` twist alike against ``X^u``, ``u = (0, m2, 0, 0)``: ``m2``
+        is the unit shift ``v^(-L(u, l)) X^u`` of the core, ``l`` the sum of
+        its leading vectors.  A frozen ``f = (0, 0, m3, m4)`` pairs to zero
+        with every exchange column, so each monomial is homogeneous for
+        ``e -> L(e, f)``; the twist of ``X^f`` is constant, the normalization
+        cancels it, and frozen part ``f`` is frozen part ``(0, 0)`` with every
+        exponent translated by ``f``, sharing its :class:`LaurentPoly` objects.
         """
         mm = tuple(mm)
         out = self._monomials.get(mm)
+        if out is not None:
+            return out
+        if not self.in_index_set(mm):
+            raise ValueError(f"index {mm} outside the admissible set")
+        m3, m4, m1p, m2, m1, m2p, m1pp = mm
+        base = (0, 0, m1p, m2, m1, m2p, m1pp)
+        out = self._monomials.get(base)
         if out is None:
-            base = (0, 0, *mm[2:])
-            out = self._monomials.get(base)
+            core = (0, 0, m1p, 0, m1, m2p, m1pp)
+            out = self._monomials.get(core)
             if out is None:
-                out = self._ordered_product(base, self.normalization_exponent(base))
+                out = self._ordered_product(core, self.normalization_exponent(core))
+                self._monomials[core] = out
+            if m2:
+                u = (0, m2, 0, 0)
+                lead = tuple(map(sum, zip(*self._leading_vectors(core))))
+                out = out._shift_by_unit(u, LaurentPoly.v_power(-self.form.skew(u, lead)), -1)
                 self._monomials[base] = out
-            if mm != base:
-                f = (0, 0, *mm[:2])
-                lead = tuple(map(sum, zip(*self._leading_vectors(mm))))
-                shift = LaurentPoly.v_power(-self.form.skew(f, lead))
-                out = out._shift_by_unit(f, shift, -1)
-                self._monomials[mm] = out
+        if m3 or m4:
+            terms = {(e1, e2, e3 + m3, e4 + m4): x for (e1, e2, e3, e4), x in out.terms.items()}
+            out = TorusElement(self.form, terms)
+            self._monomials[mm] = out
         return out
 
     def nu_explicit(self, mm) -> int:

@@ -68,11 +68,26 @@ def uncached_chain(cr, mm):
     return out
 
 
-@pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+# (b, c) -> (frozen, m2, other): frozen entries in -frozen..frozen, m2 in
+# 0..m2 and the other four entries in 0..other.
+CHAIN_WINDOWS = {
+    (1, 1): (2, 2, 2),
+    (2, 1): (2, 2, 2),
+    (1, 2): (2, 2, 2),
+    (2, 2): (2, 2, 2),
+    (3, 2): (2, 2, 2),
+    (1, 4): (1, 4, 1),
+}
+
+
+@pytest.mark.parametrize("b,c", list(CHAIN_WINDOWS))
 def test_monomial_matches_uncached_chain(b, c):
     cr = Rank2Crystal(b, c)
-    # Reverse order: every shifted index is asked for before its base.
-    indices = list(itertools.product(range(-2, 3), range(-2, 3), *[range(3)] * 5))
+    frozen, m2, other = CHAIN_WINDOWS[b, c]
+    # Reverse order: every index reached by the m2 shift or the frozen
+    # translation is asked for before its core.
+    span, rest = range(-frozen, frozen + 1), range(other + 1)
+    indices = list(itertools.product(span, span, rest, range(m2 + 1), rest, rest, rest))
     for mm in reversed(indices):
         expected = uncached_chain(cr, mm)
         assert cr.monomial(mm) == expected, mm
@@ -92,10 +107,14 @@ def test_monomial_rejects_index_outside_set():
         cr.monomial((1, 0, 0, 0, -1, 0, 0))
     with pytest.raises(ValueError):
         cr.monomial((0, 0, 0, 0, -1, 0, 0))
+    # The core (0, 0, 0, 0, 0, 0, 0) of a negative m2 is a valid index.
+    for mm in [(0, 0, 0, -1, 0, 0, 0), (1, 0, 0, -1, 0, 0, 0), (0, 0, 0, 0, 0, -1, 0)]:
+        with pytest.raises(ValueError):
+            cr.monomial(mm)
     assert cr._monomials == {}
 
 
-def test_one_ordered_product_per_nonfrozen_index(monkeypatch):
+def test_one_ordered_product_per_core(monkeypatch):
     cr = Rank2Crystal(2, 1)
     built = []
     ordered_product = Rank2Crystal._ordered_product
@@ -108,10 +127,12 @@ def test_one_ordered_product_per_nonfrozen_index(monkeypatch):
     rep = cr.verify_identities(bound=2, frozen_range=(0, 1))
     # The identity_suite digest pins this check count.
     assert rep.ok and rep.checks == 1515, rep.summary()
-    # Only frozen part (0, 0) is built; the other frozen parts are shifts.
-    assert len(built) == len(set(built)) == 403
-    assert all(mm[:2] == (0, 0) for mm in built)
-    assert {mm[2:] for mm in cr._monomials} == {mm[2:] for mm in built}
+    # Only cores (0, 0, m'1, 0, m1, m'2, m''1) are built; the other indices
+    # are m2 shifts and frozen translations of them.
+    assert len(built) == len(set(built)) == 135
+    assert all(mm[:2] == (0, 0) and mm[3] == 0 for mm in built)
+    assert {(0, 0, mm[2], 0, *mm[4:]) for mm in cr._monomials} == set(built)
+    assert len(cr._heads) == 16
 
 
 def test_identity_failures_name_the_identity(monkeypatch):
