@@ -29,8 +29,8 @@ from .seed import (
     double_seed,
     load_seed,
     mutate,
-    parse_seed,
     principal_seed,
+    read_seed,
     save_seed,
     seed_hash,
     validate,
@@ -137,10 +137,8 @@ def _expansion_string(basis: EBasis, head, coeffs: dict) -> str:
 
 def cmd_seed(args) -> int:
     if args.seed_cmd == "check":
-        # Parsed but not validated, so that check can report on invalid seeds.
-        with open(args.seedfile, encoding="utf-8") as fh:
-            seed = parse_seed(json.load(fh))
-        report = validate(seed)
+        # Read but not validated, so that check can report on invalid seeds.
+        report = validate(read_seed(args.seedfile))
         machine = args.format == "machine"
         print(json.dumps(report.to_dict()) if machine else "\n".join(report.lines()))
         # A seed whose order is not compatible is refused by every basis command.
@@ -311,8 +309,7 @@ def _rank2_principal_report(b: int, c: int, box: int) -> Report:
 
 def _compare_chunk(payload):
     seed, labels = payload
-    rep = compare_bases(EBasis(seed), labels)
-    return rep.checks, rep.failures
+    return compare_bases(EBasis(seed), labels)
 
 
 def _compare_bases_parallel(seed: QuantumSeed, labels, jobs: int) -> Report:
@@ -330,14 +327,14 @@ def _compare_bases_parallel(seed: QuantumSeed, labels, jobs: int) -> Report:
     # which cost every qca process 20-30 ms and about 2.3 MB of start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    rep = Report(name="triangular basis agrees across mutation")
     chunks = [labels[i::jobs] for i in range(jobs)]
     # The seed is a frozen dataclass and pickles as it is, its form included.
     payloads = [(seed, chunk) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for checks, failures in pool.map(_compare_chunk, payloads):
-            rep.checks += checks
-            rep.failures.extend(failures)
+        rep, *rest = pool.map(_compare_chunk, payloads)
+    for other in rest:
+        rep.checks += other.checks
+        rep.failures.extend(other.failures)
     return rep
 
 

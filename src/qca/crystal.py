@@ -62,30 +62,24 @@ class Rank2Crystal:
         _, _, m1p, _, m1, _, m1pp = mm
         return m1p * m1 * m1pp == 0
 
-    def _ordered_product(self, mm, nu: int) -> TorusElement:
-        """``v^nu X^(0,0,m3,m4)`` times the stored head and tail of the
-        7-tuple, each built once from the bases' power ladders."""
-        if not self.in_index_set(mm):
-            raise ValueError(f"index {mm} outside the admissible set")
-        m3, m4, m1p, m2, m1, m2p, m1pp = mm
+    def _ordered_product(self, core, nu: int) -> TorusElement:
+        """``v^nu`` times the stored head and tail of a core index, each built
+        once from the bases' power ladders."""
+        _, _, m1p, _, m1, m2p, m1pp = core
         head = self._heads.get((m1p, m1))
         if head is None:
             head = self.basis.x_prime_power(0, m1p) * self.form.monomial((m1, 0, 0, 0))
             self._heads[(m1p, m1)] = head
-        if m2:
-            # X^(0,m2,0,0) X^(m1,0,0,0) is one monomial: the exchange block of
-            # a principal twist matrix is zero.
-            head = head * self.form.monomial((0, m2, 0, 0))
         tail = self._tails.get((m2p, m1pp))
         if tail is None:
             tail = self.basis.x_prime_power(1, m2p) * self.mutated.x_dprime_power(0, m1pp)
             self._tails[(m2p, m1pp)] = tail
-        front = self.form.monomial((0, 0, m3, m4), LaurentPoly.v_power(nu))
-        return front * head * tail
+        return LaurentPoly.v_power(nu) * head * tail
 
     def raw_monomial(self, mm) -> TorusElement:
-        """The ordered product for the 7-tuple: the tests' oracle of :meth:`monomial`."""
-        return self._ordered_product(mm, 0)
+        """The ordered product for the 7-tuple: :meth:`monomial` without its
+        normalization ``v^nu``."""
+        return self.monomial(mm).scalar_mul(LaurentPoly.v_power(-self.normalization_exponent(mm)))
 
     def _leading_vectors(self, mm) -> list:
         """The leading exponents of the five factors after ``X^(0,0,m3,m4)``:

@@ -75,7 +75,8 @@ def _bias(count: int, width: int) -> int:
 
 
 def _wrap(terms: dict) -> "LaurentPoly":
-    """The polynomial with this term map, which must hold no zero."""
+    """The polynomial with this term map, which must hold no zero: the one
+    constructor that skips the zero filter of ``LaurentPoly.__init__``."""
     out = LaurentPoly.__new__(LaurentPoly)
     out._terms = terms
     return out
@@ -133,16 +134,12 @@ class LaurentPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return _wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return _wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -157,10 +154,9 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {}
-        self.mul_into(out._terms, other)
-        return out
+        terms: dict = {}
+        self.mul_into(terms, other)
+        return _wrap(terms)
 
     __rmul__ = __mul__
 
@@ -211,9 +207,7 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The image under ``v -> v^-1`` (negates every exponent)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {-e: c for e, c in self._terms.items()}
-        return out
+        return _wrap({-e: c for e, c in self._terms.items()})
 
     def positive_part(self) -> "LaurentPoly":
         """``[f]_+``: the sub-sum of terms with exponent >= 1.
@@ -232,9 +226,7 @@ class LaurentPoly:
             terms = {e + k: c for e, c in self._terms.items()}
         else:
             terms = {e + k: -c for e, c in self._terms.items()}
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        return _wrap(terms)
 
     def substitute_power(self, k: int) -> "LaurentPoly":
         """Substitute the variable by its ``k``-th power (``k != 0``)."""
@@ -304,8 +296,8 @@ class LaurentPoly:
             raw = array(fmt, digits)
         return lo, int.from_bytes(raw, _BYTEORDER) - _bias(len(digits), width)
 
-    @classmethod
-    def from_packed(cls, lo: int, n: int, width: int, step: int = 1) -> "LaurentPoly":
+    @staticmethod
+    def from_packed(lo: int, n: int, width: int, step: int = 1) -> "LaurentPoly":
         """Inverse of :meth:`packed`.
 
         Exact whenever every digit of ``n`` has absolute value below
@@ -327,9 +319,7 @@ class LaurentPoly:
         else:
             digits = memoryview(raw).cast(fmt)
         half = 1 << (k - 1)
-        out = cls.__new__(cls)
-        out._terms = {lo + step * i: d - half for i, d in enumerate(digits) if d != half}
-        return out
+        return _wrap({lo + step * i: d - half for i, d in enumerate(digits) if d != half})
 
     # -- exact division ------------------------------------------------------
 

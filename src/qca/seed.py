@@ -42,6 +42,7 @@ __all__ = [
     "seed_to_dict",
     "parse_seed",
     "require_valid",
+    "read_seed",
     "load_seed",
     "save_seed",
     "seed_hash",
@@ -498,11 +499,17 @@ def parse_seed(data: dict) -> QuantumSeed:
         raise ValueError(f"malformed seed data: {exc}") from exc
 
 
+def read_seed(path) -> QuantumSeed:
+    """The seed a JSON file describes, not validated; raises ValueError if it
+    is malformed.  The one reader of seed files."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_seed(json.load(fh))
+
+
 def load_seed(path) -> QuantumSeed:
     """The seed a JSON file describes; raises ValueError if it is malformed
     or invalid."""
-    with open(path, encoding="utf-8") as fh:
-        seed = parse_seed(json.load(fh))
+    seed = read_seed(path)
     require_valid(seed)
     return seed
 

@@ -87,7 +87,6 @@ def check_exchange_relations(basis: EBasis) -> Report:
     seed = basis.seed
     form = basis.form
     rep = Report(name="exchange quasi-commutation relations")
-    v = LaurentPoly.v_power
     for k in range(seed.n):
         xk = basis.x_prime(k)
         ek_p = basis.e_prime(k)
@@ -100,12 +99,7 @@ def check_exchange_relations(basis: EBasis) -> Report:
         lam = form.skew(ek_p, basis_vector(seed.m, k))
         xkgen = form.generator(k)
         rhs = form.monomial(plus_part(vec_neg(seed.column(k))))
-        rep.record(vanishes((
-            (xk * xkgen, v(-lam)),
-            (xkgen * xk, v(lam, -1)),
-            (rhs, v(-seed.d[k], -1)),
-            (rhs, v(seed.d[k])),
-        )), f"exchange commutator at {k}")
+        rep.record(_commutator_holds(xk, xkgen, lam, seed.d[k], rhs), f"exchange commutator at {k}")
     for j in range(seed.n):
         for k in range(seed.n):
             if j == k:
@@ -122,13 +116,15 @@ def check_exchange_relations(basis: EBasis) -> Report:
                 plus_part(vec_scale(eps, seed.column(k))),
             )
             rhs = form.monomial(exponent)
-            rep.record(vanishes((
-                (xj * xk, v(-lamjk)),
-                (xk * xj, v(lamjk, -1)),
-                (rhs, v(-seed.d[j] * bjk, -1)),
-                (rhs, v(seed.d[j] * bjk)),
-            )), f"exchange pair commutator at ({j}, {k})")
+            ok = _commutator_holds(xj, xk, lamjk, seed.d[j] * bjk, rhs)
+            rep.record(ok, f"exchange pair commutator at ({j}, {k})")
     return rep
+
+
+def _commutator_holds(x, y, lam: int, d: int, rhs) -> bool:
+    """Whether ``v^-lam x y - v^lam y x = (v^-d - v^d) rhs`` holds exactly."""
+    v = LaurentPoly.v_power
+    return vanishes(((x * y, v(-lam)), (y * x, v(lam, -1)), (rhs, v(-d, -1)), (rhs, v(d))))
 
 
 def _mutated_exponent(seed: QuantumSeed, j: int):

@@ -449,10 +449,11 @@ def test_verify_compare_bases_parallel(tmp_path, capsys):
     assert "PASS" in out and "(9 checks)" in out
 
 
-def test_compare_bases_jobs_clamped(tmp_path, capsys, monkeypatch):
-    # Only the recorded worker count matters; the fake pool runs the chunks
-    # in this process, so no pool is ever started.  The pool is imported
-    # where it is started, so the fake replaces it in concurrent.futures.
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """The worker counts asked of a process pool that runs every chunk in
+    this process, so no pool is ever started.  The pool is imported where it
+    is started, so the fake replaces it in concurrent.futures."""
     requested = []
 
     class FakePool:
@@ -469,6 +470,12 @@ def test_compare_bases_jobs_clamped(tmp_path, capsys, monkeypatch):
             return [fn(x) for x in payloads]
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    return requested
+
+
+def test_compare_bases_jobs_clamped(tmp_path, capsys, monkeypatch, fake_pool):
+    # Only the recorded worker count matters.
+    requested = fake_pool
     bfile = tmp_path / "b.json"
     bfile.write_text("[[0,-1],[1,0]]")
     seed_path = str(tmp_path / "p.json")
@@ -490,6 +497,15 @@ def test_compare_bases_jobs_clamped(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, *args, "--jobs", "100000")
     assert code == 0 and "(9 checks)" in out
     assert requested == [2, 4]
+
+
+def test_compare_bases_jobs_merge_worker_reports(a11_file, capsys, monkeypatch, fake_pool):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    args = ("--format", "machine", "verify", "compare-bases", "--seed", a11_file, "--window", "1")
+    one = run(capsys, *args, "--jobs", "1")
+    assert one[0] == 0 and fake_pool == []
+    assert run(capsys, *args, "--jobs", "2") == one
+    assert fake_pool == [2]
 
 
 def test_cache_env_override(a11_file, tmp_path, capsys, monkeypatch):

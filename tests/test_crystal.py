@@ -96,6 +96,25 @@ def test_monomial_matches_uncached_chain(b, c):
         cr.raw_monomial((0, 0, 0, 0, -1, 0, 0))
 
 
+@pytest.mark.parametrize("b,c", list(CHAIN_WINDOWS))
+def test_raw_monomial_builds_only_cores(monkeypatch, b, c):
+    cr = Rank2Crystal(b, c)
+    built = []
+    ordered_product = Rank2Crystal._ordered_product
+
+    def spy(self, core, nu):
+        built.append(core)
+        return ordered_product(self, core, nu)
+
+    monkeypatch.setattr(Rank2Crystal, "_ordered_product", spy)
+    frozen, m2, other = CHAIN_WINDOWS[b, c]
+    span, rest = range(-frozen, frozen + 1), range(other + 1)
+    for mm in itertools.product(span, span, rest, range(m2 + 1), rest, rest, rest):
+        if mm[:2] != (0, 0) or mm[3]:
+            cr.raw_monomial(mm)
+    assert built and all(core[:2] == (0, 0) and core[3] == 0 for core in built)
+
+
 def test_rank2_principal_seed_rejects_nonpositive_parameters():
     with pytest.raises(ValueError, match="^parameters must be positive integers$"):
         rank2_principal_seed(0, 1)

@@ -251,3 +251,30 @@ def test_only_listed_functions_read_the_term_map():
             if readers:
                 found[path.name] = readers
     assert found == {name: set(allowed) for name, allowed in TERM_MAP_READERS.items()}
+
+
+def test_only_wrap_builds_a_polynomial_without_init():
+    """``laurent._wrap`` is the one function that calls ``LaurentPoly.__new__``
+    (or ``cls.__new__``); every other constructor goes through it or
+    ``__init__``."""
+    sources = Path(__file__).parent.parent / "src" / "qca"
+    found = set()
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (*scope, child.name)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "__new__"
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id in ("LaurentPoly", "cls")
+            ):
+                found.add(".".join((module, *scope)))
+            visit(child, inner, module)
+
+    for path in sorted(sources.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (), path.stem)
+    assert found == {"laurent._wrap"}

@@ -21,9 +21,11 @@ from qca.seed import (
     exchange_vector,
     integer_rank,
     is_acyclic,
+    load_seed,
     mutate,
     parse_seed,
     principal_seed,
+    read_seed,
     require_valid,
     seed_to_dict,
     seed_weight_order,
@@ -326,6 +328,22 @@ def test_seed_json_roundtrip(tmp_path):
         bad = dict(data)
         bad["Lambda"] = [[0, 1], [1, 0]]
         require_valid(parse_seed(bad))
+
+
+def test_read_seed_reads_without_validating(tmp_path):
+    data = seed_to_dict(a11_seed())
+    data["Lambda"] = [[0, 1], [1, 0]]
+    path = tmp_path / "nonskew.json"
+    path.write_text(json.dumps(data))
+    seed = read_seed(path)
+    assert seed.lam == ((0, 1), (1, 0)) and not validate(seed).valid
+    with pytest.raises(ValueError, match="^seed fails validation: "):
+        load_seed(path)
+    data["d"] = [1.0, 1]
+    path.write_text(json.dumps(data))
+    for reader in (read_seed, load_seed):
+        with pytest.raises(ValueError, match="^malformed seed data: expected an integer, got 1.0$"):
+            reader(path)
 
 
 def test_seed_is_validated_once_per_object(monkeypatch):
