@@ -260,7 +260,8 @@ class Rank2Crystal:
             for name, terms in rows:
                 pairs = [(monomial(index), coeff) for index, coeff in terms]
                 pairs.append(lhs)
-                rep.record(vanishes(pairs), f"{name} identity fails at {mm}")
+                ok = vanishes(pairs)
+                rep.record(ok, "" if ok else f"{name} identity fails at {mm}")
         return rep
 
     def verify_nu_agreement(self, count: int, rng) -> Report:

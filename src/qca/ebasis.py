@@ -228,13 +228,16 @@ class EBasis(_StandardMonomials):
         coefficient never changes again, and the terms not yet visited form
         a heap.  Only the terms of ``E(a)`` below ``g`` are added, and a
         label with no negative exchange entry has none (``E(a) = X^a``), so
-        no element is built for it.  Each unvisited coefficient is a plain
-        ``{v-exponent: integer}`` accumulator updated in place, zeros kept;
-        ``rule`` (``bar_rule`` or ``cancel_rule`` of :mod:`qca.laurent`)
-        takes the popped one and returns ``(p, c + p)``.  Returns the nonzero
-        multiples by label and the resulting element.  Raises
-        :class:`ExpansionError` when more than ``expansion_cap`` multiples
-        are needed.
+        no element is built for it.  Only a ``g`` with a negative exchange
+        entry is inverted: a label has one exactly when its leading exponent
+        does, and the inverse fixes any other ``g`` (it subtracts only at a
+        negative entry, and a subtraction only lowers entries).  Each
+        unvisited coefficient is a plain ``{v-exponent: integer}``
+        accumulator updated in place, zeros kept; ``rule`` (``bar_rule`` or
+        ``cancel_rule`` of :mod:`qca.laurent`) takes the popped one and
+        returns ``(p, c + p)``.  Returns the nonzero multiples by label and
+        the resulting element.  Raises :class:`ExpansionError` when more
+        than ``expansion_cap`` multiples are needed.
         """
         if x.form != self.form:
             raise ContextMismatch("element lives in a different torus context")
@@ -251,9 +254,11 @@ class EBasis(_StandardMonomials):
             if p:
                 if len(multiples) == self.expansion_cap:
                     raise ExpansionError(f"expansion exceeded {self.expansion_cap} steps")
-                a = self.leading_exponent_inverse(g)
-                multiples[a] = p
-                if any(ak < 0 for ak in a[:n]):
+                if min(g[:n]) >= 0:
+                    multiples[g] = p
+                else:
+                    a = self.leading_exponent_inverse(g)
+                    multiples[a] = p
                     # Inline, not mul_into: a call per term cost rank3_deep 2-10% CPU (2-core Xeon).
                     right = p._terms.items()
                     for e, ce in self.element(a).terms.items():

@@ -5,9 +5,11 @@ quasi-commute with twist 2, and each new variable is produced from the
 exchange relation by one exact torus division, so every variable lands in
 the initial torus.  The imaginary-root element and its Chebyshev family
 fill in the non-cluster part of the triangular basis; the verifiers below
-check that against the triangular rows, together with the labeling of
-cluster monomials and the multiplication table of standard monomials by the
-0-th variable.
+check that against the triangular rows and the family's two-product closed
+form, together with the labeling of cluster monomials and the
+multiplication table of standard monomials by the 0-th variable.  An
+algebra builds each of these elements once, so only a repeated or larger
+check on the same algebra gains from keeping them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ def a11_seed() -> QuantumSeed:
 
 
 class KroneckerAlgebra:
-    """Cluster variables, Chebyshev elements and verifiers for the seed above."""
+    """Cluster variables, Chebyshev elements and closed forms, each kept on
+    first use, and verifiers for the seed above."""
 
     def __init__(self, horizon: int = 8):
         self.seed = a11_seed()
@@ -44,6 +47,7 @@ class KroneckerAlgebra:
         self.horizon = horizon
         self.form = self.basis.form
         self._chebyshev: list = []  # [S_0, S_1, ...], built on demand
+        self._forms: dict = {}  # r -> product_form(r), built on demand
         self._vars = {
             1: self.form.monomial((1, 0)),
             2: self.form.monomial((0, 1)),
@@ -80,11 +84,14 @@ class KroneckerAlgebra:
 
     def product_form(self, r: int) -> TorusElement:
         """``v^r X_(r+2) X_0 - v^(r+2) X_(r+1) X_1``, the closed form of the
-        degree-``r`` Chebyshev element."""
-        v = LaurentPoly.v_power
-        return (self.var(r + 2) * self.var(0)).scalar_mul(v(r)) - (
-            self.var(r + 1) * self.var(1)
-        ).scalar_mul(v(r + 2))
+        degree-``r`` Chebyshev element, kept: its two torus products are made
+        once per algebra, which only a repeated check gains from."""
+        if r not in self._forms:
+            v = LaurentPoly.v_power
+            self._forms[r] = (self.var(r + 2) * self.var(0)).scalar_mul(v(r)) - (
+                self.var(r + 1) * self.var(1)
+            ).scalar_mul(v(r + 2))
+        return self._forms[r]
 
     def x_delta(self) -> TorusElement:
         """The imaginary-root element: the product form at ``r = 1``."""

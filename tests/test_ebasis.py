@@ -170,6 +170,8 @@ def test_rank2_principal_closed_form():
 
 def test_leading_exponent_inverse(affine):
     assert affine.leading_exponent_inverse((-1, 1)) == (-1, -1)
+    # A negative entry whose column has no positive part subtracts nothing.
+    assert affine.leading_exponent_inverse((0, -3)) == (0, -3)
     # For an isolated principal seed, nonnegative exchange rows are fixed.
     iso = EBasis(principal_seed(((0, 0), (0, 0)), (1, 1)))
     t = (2, 3, -1, 4)
@@ -203,6 +205,25 @@ def test_lead_roundtrip_on_mutated_seeds():
             assert basis.leading_exponent(basis.leading_exponent_inverse(t)) == t
             b = tuple(rng.randint(-4, 4) for _ in range(basis.seed.m))
             assert basis.leading_exponent_inverse(basis.leading_exponent(b)) == b
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["seed", "mutated"])
+@pytest.mark.parametrize("name", ["kronecker", "principal-3-2", "wild-rank3", "pm1-rank3"])
+def test_a_label_has_a_negative_exchange_entry_exactly_when_its_lead_has(name, mutated):
+    # The sweep reads a lead without one as its own label and inverts only the
+    # others.  A lead with one can be its own label too: (0, -3) on kronecker.
+    seed = PM1_RANK3 if name == "pm1-rank3" else X_DPRIME_SEEDS[name]
+    basis = EBasis(seed)
+    if mutated:
+        basis = MutatedBasis(basis).abstract
+    n, m = seed.n, seed.m
+    ranges = [range(-3, 4)] * n + [range(-1, 2)] * (m - n)
+    for g in itertools.product(*ranges):
+        a = basis.leading_exponent_inverse(g)
+        unit = min(g[:n]) >= 0
+        assert (min(a[:n]) >= 0) == unit
+        if unit:
+            assert a == g
 
 
 def test_expand_basis_element_is_delta(affine):

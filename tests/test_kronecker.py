@@ -4,7 +4,7 @@ import pytest
 
 from qca.kronecker import KroneckerAlgebra
 from qca.laurent import LaurentPoly
-from qca.torus import DivisionError, divide, quasi_commutes
+from qca.torus import DivisionError, TorusElement, divide, quasi_commutes
 
 v = LaurentPoly.v_power
 
@@ -92,6 +92,64 @@ def test_chebyshev_ladder_matches_the_recurrence():
 def test_chebyshev_family_report(alg):
     rep = alg.verify_chebyshev_family(4)
     assert rep.ok, rep.summary()
+
+
+def spy_products(monkeypatch):
+    """Record the operands of every torus product from now on."""
+    products = []
+    mul = TorusElement.__mul__
+
+    def spy(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(TorusElement, "__mul__", spy)
+    return products
+
+
+def test_a_repeated_check_makes_no_torus_product(monkeypatch):
+    alg = KroneckerAlgebra()
+    first = alg.verify_chebyshev_family(6)
+    products = spy_products(monkeypatch)
+    second = alg.verify_chebyshev_family(6)
+    assert products == []
+    assert second == first
+    assert first.ok and first.checks == 20
+
+
+def test_kept_forms_are_shared():
+    alg = KroneckerAlgebra()
+    for r in range(-1, 7):
+        assert alg.product_form(r) is alg.product_form(r)
+    assert alg.x_delta() is alg.chebyshev(1)
+    assert alg.x_delta() is alg.product_form(1)
+
+
+def test_a_larger_check_builds_only_the_new_forms(monkeypatch):
+    alg = KroneckerAlgebra(horizon=12)
+    assert alg.verify_chebyshev_family(4).ok
+    products = spy_products(monkeypatch)
+    rep = alg.verify_chebyshev_family(10)
+    assert rep.ok and rep.checks == 32
+    x0, x1 = alg.var(0), alg.var(1)
+
+    def built(right, shift):
+        return [
+            r
+            for r in range(-1, 11)
+            if any(a is alg.var(r + shift) and b is right for a, b in products)
+        ]
+
+    assert built(x0, 2) == built(x1, 1) == list(range(5, 11))
+
+
+def test_kept_forms_match_a_fresh_algebra():
+    alg = KroneckerAlgebra(horizon=12)
+    assert alg.verify_chebyshev_family(10).ok
+    assert alg.product_form(-1) == alg.form.zero()
+    assert alg.product_form(0) == alg.form.one()
+    for r in range(-1, 11):
+        assert alg.product_form(r) == KroneckerAlgebra(horizon=12).product_form(r)
 
 
 def test_cluster_labels_report(alg):

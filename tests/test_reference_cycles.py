@@ -57,6 +57,7 @@ def built_kronecker():
     alg.var(4)
     alg.var(-2)
     alg.table.element((-2, -2))
+    alg.verify_chebyshev_family(2)
     return alg, [alg.basis, alg.table]
 
 
