@@ -60,7 +60,7 @@ class KroneckerAlgebra:
         ``X_{m+1}`` as a right quotient.  ``X_{m-1}`` is the left quotient
         ``bar(divide(bar(rhs), bar(X_{m+1})))``; as bar reverses products and
         fixes every cluster variable, that is the right quotient of
-        ``v^-2 X_m^2 + 1`` by ``X_{m+1}``.
+        ``v^-2 X_m^2 + 1`` by ``X_{m+1}``, its numerator passed as factor pairs.
         """
         if abs(m) > self.horizon:
             raise ValueError(f"index {m} beyond configured horizon {self.horizon}")
@@ -77,10 +77,12 @@ class KroneckerAlgebra:
 
     def _exchange(self, i: int, t: int, j: int) -> TorusElement:
         """The right quotient of ``v^t X_i^2 + 1`` by ``X_j``; exact by the
-        Laurent phenomenon."""
-        x = self._vars[i]
-        rhs = (x * x).scalar_mul(LaurentPoly.v_power(t)) + 1
-        return divide(rhs, self._vars[j], self.basis.order)
+        Laurent phenomenon.  The numerator goes to :func:`divide` as the pairs
+        ``(v^t X_i, X_i)`` and ``(1, 1)``, whose products seed the packed
+        remainder, so ``X_i^2`` is never built."""
+        x, one = self._vars[i], self.form.one()
+        pairs = ((x.scalar_mul(LaurentPoly.v_power(t)), x), (one, one))
+        return divide(pairs, self._vars[j], self.basis.order)
 
     def product_form(self, r: int) -> TorusElement:
         """``v^r X_(r+2) X_0 - v^(r+2) X_(r+1) X_1``, the closed form of the

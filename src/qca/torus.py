@@ -132,6 +132,33 @@ def _packed_sums(left, right, acc, width: int, step: int):
     return new
 
 
+def _pair_bound(pairs) -> int:
+    """The exact bound on each coefficient's L1 norm in ``sum x * y`` over
+    pairs of nonzero elements, which sizes every packed accumulation's
+    digits: at one exponent each term of a factor meets at most one of the
+    other, so a pair adds ``min(max_e L1(x_e) sum_f L1(y_f), sum_e L1(x_e) max_f L1(y_f))``."""
+    norms = [[[c.l1() for c in x.terms.values()] for x in pair] for pair in pairs]
+    return sum(min(max(lx) * sum(ly), sum(lx) * max(ly)) for lx, ly in norms)
+
+
+def _packed_pairs(pairs, width: int, step: int, lvec):
+    """``(acc, step)``: a fresh :func:`_packed_sums` accumulator holding
+    ``sum x * y`` over the ``(x, y)`` element pairs, packed at ``width`` and
+    at ``step``, or at the smaller step the kernel returns when two term
+    pairs meet off one lattice, from which the seeding starts over."""
+    while True:
+        acc: dict = {}  # exponent -> [v-exponent of digit 0, packed sum]
+        for x, y in pairs:
+            left = [(e, *c.packed(width, step)) for e, c in x.terms.items()]
+            right = [(f, lvec(f), *c.packed(width, step)) for f, c in y.terms.items()]
+            new = _packed_sums(left, right, acc, width, step)
+            if isinstance(new, int):
+                step = new
+                break
+        else:
+            return acc, step
+
+
 class ContextMismatch(ValueError):
     """Raised when torus elements from different contexts are combined."""
 
@@ -353,30 +380,19 @@ class TorusElement:
         return TorusElement(self.form, terms)
 
     def _packed_mul(self, other):
-        """The product with every coefficient in packed form: the term pairs
-        go through :func:`_packed_sums` into a fresh accumulator, and each
-        output coefficient is decoded once.  No output digit exceeds
-        ``L1(self) * L1(other)``.
+        """The product with every coefficient in packed form: the one pair
+        ``(self, other)`` through :func:`_packed_pairs` at the width of
+        :func:`_pair_bound`, each output coefficient decoded once.
 
         Coefficients pack at the step of :func:`lattice_step` over both
         operands, so each term pair's product lies on one lattice.  When the
         kernel reports two pairs meeting off one lattice, the product starts
         over at the smaller step it returns.
         """
-        bound = sum(c.l1() for c in self.terms.values()) * sum(
-            c.l1() for c in other.terms.values()
-        )
-        width = digit_width(bound)
+        pairs = ((self, other),)
         step = lattice_step(chain(self.terms.values(), other.terms.values()))
-        lvec = self.form.lvec
-        while True:
-            left = [(e, *c.packed(width, step)) for e, c in self.terms.items()]
-            right = [(f, lvec(f), *c.packed(width, step)) for f, c in other.terms.items()]
-            acc: dict = {}  # exponent -> [v-exponent of digit 0, packed sum]
-            restart = _packed_sums(left, right, acc, width, step)
-            if not isinstance(restart, int):
-                break
-            step = restart
+        width = digit_width(_pair_bound(pairs))
+        acc, step = _packed_pairs(pairs, width, step, self.form.lvec)
         terms = {
             g: LaurentPoly.from_packed(lo, n, width, step) for g, (lo, n) in acc.items() if n
         }
@@ -503,10 +519,13 @@ class WeightOrder:
         return f"WeightOrder({self.weights})"
 
 
-def divide(
-    p: TorusElement, q: TorusElement, order: WeightOrder, cap: int = 10**6
-) -> TorusElement:
+def divide(p, q: TorusElement, order: WeightOrder, cap: int = 10**6) -> TorusElement:
     """Exact right torus quotient: returns ``r`` with ``r * q == p``.
+
+    ``p`` is a :class:`TorusElement` or a sequence of ``(x, y)`` element
+    pairs meaning ``sum x * y``, which is never built: :func:`_packed_pairs`
+    seeds the packed remainder with it.  An element is the one pair
+    ``(p, X^0)``, whose terms pack as they are.
 
     Since bar is an anti-automorphism, the left quotient ``r`` with
     ``q * r == p`` is ``bar(divide(bar(p), bar(q), order))``.  Works by
@@ -514,27 +533,32 @@ def divide(
     leading term of ``q``; each step solves the one-monomial equation
     exactly, so the quotient is exact whenever division is possible.  Raises
     :class:`DivisionError` after ``cap`` steps or on a coefficient that does
-    not divide.
+    not divide, and :class:`ContextMismatch` for an operand of another form.
 
     The remainder is kept in packed form, with its exponents on a heap: each
     elimination adds ``-t X^g * q`` below the popped exponent through
     :func:`_packed_sums`, so a popped exponent never reappears, and only the
     popped coefficient is decoded.  Coefficients pack at the step of
-    :func:`lattice_step` over ``p`` and ``q``, which every quotient
+    :func:`lattice_step` over the pairs and ``q``, which every quotient
     coefficient's gaps are multiples of too.  One running bound covers the
-    L1 norm of every remainder coefficient: the largest of ``p``'s, plus,
-    per elimination, ``L1(t)`` times the largest over the rest of ``q``,
-    since an elimination reaches each exponent at most once.  When the bound
-    would reach the digit capacity, or the kernel reports a contribution off
-    its target's lattice, the division starts over, at double width or at
-    the kernel's smaller step, as the product does; ``cap`` counts the
-    eliminations of the final attempt, and ``t`` is packed only after the
-    bound check, and not at all for a monomial ``q``.
+    L1 norm of every remainder coefficient: the numerator's
+    :func:`_pair_bound`, plus, per elimination, ``L1(t)`` times the largest
+    over the rest of ``q``, since an elimination reaches each exponent at
+    most once.  When the bound would reach the digit capacity, or the kernel
+    reports a contribution off its target's lattice (in the seeding too),
+    the division starts over, at double width or at the kernel's smaller
+    step, as the product does; ``cap`` counts the eliminations of the final
+    attempt, and ``t`` is packed only after the bound check, and not at all
+    for a monomial ``q``.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by zero torus element")
-    p._check(q)
-    lvec = p.form.lvec
+    single = isinstance(p, TorusElement)
+    pairs = ((p, q.form.one()),) if single else tuple(p)
+    for x in chain.from_iterable(pairs):
+        q._check(x)
+    pairs = [pair for pair in pairs if all(pair)]  # a zero's partner may not fit the digits
+    lvec = q.form.lvec
     gq, cq = q.leading_term(order)
     lead = lvec(gq)
     # The terms of q below its leading term, with their twist vectors
@@ -542,14 +566,17 @@ def divide(
     # construction.
     rest = [(h, lvec(h), c) for h, c in q.terms.items() if h != gq]
     l1_rest = max((c.l1() for *_, c in rest), default=0)
-    l1_p = max((c.l1() for c in p.terms.values()), default=0)
-    coeffs = (*p.terms.values(), *q.terms.values())
-    width = digit_width(max(c.l1() for c in coeffs))
-    step = lattice_step(coeffs)
+    l1_p = _pair_bound(pairs)
+    width = digit_width(max(l1_p, *(c.l1() for c in q.terms.values())))
+    factors = chain.from_iterable(pairs)
+    step = lattice_step(chain(q.terms.values(), *(x.terms.values() for x in factors)))
     key = order.descending_key
     while True:  # one attempt per width and step
+        if single:
+            rem = {e: list(c.packed(width, step)) for e, c in p.terms.items()}
+        else:
+            rem, step = _packed_pairs(pairs, width, step, lvec)
         right = [(h, lh, *c.packed(width, step)) for h, lh, c in rest]
-        rem = {e: list(c.packed(width, step)) for e, c in p.terms.items()}
         heap = [(key(e), e) for e in rem]
         heapify(heap)
         quot: dict = {}  # one entry per elimination
@@ -582,7 +609,7 @@ def divide(
             for e in new:
                 heappush(heap, (key(e), e))
         else:
-            return TorusElement(p.form, quot)
+            return TorusElement(q.form, quot)
 
 
 def vanishes(pairs) -> bool:

@@ -24,13 +24,14 @@ def test_first_vars(alg):
 
 
 def test_relations(alg):
-    # Exchange and quasi-commutation relations along the strip.
-    # Every variable either direction of var builds, from -7 up to 7.
-    for m in range(-7, 8):
-        assert alg.var(m + 1) * alg.var(m - 1) == (alg.var(m) ** 2).scalar_mul(
-            v(2)
-        ) + 1
-        assert quasi_commutes(alg.var(m + 1), alg.var(m), 1)
+    # Exchange and quasi-commutation relations along the strip, checked by
+    # torus products.  Every variable either direction of var builds, from
+    # -7 up to 7, and var(-1)..var(12), the benchmark's horizon 13.
+    deep = KroneckerAlgebra(horizon=13)
+    for a, ms in ((alg, range(-7, 8)), (deep, range(0, 12))):
+        for m in ms:
+            assert a.var(m + 1) * a.var(m - 1) == (a.var(m) ** 2).scalar_mul(v(2)) + 1
+            assert quasi_commutes(a.var(m + 1), a.var(m), 1)
 
 
 def test_laurent_phenomenon(alg):
@@ -197,20 +198,29 @@ def test_division_cap_error():
 
 def test_exchange_packs_at_step_4(monkeypatch):
     # Every coefficient of the Kronecker variables sits on every 4th power of
-    # v, so the square and the division behind var(12) pack at step 4.
+    # v, so the division behind var(12) packs at step 4.  Its numerator
+    # v^2 X_11^2 + 1 arrives as factor pairs: no torus product is made, and
+    # only the popped coefficients, one per quotient term, are decoded.
     alg = KroneckerAlgebra(horizon=13)
-    want = alg.var(12)
     x, below = alg.var(11), alg.var(10)
-    steps = []
-    packed = LaurentPoly.packed
+    steps, decoded = [], []
+    packed, from_packed = LaurentPoly.packed, LaurentPoly.from_packed
 
-    def spy(self, width, step=1):
+    def spy_packed(self, width, step=1):
         steps.append(step)
         return packed(self, width, step)
 
-    monkeypatch.setattr(LaurentPoly, "packed", spy)
-    square = x * x
+    def spy_from_packed(lo, n, width, step=1):
+        decoded.append(step)
+        return from_packed(lo, n, width, step)
+
+    monkeypatch.setattr(LaurentPoly, "packed", spy_packed)
+    monkeypatch.setattr(LaurentPoly, "from_packed", staticmethod(spy_from_packed))
+    products = spy_products(monkeypatch)
+    got = alg.var(12)
     assert steps and set(steps) == {4}
-    steps.clear()
-    assert divide(square.scalar_mul(v(2)) + 1, below, alg.basis.order) == want
-    assert steps and set(steps) == {4}
+    assert products == []
+    assert len(decoded) == len(got.terms)
+    # The oracle: the same division with its numerator built by products.
+    monkeypatch.undo()
+    assert divide((x * x).scalar_mul(v(2)) + 1, below, alg.basis.order) == got

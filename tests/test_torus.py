@@ -680,6 +680,164 @@ def test_divide_failures_match_rebuild_oracle():
         divide(q, FORM.zero(), ORDER)
 
 
+# -- numerators passed as factor pairs ------------------------------------------
+
+
+def split(rng, x):
+    """``x`` as two elements whose sum it is, each term going to one side."""
+    sides = ({}, {})
+    for e, c in x.terms.items():
+        sides[rng.randrange(2)][e] = c
+    return x.form.element(sides[0]), x.form.element(sides[1])
+
+
+def factor_pairs(rng, x, q):
+    """Pairs whose products sum to ``x * q``: with ``x = x1 + x2`` and
+    ``q = q1 + q2``, the pairs ``(x1, q1)``, ``(x1, q2)`` and ``(x2, q)``."""
+    (x1, x2), (q1, q2) = split(rng, x), split(rng, q)
+    return [(x1, q1), (x1, q2), (x2, q)]
+
+
+def built(pairs):
+    return sum((naive_mul(x, y) for x, y in pairs), pairs[0][0].form.zero())
+
+
+def test_pair_numerators_match_built_numerators():
+    rng = random.Random(31)
+    for form, order in ((FORM, ORDER), (FORM3, ORDER3)):
+        for shape_x in SHAPES[:5]:
+            for mag in MAGNITUDES:
+                x = random_element(rng, form, *shape_x, mag, spread=2)
+                q = random_element(rng, form, *rng.choice(SHAPES[:5]), mag, spread=2)
+                if q.is_zero():
+                    continue
+                pairs = factor_pairs(rng, x, q)
+                p = built(pairs)
+                assert p == naive_mul(x, q)
+                assert divide(pairs, q, order) == divide(p, q, order) == x
+                assert rebuild_divide(p, q, order) == x
+                # Left quotients: q r == sum y x is the right division of the
+                # barred pairs, each reversed.
+                barred = [(b.bar(), a.bar()) for a, b in factor_pairs(rng, q, x)]
+                assert divide(barred, q.bar(), order).bar() == x
+
+
+def test_pair_seeding_restarts_at_the_kernels_gcd(monkeypatch):
+    # Two pairs whose coefficients sit on 4Z and on 2 + 4Z meet at every
+    # exponent of x q: the seeding starts at step 4, the second pair meets
+    # the first off its lattice, and the division starts over at step 2.
+    results = []
+    packed_sums = torus._packed_sums
+
+    def spy(left, right, acc, width, step):
+        results.append((step, packed_sums(left, right, acc, width, step)))
+        return results[-1][1]
+
+    monkeypatch.setattr(torus, "_packed_sums", spy)
+    form, order = WIDE_FORMS[0]
+    q = form.element({(0, 0): LaurentPoly({0: 1, 4: 2}), (-1, 0): LaurentPoly({4: 3})})
+    x1 = form.element({(1, 1): LaurentPoly({0: 1, 8: -1}), (0, 1): LaurentPoly({4: 5})})
+    x2 = form.element({(1, 1): LaurentPoly({2: 3, 6: 1}), (0, 1): LaurentPoly({-2: 1})})
+    assert divide([(x1, q), (x2, q)], q, order) == x1 + x2 == rebuild_divide(
+        naive_mul(x1 + x2, q), q, order
+    )
+    assert results[0][0] == results[1][0] == 4 and results[1][1] == 2
+    assert {step for step, _ in results[2:]} == {2}
+
+
+def test_pair_division_restarts_at_a_wider_digit(monkeypatch):
+    # x = 10 (1 + X^(0,-1) + ... + X^(0,-19)) times q = 1 + X^(0,-1), passed
+    # as pairs shaped like factor_pairs: the pair bound 10 + 10 + 20 fits one
+    # byte, and each of the 20 eliminations adds 10 to the running bound, so
+    # the division starts over at two bytes; the cap counts that attempt.
+    calls = kernel_calls(monkeypatch)
+    flat = SkewForm(((0, 0), (0, 0)))
+    q1, q2 = flat.monomial((0, 0)), flat.monomial((0, -1))
+    x1 = flat.element({(0, -k): 10 for k in range(0, 20, 2)})
+    x2 = flat.element({(0, -k): 10 for k in range(1, 20, 2)})
+    pairs = [(x1, q1), (x1, q2), (x2, q1 + q2)]
+    assert torus._pair_bound(pairs) == 40
+    cap = 20
+    assert divide(pairs, q1 + q2, ORDER, cap) == x1 + x2
+    widths = [width for _, width, _ in calls]
+    assert widths[0] == 1 and widths[-1] == 2
+    with pytest.raises(DivisionError, match=rf"^division exceeded {cap - 1} steps$"):
+        divide(pairs, q1 + q2, ORDER, cap - 1)
+
+
+def test_inexact_pair_numerators_fail_like_built_ones():
+    rng = random.Random(33)
+    outcomes = set()
+    for _ in range(60):
+        form, order = rng.choice(((FORM, ORDER), (FORM3, ORDER3)))
+        mag = rng.choice(MAGNITUDES)
+        pairs = [
+            tuple(random_element(rng, form, rng.randint(0, 3), 3, mag) for _ in "xy")
+            for _ in range(rng.randint(1, 3))
+        ]
+        q = random_element(rng, form, rng.randint(1, 3), rng.randint(1, 3), rng.choice([1, 3]))
+        if q.is_zero():
+            continue
+        cap = rng.randint(1, 12)
+        try:
+            want = rebuild_divide(built(pairs), q, order, cap)
+        except DivisionError as exc:
+            with pytest.raises(DivisionError, match=f"^{exc}$"):
+                divide(pairs, q, order, cap)
+            with pytest.raises(DivisionError, match=f"^{exc}$"):
+                divide(built(pairs), q, order, cap)
+            outcomes.add(str(exc).split()[0])
+        else:
+            assert divide(pairs, q, order, cap) == want
+            outcomes.add("divides")
+    assert outcomes == {"divides", "division", "not"}
+
+
+def test_pair_numerator_edge_cases():
+    rng = random.Random(34)
+    q = random_element(rng, FORM, 3, 4, 40)
+    x = random_element(rng, FORM, 3, 4, 40)
+    zero = FORM.zero()
+    for pairs in ([], (), [(zero, x)], [(x, zero), (zero, zero)], [(x, q), (-x, q)]):
+        assert divide(pairs, q, ORDER) == zero
+    # A zero factor drops its pair before the digits are sized, so a partner
+    # too wide for them is never packed.
+    big = random_element(rng, FORM, 3, 4, 10**30)
+    assert divide([(big, zero), (x, q), (zero, big)], q, ORDER) == x
+    other = random_element(rng, FORM3, 2, 2, 3)
+    for pairs in ([(x, other)], [(x, q), (other, other)]):
+        with pytest.raises(ContextMismatch):
+            divide(pairs, q, ORDER)
+    with pytest.raises(ContextMismatch):
+        divide(other, q, ORDER)
+
+
+def test_packed_product_digits_follow_the_tighter_bound(monkeypatch):
+    # Four terms of L1 norm 50 on each side: L1(x) L1(y) = 40000 needs
+    # 4-byte digits, while the largest term of x times L1(y) = 10000 fits 2.
+    widths = []
+    packed = LaurentPoly.packed
+
+    def spy(self, width, step=1):
+        widths.append(width)
+        return packed(self, width, step)
+
+    monkeypatch.setattr(LaurentPoly, "packed", spy)
+    rng = random.Random(35)
+
+    def element():
+        def coeff():
+            return LaurentPoly({k: rng.choice((6, -6)) for k in range(8)} | {8: 2})
+
+        return FORM.element({(i, rng.randint(-2, 2)): coeff() for i in range(4)})
+
+    x, y = element(), element()
+    assert [c.l1() for c in (*x.terms.values(), *y.terms.values())] == [50] * 8
+    assert torus.digit_width(200 * 200) == 4
+    assert x * y == naive_mul(x, y)
+    assert set(widths) == {2}
+
+
 def test_quasi_commutes():
     x2, x1 = mono((0, 1)), mono((1, 0))
     assert quasi_commutes(x2, x1, 1)
