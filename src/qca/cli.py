@@ -16,7 +16,7 @@ import os
 import random
 import sys
 
-from .crystal import Rank2Crystal, rank2_principal_seed
+from .crystal import Rank2Crystal
 from .ebasis import EBasis, ExpansionError, MutatedBasis
 from .kronecker import KroneckerAlgebra
 from .laurent import LaurentPoly
@@ -30,6 +30,7 @@ from .seed import (
     load_seed,
     mutate,
     principal_seed,
+    read_json,
     read_seed,
     save_seed,
     seed_hash,
@@ -153,8 +154,7 @@ def cmd_seed(args) -> int:
         print(f"wrote {out}")
         return 0
     if args.seed_cmd == "principal":
-        with open(args.B, encoding="utf-8") as fh:
-            B = json.load(fh)
+        B = read_json(args.B)
         d = _parse_vector(args.d, "--d")
         if min(d) < 1 or isinstance(B, list) and len(d) != len(B):
             raise ValueError(f"--d {args.d!r} is not one positive symmetrizer per row of --B")
@@ -245,7 +245,10 @@ def cmd_verify(args) -> int:
         reports.append(alg.verify_cluster_monomial_labels())
         reports.append(alg.verify_e_times_x0(args.box))
     elif name == "rank2-principal":
-        reports.append(_rank2_principal_report(args.b, args.c, args.box))
+        crystal = Rank2Crystal(args.b, args.c)
+        reports.append(_rank2_principal_report(crystal, args.box))
+        reports.append(crystal.verify_standard_correspondence(args.box))
+        reports.append(crystal.verify_reduction_targets(args.box))
     elif name == "identities":
         pairs = [_parse_pair(pair) for pair in args.pairs.split(";")]
         rng = random.Random(args.random_seed)
@@ -288,10 +291,9 @@ def cmd_verify(args) -> int:
     return _emit_reports(args, f"verify {name}", reports)
 
 
-def _rank2_principal_report(b: int, c: int, box: int) -> Report:
+def _rank2_principal_report(crystal: Rank2Crystal, box: int) -> Report:
+    b, c, mut = crystal.b, crystal.c, crystal.mutated
     rep = Report(name=f"rank-2 principal unit coefficients (b={b}, c={c})")
-    basis = EBasis(rank2_principal_seed(b, c))
-    mut = MutatedBasis(basis)
     for a1 in range(-box, box + 1):
         for a2 in range(-box, box + 1):
             a = (a1, a2, 0, 0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ebasis import EBasis, MutatedBasis
+from .ebasis import EBasis, MutatedBasis, unit_coefficient_label
 from .laurent import LaurentPoly, gaussian_binomial
 from .report import Report
 from .seed import QuantumSeed, principal_seed
@@ -75,11 +75,6 @@ class Rank2Crystal:
             tail = self.basis.x_prime_power(1, m2p) * self.mutated.x_dprime_power(0, m1pp)
             self._tails[(m2p, m1pp)] = tail
         return LaurentPoly.v_power(nu) * head * tail
-
-    def raw_monomial(self, mm) -> TorusElement:
-        """The ordered product for the 7-tuple: :meth:`monomial` without its
-        normalization ``v^nu``."""
-        return self.monomial(mm).scalar_mul(LaurentPoly.v_power(-self.normalization_exponent(mm)))
 
     def _leading_vectors(self, mm) -> list:
         """The leading exponents of the five factors after ``X^(0,0,m3,m4)``:
@@ -166,19 +161,6 @@ class Rank2Crystal:
             m3 + u,
             m4 + min(m2 + c * u, m2p + c * m1pp),
         )
-
-    def reduction_step(self, mm):
-        """First term of the first applicable straightening identity.
-
-        The priority is: third, fourth, second, first.  Returns None on the
-        terminal indices (those naming standard basis elements directly).
-        A test oracle: no CLI suite runs it, only ``tests/test_crystal.py``.
-        """
-        rows = dict(self._identity_terms(mm))
-        for name in ("third", "fourth", "second", "first"):
-            if name in rows:
-                return rows[name][0][0]
-        return None
 
     @staticmethod
     def label_to_index(a, primed: bool) -> tuple:
@@ -278,8 +260,8 @@ class Rank2Crystal:
         return rep
 
     def verify_standard_correspondence(self, bound: int = 2) -> Report:
-        """Crystal monomials at unmixed indices are standard basis elements.
-        A test oracle: no CLI suite runs it, only ``tests/test_crystal.py``."""
+        """Crystal monomials at unmixed indices are the standard basis
+        elements of the seed and of its mutation."""
         rep = Report(name=f"standard correspondence (b={self.b}, c={self.c})")
         for a1 in range(-bound, bound + 1):
             for a2 in range(-bound, bound + 1):
@@ -299,20 +281,16 @@ class Rank2Crystal:
         return rep
 
     def verify_reduction_targets(self, bound: int = 2) -> Report:
-        """Interior monomials expand with a unit at the predicted label and
-        every other coefficient in ``v Z[v]``.  A test oracle: no CLI suite
-        runs it, only ``tests/test_crystal.py``."""
+        """Interior monomials straighten to one standard monomial: their
+        expansion meets :func:`qca.ebasis.unit_coefficient_label` with the
+        unit at ``pi``."""
         rep = Report(name=f"reduction targets (b={self.b}, c={self.c})")
         for mm in self._window(bound, (-1, 1)):
-            if not self.in_interior(mm):
-                continue
-            coeffs = self.basis.expand(self.monomial(mm))
-            target = self.pi(mm)
-            units = [key for key, cf in coeffs.items() if cf.constant_term() != 0]
-            ok = (
-                all(cf.in_zv() for cf in coeffs.values())
-                and units == [target]
-                and coeffs[target].constant_term() == 1
-            )
-            rep.record(ok, f"reduction target fails at {mm}")
+            if self.in_interior(mm):
+                try:
+                    unit = unit_coefficient_label(self.basis.expand(self.monomial(mm)), mm)
+                except ValueError as exc:
+                    rep.record(False, str(exc))
+                    continue
+                rep.record(unit == self.pi(mm), f"reduction target fails at {mm}: unit at {unit}")
         return rep

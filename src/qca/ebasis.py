@@ -28,7 +28,7 @@ from .laurent import LaurentPoly, cancel_rule
 from .seed import QuantumSeed, _one_based, exchange_vector, mutate, require_valid, seed_weight_order
 from .torus import ContextMismatch, TorusElement, r_of, vec_add, vec_scale, vec_sub
 
-__all__ = ["EBasis", "MutatedBasis", "ExpansionError"]
+__all__ = ["EBasis", "MutatedBasis", "ExpansionError", "unit_coefficient_label"]
 
 
 class ExpansionError(RuntimeError):
@@ -308,8 +308,8 @@ class MutatedBasis(_StandardMonomials):
     ``abstract``, which holds every label datum: exchange vectors, columns,
     base exponents, normalization and factor order.  This class only
     realizes the front monomials and the mutated generators inside the
-    original torus; the one step that depends on the mutation is
-    :meth:`prime_monomial`.
+    original torus; the one step that depends on the mutation is its
+    front, :meth:`_front`, which realizes the monomial ``X'^g``.
     """
 
     def __init__(self, base: EBasis):
@@ -332,8 +332,8 @@ class MutatedBasis(_StandardMonomials):
 
         For the mutation index itself this is just the original generator;
         otherwise it is the mutated seed's own exchange binomial
-        ``X'^e + X'^(e - b_k)`` of ``abstract``, realized by
-        :meth:`prime_monomial`.  Its Gaussian-binomial expansion is checked
+        ``X'^e + X'^(e - b_k)`` of ``abstract``, each ``X'^g`` realized by
+        :meth:`_front`.  Its Gaussian-binomial expansion is checked
         in :func:`qca.verify.check_principal_identities`.
         """
         return self._power(k, 1)
@@ -341,21 +341,15 @@ class MutatedBasis(_StandardMonomials):
     # ``x_dprime(k) ** q`` from this basis's ladder of its powers.
     x_dprime_power = _StandardMonomials._power
 
-    def prime_monomial(self, g) -> TorusElement:
-        """The normalized monomial ``X'^g`` of the mutated torus, realized here.
-
-        Requires a nonnegative entry at the mutation index, since the
-        two-term exchange element is not invertible inside the torus.
-        """
-        return self._front(g, 0)
-
     def _front(self, g, nu: int) -> TorusElement:
         """``v^nu X'^g`` as one left unit shift of a ladder entry.
 
         With ``q = g[k]`` and ``h = g - q e_k``, ``X'^g = v^(-L'(h, q e_k))
         X'^h X'_k^q``.  The mutated form ``L'`` agrees with ``L`` away from
         ``k`` and ``L'(h, e_k) = L(h, e'_k)``, so ``X'^h`` is ``X^h`` and
-        ``X'_k^q`` is the base ladder entry ``x_prime_power(k, q)``.
+        ``X'_k^q`` is the base ladder entry ``x_prime_power(k, q)``.  A
+        negative ``q`` raises ValueError: the two-term exchange element is
+        not invertible inside the torus.
         """
         q, h, nu_h = self._split(g, nu)
         if q < 0:
@@ -375,23 +369,24 @@ class MutatedBasis(_StandardMonomials):
         return self.base.expand(self.element(a))
 
     def unit_label(self, a):
-        """The base label carrying the unit coefficient of the expansion.
+        """The base label carrying the unit coefficient of the expansion of
+        ``a``, by :func:`unit_coefficient_label`."""
+        return unit_coefficient_label(self.expansion_in_base(a), a)
 
-        Exactly one coefficient must equal 1 with all others in ``v Z[v]``;
-        raises ValueError when that fails, since everything downstream
-        depends on it.
-        """
-        coeffs = self.expansion_in_base(a)
-        unit = None
-        for key, c in coeffs.items():
-            if c.is_one():
-                if unit is not None:
-                    raise ValueError(f"two unit coefficients in expansion of {a}")
-                unit = key
-            elif not c.in_v_zv():
-                raise ValueError(
-                    f"coefficient at {key} in expansion of {a} is not in vZ[v]: {c}"
-                )
-        if unit is None:
-            raise ValueError(f"no unit coefficient in expansion of {a}")
-        return unit
+
+def unit_coefficient_label(coeffs: dict, source):
+    """The label of the one coefficient equal to 1 in an expansion whose every
+    other coefficient lies in ``v Z[v]``: the paper's unit-coefficient
+    condition.  Raises ValueError, naming the expanded ``source``, when it
+    fails, since everything downstream depends on it."""
+    unit = None
+    for key, c in coeffs.items():
+        if c.is_one():
+            if unit is not None:
+                raise ValueError(f"two unit coefficients in expansion of {source}")
+            unit = key
+        elif not c.in_v_zv():
+            raise ValueError(f"coefficient at {key} in expansion of {source} is not in vZ[v]: {c}")
+    if unit is None:
+        raise ValueError(f"no unit coefficient in expansion of {source}")
+    return unit

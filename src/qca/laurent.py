@@ -16,14 +16,14 @@ same terms.
 
 The ring carries the involution ``v -> v^-1`` (:meth:`LaurentPoly.bar`),
 which is the scalar part of the bar-involution used everywhere else in this
-package, and the positive-part extraction ``[f]_+``: whenever
-``f + bar(f) = 0``, ``p = [f]_+`` is the unique polynomial in ``v*Z[v]``
-with ``p - bar(p) = f``; it is the test oracle of the triangular row's
-rule :func:`bar_rule`, ``p = [bar(c) - c]_+``.  It and the expansion's
-:func:`cancel_rule`, ``p = -c``, settle a popped raw coefficient map of the
-elimination sweep, zeros allowed, into ``(p, c + p)`` in one pass; they,
-unit shifts, exact division and the in-place term-pair product
-(:meth:`LaurentPoly.mul_into`) have their one implementation here.
+package.  The triangular row's rule :func:`bar_rule`, ``p = [bar(c) - c]_+``
+with ``[f]_+`` the part of ``f`` at exponents ``>= 1``, gives the unique
+``p`` in ``v*Z[v]`` with ``p - bar(p) = bar(c) - c``; it and the
+expansion's :func:`cancel_rule`, ``p = -c``, settle a popped raw
+coefficient map of the elimination sweep, zeros allowed, into
+``(p, c + p)`` in one pass; they, unit shifts, exact division and the
+in-place term-pair product (:meth:`LaurentPoly.mul_into`) have their one
+implementation here.
 """
 
 from __future__ import annotations
@@ -209,14 +209,6 @@ class LaurentPoly:
         """The image under ``v -> v^-1`` (negates every exponent)."""
         return _wrap({-e: c for e, c in self._terms.items()})
 
-    def positive_part(self) -> "LaurentPoly":
-        """``[f]_+``: the sub-sum of terms with exponent >= 1.
-
-        When ``f + bar(f) = 0`` this is the unique ``p`` in ``v*Z[v]`` with
-        ``p - bar(p) = f``.  Kept as the tests' oracle of :func:`bar_rule`.
-        """
-        return _wrap({e: c for e, c in self._terms.items() if e >= 1})
-
     def shifted(self, k: int, sign: int = 1) -> "LaurentPoly":
         """Multiply by the unit ``sign * v^k``, ``sign = +-1``: an exponent
         shift, with the sign folded into each coefficient."""
@@ -251,13 +243,6 @@ class LaurentPoly:
     def in_v_zv(self) -> bool:
         """Membership in ``v*Z[v]`` (every exponent >= 1)."""
         return all(e >= 1 for e in self._terms)
-
-    def in_zv(self) -> bool:
-        """Membership in ``Z[v]`` (every exponent >= 0)."""
-        return all(e >= 0 for e in self._terms)
-
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
 
     def items(self):
         """Terms in canonical (exponent-sorted) order."""

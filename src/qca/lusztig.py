@@ -190,7 +190,7 @@ class RowCache:
                     if len(label) != len(a):
                         raise ValueError(f"label {label} does not match {a}")
                     row[label] = parse_laurent(item["coeff"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, RecursionError):
                 row = None
             if row is not None and not (check and check(a, row)):
                 self.hits += 1

@@ -42,6 +42,7 @@ __all__ = [
     "seed_to_dict",
     "parse_seed",
     "require_valid",
+    "read_json",
     "read_seed",
     "load_seed",
     "save_seed",
@@ -499,11 +500,20 @@ def parse_seed(data: dict) -> QuantumSeed:
         raise ValueError(f"malformed seed data: {exc}") from exc
 
 
+def read_json(path):
+    """The value a JSON file holds.  A file nested too deeply to decode
+    raises ValueError, as any other malformed one does."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def read_seed(path) -> QuantumSeed:
     """The seed a JSON file describes, not validated; raises ValueError if it
     is malformed.  The one reader of seed files."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_seed(json.load(fh))
+    return parse_seed(read_json(path))
 
 
 def load_seed(path) -> QuantumSeed:

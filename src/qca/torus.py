@@ -234,8 +234,7 @@ class SkewForm:
         e = tuple(map(json_int, e))
         if len(e) != self.m:
             raise ValueError(f"exponent length {len(e)} != m = {self.m}")
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
+        coeff = _scalar(coeff)
         return TorusElement(self, {e: coeff} if coeff else {})
 
     def generator(self, i: int) -> "TorusElement":
@@ -245,11 +244,20 @@ class SkewForm:
     def element(self, terms) -> "TorusElement":
         out = {}
         for e, c in terms.items():
-            if isinstance(c, int):
-                c = LaurentPoly.from_int(c)
+            c = _scalar(c)
             if c:
                 out[tuple(e)] = c
         return TorusElement(self, out)
+
+
+def _scalar(c) -> LaurentPoly:
+    """A torus coefficient as a :class:`LaurentPoly`: an int is a constant,
+    and anything but an int or a LaurentPoly raises TypeError."""
+    if isinstance(c, int):
+        return LaurentPoly.from_int(c)
+    if not isinstance(c, LaurentPoly):
+        raise TypeError(f"a torus scalar is an int or a LaurentPoly, not {type(c).__name__}")
+    return c
 
 
 class TorusElement:
@@ -304,10 +312,7 @@ class TorusElement:
 
     def scalar_mul(self, c) -> "TorusElement":
         """Multiply by a Laurent (or integer) scalar."""
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        elif not isinstance(c, LaurentPoly):
-            raise TypeError(f"a torus scalar is an int or a LaurentPoly, not {type(c).__name__}")
+        c = _scalar(c)
         if c.is_zero():
             return TorusElement(self.form, {})
         if c.is_unit():  # +-v^k: an exponent shift

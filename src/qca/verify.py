@@ -44,7 +44,6 @@ __all__ = [
     "check_exchange_relations",
     "principal_product_identities",
     "check_principal_identities",
-    "label_maps",
     "check_bullet_embedding",
     "check_qbinomial_products",
     "check_expand_roundtrip",
@@ -235,13 +234,6 @@ def _label_maps(exps, pmut: MutatedBasis, dmut: MutatedBasis):
         )
 
     return transport(pbasis, dbasis, exps), transport(pmut.abstract, dmut.abstract, primed)
-
-
-def label_maps(seed: QuantumSeed):
-    """``(psi, psi')``: the maps from a principal-seed label to the label of
-    the matching doubled-seed element, unmutated and mutated.  The bases
-    behind them are built once, so build the maps once per seed."""
-    return _label_maps(*_embedding_bases(seed))
 
 
 def check_bullet_embedding(seed: QuantumSeed, samples) -> Report:

@@ -160,6 +160,30 @@ def test_seed_principal_malformed_matrix(tmp_path, capsys, text):
     assert not out_path.exists()
 
 
+# A JSON document nested deeper than the decoder's recursion limit.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seed", "check", "{path}"],
+        ["basis", "e", "{path}", "--a=0,0"],
+        ["seed", "principal", "--B", "{path}", "--d", "1,1", "-o", "{out}"],
+    ],
+    ids=["seed-check", "basis-e", "principal-B"],
+)
+def test_deeply_nested_json_file_is_an_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    out_path = tmp_path / "p.json"
+    code = main([arg.format(path=path, out=out_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+    assert not out_path.exists()
+
+
 def test_basis_c_output(a11_file, tmp_path, capsys):
     elt_path = str(tmp_path / "c.json")
     exp_path = str(tmp_path / "c_exp.json")
@@ -326,6 +350,19 @@ def test_basis_c_cached_row_breaking_invariants_is_a_miss(a11_file, tmp_path, ca
     assert code == 0 and out == fresh.replace("cached: no", "cached: yes")
 
 
+def test_basis_c_deeply_nested_cache_record_is_a_miss(a11_file, tmp_path, capsys):
+    code, fresh = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--no-cache")
+    assert code == 0 and fresh.startswith("C = E(-1,-1) - v^4 E(1,1)\n")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / f"{seed_hash(a11_seed())}.json"
+    bad = f"\n-1,-1\t{DEEP_JSON}\n"
+    path.write_text(bad)
+    code, out = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--cache", str(cache))
+    assert code == 0 and out == fresh
+    assert path.read_text().startswith(bad) and path.read_text().count("\n-1,-1\t") == 2
+
+
 def test_basis_c_cached_row_that_is_not_bar_invariant_is_recomputed(a11_file, tmp_path, capsys):
     cache = tmp_path / "cache"
     code, out = run(capsys, "basis", "c", a11_file, "--a=-1,-1", "--cache", str(cache))
@@ -416,7 +453,24 @@ def test_seed_check_cuts_the_order_listing(tmp_path, capsys):
 def test_verify_rank2_principal(capsys):
     code, out = run(capsys, "verify", "rank2-principal", "--b", "1", "--c", "1", "--box", "1")
     assert code == 0
-    assert "PASS" in out
+    assert out == (
+        "PASS rank-2 principal unit coefficients (b=1, c=1) (9 checks)\n"
+        "PASS standard correspondence (b=1, c=1) (162 checks)\n"
+        "PASS reduction targets (b=1, c=1) (252 checks)\n"
+    )
+
+
+@pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (3, 2), (1, 4)])
+def test_verify_rank2_principal_counts_at_box_2(capsys, b, c):
+    # --box 2: 5 x 5 labels; 5 x 5 x 3 x 3 labels, each read unmutated and
+    # mutated; 9 frozen pairs x 9 (m2, m'2) x 19 interior (m'1, m1, m''1).
+    code, out = run(capsys, "verify", "rank2-principal", "--b", str(b), "--c", str(c))
+    assert code == 0
+    assert out == (
+        f"PASS rank-2 principal unit coefficients (b={b}, c={c}) (25 checks)\n"
+        f"PASS standard correspondence (b={b}, c={c}) (450 checks)\n"
+        f"PASS reduction targets (b={b}, c={c}) (1539 checks)\n"
+    )
 
 
 def test_verify_compare_bases(tmp_path, capsys):
@@ -665,7 +719,11 @@ LEAST_VERIFY_RUNS = {
     ),
     "rank2-principal": (
         "--b 1 --c 1 --box 0",
-        ["rank-2 principal unit coefficients (b=1, c=1)"],
+        [
+            "rank-2 principal unit coefficients (b=1, c=1)",
+            "standard correspondence (b=1, c=1)",
+            "reduction targets (b=1, c=1)",
+        ],
     ),
     "identities": (
         "--seeds 1 --nmax 2 --rmax 0 --bound 0 --pairs 1,1",
@@ -763,11 +821,18 @@ def test_broken_unit_coefficient_fails_the_checks(coeffs, message, monkeypatch, 
     assert str(exc.value) == message
     rep = compare_bases(EBasis(rank2_principal_seed(1, 1)), [a])
     assert rep.checks == 1 and rep.failures == [f"a={a}: {message}"]
+    # The crystal's expansions too: at --box 0 the reduction targets are the
+    # 9 frozen shifts of the zero index, the first (-1, -1, 0, ..., 0).
+    monkeypatch.setattr(EBasis, "expand", lambda self, x: coeffs)
+    mm = (-1, -1, 0, 0, 0, 0, 0)
     code, out = run(capsys, "verify", "rank2-principal", "--b", "1", "--c", "1", "--box", "0")
     assert code == 1
     assert out == (
         "FAIL rank-2 principal unit coefficients (b=1, c=1) "
         f"(1/1 checks failed; first: a={a}: {message})\n"
+        "PASS standard correspondence (b=1, c=1) (18 checks)\n"
+        "FAIL reduction targets (b=1, c=1) "
+        f"(9/9 checks failed; first: {message.replace(str(a), str(mm))})\n"
     )
 
 

@@ -1,0 +1,87 @@
+"""Every check has one home, the CLI or ``tests/``: each function, method or
+class defined in ``qca`` is reached from ``qca`` itself, from the benchmark,
+or through the package's ``__all__``, never from the tests alone.  A test
+oracle lives in the test file that reads it."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import qca
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "qca").glob("*.py"))
+BENCH = sorted((ROOT / "bench").rglob("*.py"))
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(tree, strings=False):
+    """Every name a tree reads: each variable and attribute, and with
+    ``strings`` each string constant, such as an attribute name handed to
+    ``setattr``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def unreached_definitions(sources, bench, exported):
+    """``(file, name)`` of each definition in ``sources`` (name -> tree) whose
+    name no other part of ``sources`` reads, no part of ``bench`` (a list of
+    trees) reads, and ``exported`` does not hold.  Dunders are reached by
+    the interpreter and are skipped."""
+    used = Counter(name for tree in sources.values() for name in references(tree))
+    outside = {name for tree in bench for name in references(tree, strings=True)}
+    found = []
+    for file, tree in sources.items():
+        for node in ast.walk(tree):
+            name = getattr(node, "name", "")
+            if not isinstance(node, DEFINITIONS) or name.startswith("__") and name.endswith("__"):
+                continue
+            own = Counter(references(node))[name]
+            if used[name] == own and name not in outside and name not in exported:
+                found.append((file, name))
+    return sorted(found)
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    sources = {path.name: parse(path) for path in SOURCES}
+    found = unreached_definitions(sources, [parse(path) for path in BENCH], set(qca.__all__))
+    assert found == []
+
+
+def test_unreached_definitions_finds_a_function_only_the_tests_call():
+    sources = {
+        "a.py": ast.parse(
+            "class Kept:\n"
+            "    def __repr__(self):\n"
+            "        return helper()\n"
+            "    def traced(self):\n"
+            "        pass\n"
+            "def helper():\n"
+            "    return Kept\n"
+            "def oracle(n):\n"
+            "    return oracle(n - 1) if n else Kept\n"
+        ),
+        "b.py": ast.parse("def exported():\n    pass\n"),
+    }
+    bench = [ast.parse("setattr(Kept, 'traced', None)\n")]
+    # Only its own body calls oracle, and a tree without the setattr string
+    # leaves traced reached by nothing.
+    assert unreached_definitions(sources, bench, {"exported"}) == [("a.py", "oracle")]
+    assert unreached_definitions(sources, [], {"exported"}) == [
+        ("a.py", "oracle"), ("a.py", "traced"),
+    ]
+    assert unreached_definitions(sources, bench, set()) == [("a.py", "oracle"), ("b.py", "exported")]
+
+
+def test_sources_found():
+    assert len(SOURCES) > 5 and any(path.name == "tracer.py" for path in BENCH)

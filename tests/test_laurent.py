@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from qca.laurent import LaurentPoly, gaussian_binomial, parse_laurent
+from qca.laurent import LaurentPoly, bar_rule, gaussian_binomial, parse_laurent
 
 v = LaurentPoly.v_power
 
@@ -40,12 +40,13 @@ def test_bar_examples():
 
 
 def test_positive_part_examples():
-    assert (v(-3) - v(3)).positive_part() == -v(3)
-    assert LaurentPoly.from_int(5).positive_part() == LaurentPoly.zero()
-    f = v(-4) - v(4)
-    p = f.positive_part()
-    assert p == -v(4)
-    assert p - p.bar() == f
+    # bar_rule(c) gives p = [bar(c) - c]_+ and the settled c + p.
+    assert bar_rule({3: 1}) == (-v(3), LaurentPoly.zero())
+    assert bar_rule({0: 5}) == (LaurentPoly.zero(), LaurentPoly.from_int(5))
+    c = v(-2, 3) + v(2)
+    p, settled = bar_rule({-2: 3, 2: 1})
+    assert p == v(2, 2) and settled == v(-2, 3) + v(2, 3)
+    assert p - p.bar() == c.bar() - c
 
 
 @given(laurents, laurents)
@@ -66,13 +67,15 @@ def test_ring_axioms(f, g, h):
 
 @given(st.dictionaries(st.integers(min_value=1, max_value=8), st.integers(-9, 9), max_size=5))
 def test_positive_part_solves_antisymmetric_equation(terms):
+    # bar_rule at c = bar(p0) solves p - bar(p) = bar(c) - c = p0 - bar(p0)
+    # in vZ[v], and the solution there is unique: it returns p0 itself.
     p0 = LaurentPoly(terms)
-    f = p0 - p0.bar()
-    assert f + f.bar() == LaurentPoly.zero()
-    p = f.positive_part()
+    c = p0.bar()
+    p, settled = bar_rule(dict(c.items()))
     assert p.in_v_zv()
-    assert p - p.bar() == f
-    assert p == p0  # uniqueness among vZ[v] solutions
+    assert p - p.bar() == c.bar() - c
+    assert p == p0
+    assert settled == c + p and settled.bar() == settled
 
 
 def test_gaussian_binomial_examples():

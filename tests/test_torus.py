@@ -927,6 +927,18 @@ def test_scalar_mul_rejects_other_scalars():
             FORM.one().scalar_mul(c)
 
 
+def test_constructors_reject_other_coefficients():
+    # Kept unchanged, 2.5 and "1" would make terms that scalar_mul refuses.
+    for c in (2.5, "1", None, FORM.one()):
+        message = f"^a torus scalar is an int or a LaurentPoly, not {type(c).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            FORM.monomial((1, 0), c)
+        with pytest.raises(TypeError, match=message):
+            FORM.element({(1, 0): 1, (0, 1): c})
+    assert FORM.monomial((1, 0), 2).terms == {(1, 0): LaurentPoly.from_int(2)}
+    assert FORM.element({(1, 0): v(1), (0, 1): 0}).terms == {(1, 0): v(1)}
+
+
 def test_int_operand_is_its_constant_element():
     # +, - and == read an int k as k X^0, on either side.
     x = mono((1, 0), v(1))
