@@ -63,24 +63,25 @@ class TriangularTable:
 
     def _row_faults(self, a, row, assemble: bool = True) -> list:
         """Every way ``row`` fails to be the row of ``C(a)``: a label at no
-        smaller grading than ``a``, a coefficient outside ``vZ[v]``, and with
-        ``assemble``, once those pass, an assembled element that is not
-        bar-invariant.  By uniqueness only the row of ``C(a)`` passes; its
-        element is kept for :meth:`element`."""
+        smaller grading than ``a``, a coefficient that is zero or outside
+        ``vZ[v]``, and with ``assemble``, once those pass, an assembled element
+        that is not bar-invariant or differs from the element already held
+        for ``a``.  By uniqueness only the row of ``C(a)`` passes; its element
+        is kept for :meth:`element`, and a held element is never replaced."""
         grading = self.basis.grading
         bound = grading(a)
         faults = []
         for key, c in row.items():
             if grading(key) >= bound:
                 faults.append(f"row of {a} has label {key} at no smaller grading")
-            if not c.in_v_zv():
-                faults.append(f"row of {a} has coefficient {c} at {key} outside vZ[v]")
+            if not c or not c.in_v_zv():
+                faults.append(f"row of {a} has coefficient {c} at {key}, zero or outside vZ[v]")
         if assemble and not faults:
             element = self.basis.assemble({a: LaurentPoly.one(), **row})
             if element.bar() != element:
                 faults.append(f"row of {a} assembles to no bar-invariant element")
-            else:
-                self._elements[a] = element
+            elif self._elements.setdefault(a, element) != element:
+                faults.append(f"row of {a} assembles to another element than the one held")
         return faults
 
     def expansion(self, a) -> dict:
@@ -98,7 +99,8 @@ class TriangularTable:
 
     def verify(self, a) -> Report:
         """Re-check the defining properties of a computed row: bar-invariance
-        and, per label, grading and coefficient, one check each."""
+        with agreement with the held element, and, per label, grading and
+        coefficient, one check each."""
         a = tuple(a)
         row = self.p_row(a)
         return Report(f"triangular properties at {a}", 1 + 2 * len(row), self._row_faults(a, row))
@@ -151,65 +153,52 @@ class RowCache:
     with a newline, so a torn earlier line cannot swallow it.  The newest
     record of a label that decodes and passes the reader's check wins; a line
     that is not a record (a torn one, or a file in another format) reads as a
-    miss.
+    miss.  Each load re-reads the log and decodes only the label it is asked
+    for, so it sees the rows other writers have appended since.
     """
 
     def __init__(self, directory: str, seed_hash: str):
         self.directory = directory
-        self.seed_hash = seed_hash
         self.path = os.path.join(directory, f"{seed_hash}.json")
-        self._records = None  # label key (bytes) -> raw record bodies, oldest first
         self.hits = 0
 
-    def _load_all(self):
-        if self._records is not None:
-            return
-        self._records = {}
+    def load(self, a, check=None):
+        """The stored row for ``a``, or None.  The log is read afresh and the
+        records of ``a`` are decoded newest first; a malformed one, or one for
+        which ``check(a, row)`` returns faults, is skipped for the next older one."""
+        a = tuple(a)
         try:
             with open(self.path, "rb") as fh:
-                data = fh.read()
+                lines = fh.read().split(b"\n")
         except OSError:
-            return
-        for line in data.split(b"\n"):
-            key, tab, body = line.partition(b"\t")
-            if tab:
-                self._records.setdefault(key, []).append(body)
-
-    def load(self, a, check=None):
-        """The stored row for ``a``, or None.  Records are decoded newest
-        first; a malformed one, or one for which ``check(a, row)`` returns
-        faults, is dropped and the next older one is tried."""
-        self._load_all()
-        a = tuple(a)
-        bodies = self._records.get(_label_key(a), [])
-        while bodies:
+            return None
+        prefix = _label_key(a) + b"\t"
+        for line in reversed(lines):
+            if not line.startswith(prefix):
+                continue
             try:
                 row = {}
-                for item in json.loads(bodies[-1])["p"]:
+                for item in json.loads(line[len(prefix):])["p"]:
                     label = tuple(map(json_int, item["a"]))
                     if len(label) != len(a):
                         raise ValueError(f"label {label} does not match {a}")
                     row[label] = parse_laurent(item["coeff"])
             except (KeyError, TypeError, ValueError, RecursionError):
-                row = None
-            if row is not None and not (check and check(a, row)):
+                continue
+            if not (check and check(a, row)):
                 self.hits += 1
                 return row
-            bodies.pop()
         return None
 
     def store(self, a, row: dict):
         """Append the row for ``a`` as one record line, in one write."""
-        key = _label_key(a)
         body = json.dumps({"p": expansion_records(row)}, separators=(",", ":")).encode()
         os.makedirs(self.directory, exist_ok=True)
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            os.write(fd, b"\n" + key + b"\t" + body + b"\n")
+            os.write(fd, b"\n" + _label_key(a) + b"\t" + body + b"\n")
         finally:
             os.close(fd)
-        if self._records is not None:
-            self._records.setdefault(key, []).append(body)
 
 
 def expansion_records(coeffs: dict) -> list:

@@ -317,14 +317,16 @@ def test_basis_c_corrupt_cache_file(a11_file, tmp_path, capsys, body):
 
 
 # Records that decode but break a row invariant: a label at grading at least
-# r(-1,-1) = 2, a coefficient outside vZ[v], or a row that keeps both but
+# r(-1,-1) = 2, a coefficient outside vZ[v], the true row -v^4 E(1,1) with an
+# explicit zero coefficient added, or a row that keeps all three but
 # assembles to an element that is not bar-invariant (its coefficient at
-# X^(1,1) would be v^2 + v^4; the true row is -v^4 E(1,1)).
+# X^(1,1) would be v^2 + v^4).
 BAD_ROWS = {
     "grading": {"p": [{"a": [-5, -5], "coeff": "v^3"}]},
     "own-label": {"p": [{"a": [-1, -1], "coeff": "v"}]},
     "coeff": {"p": [{"a": [1, 1], "coeff": "7 + v^-3"}]},
     "both": {"p": [{"a": [-5, -5], "coeff": "7 + v^-3"}]},
+    "zero": {"p": [{"a": [0, 0], "coeff": "0"}, {"a": [1, 1], "coeff": "-v^4"}]},
     "not-bar-invariant": {"p": [{"a": [1, 1], "coeff": "v^2"}]},
 }
 

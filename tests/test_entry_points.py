@@ -1,7 +1,8 @@
 """Every check has one home, the CLI or ``tests/``: each function, method or
 class defined in ``qca`` is reached from ``qca`` itself, from the benchmark,
 or through the package's ``__all__``, never from the tests alone.  A test
-oracle lives in the test file that reads it."""
+oracle lives in the test file that reads it.  Likewise every attribute that
+``qca`` sets on ``self`` is read somewhere in ``qca`` or the benchmark."""
 
 import ast
 from collections import Counter
@@ -48,6 +49,37 @@ def unreached_definitions(sources, bench, exported):
     return sorted(found)
 
 
+def self_attributes(tree):
+    """Each ``name`` that a tree assigns as ``self.<name> = ...``, alone or
+    in a tuple of targets."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]:
+                if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self":
+                    yield t.attr
+
+
+def unread_attributes(sources, bench):
+    """``(file, name)`` of each attribute that a tree of ``sources`` (name ->
+    tree) assigns on ``self`` and that no attribute load in ``sources`` or
+    ``bench`` (a list of trees) reads."""
+    read = {
+        node.attr
+        for tree in [*sources.values(), *bench]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        {(file, name) for file, tree in sources.items() for name in self_attributes(tree) if name not in read}
+    )
+
+
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -81,6 +113,30 @@ def test_unreached_definitions_finds_a_function_only_the_tests_call():
         ("a.py", "oracle"), ("a.py", "traced"),
     ]
     assert unreached_definitions(sources, bench, set()) == [("a.py", "oracle"), ("b.py", "exported")]
+
+
+def test_every_attribute_is_read():
+    sources = {path.name: parse(path) for path in SOURCES}
+    assert unread_attributes(sources, [parse(path) for path in BENCH]) == []
+
+
+def test_unread_attributes_finds_an_attribute_nothing_reads():
+    sources = {
+        "a.py": ast.parse(
+            "class Store:\n"
+            "    def __init__(self, path):\n"
+            "        self.path = path\n"
+            "        self.label: str = path\n"
+            "        self.hits, self.traced = 0, 0\n"
+            "    def load(self):\n"
+            "        self.hits += 1\n"
+            "        return open(self.path)\n"
+        ),
+    }
+    bench = [ast.parse("store.traced\n")]
+    # An increment is no attribute load: hits, only ever incremented, is unread.
+    assert unread_attributes(sources, bench) == [("a.py", "hits"), ("a.py", "label")]
+    assert unread_attributes(sources, []) == [("a.py", "hits"), ("a.py", "label"), ("a.py", "traced")]
 
 
 def test_sources_found():

@@ -102,11 +102,13 @@ def test_verify_report(affine_table):
 
 # Corruptions of the computed row of (-1, -1), which is -v^4 E(1,1): a label
 # at no smaller grading, a coefficient outside vZ[v] (adding 1 E(1,1) = X^(1,1)
-# keeps the element bar-invariant, so only that check sees it), and a change
-# inside vZ[v] that breaks bar-invariance.
+# keeps the element bar-invariant, so only that check sees it), an explicit
+# zero coefficient (the element is unchanged, so only that check sees it), and
+# a change inside vZ[v] that breaks bar-invariance.
 CORRUPTIONS = {
     "grading": lambda row: {**row, (-2, -2): v(1)},
     "coeff": lambda row: {**row, (1, 1): row[(1, 1)] + 1},
+    "zero": lambda row: {**row, (0, 0): LaurentPoly.zero()},
     "not-bar-invariant": lambda row: {**row, (1, 1): row[(1, 1)] + v(2)},
 }
 
@@ -125,6 +127,19 @@ def test_verify_flags_corruption(tmp_path):
         cache.store((-1, -1), bad)
         assert TriangularTable(EBasis(seed), cache=cache).p_row((-1, -1)) == row, name
         assert cache.hits == 0, name
+
+
+def test_verify_compares_the_held_element():
+    # C(-1,-1) + X^(0,0) is still bar-invariant, but it is not the element the
+    # row assembles to; verify reports it and keeps the held element as it is.
+    seed = a11_seed()
+    table = TriangularTable(EBasis(seed))
+    wrong = table.element((-1, -1)) + seed.form().one()
+    table._elements[(-1, -1)] = wrong
+    assert wrong.bar() == wrong
+    rep = table.verify((-1, -1))
+    assert not rep.ok and rep.checks == 3
+    assert table.element((-1, -1)) is wrong
 
 
 def closure_row(basis, a):
@@ -351,7 +366,7 @@ def test_row_cache_malformed_record_is_a_miss(tmp_path, rec):
     )
     cache = RowCache(str(tmp_path), h)
     assert cache.load((-1, -1)) is None and cache.hits == 0
-    # The malformed record was dropped: it stays a miss.
+    # A second load reads the malformed record again: still a miss.
     assert cache.load((-1, -1)) is None and cache.hits == 0
     # The other record of the file still loads.
     assert cache.load((-1, 0)) == {(1, 1): -v(4)} and cache.hits == 1
@@ -389,6 +404,15 @@ def test_row_cache_later_row_wins(tmp_path):
     cache.store((-1, -1), {(1, 1): -v(4)})
     assert cache.load((-1, -1)) == {(1, 1): -v(4)}
     assert RowCache(str(tmp_path), "a" * 16).load((-1, -1)) == {(1, 1): -v(4)}
+
+
+def test_row_cache_load_sees_later_appends(tmp_path):
+    reader = RowCache(str(tmp_path), "a" * 16)
+    RowCache(str(tmp_path), "a" * 16).store((-1, -1), {(1, 1): -v(4)})
+    assert reader.load((-1, -1)) == {(1, 1): -v(4)}
+    # A row another writer appends after the first load is seen by the next.
+    RowCache(str(tmp_path), "a" * 16).store((-2, -2), {(0, 0): v(1)})
+    assert reader.load((-2, -2)) == {(0, 0): v(1)} and reader.hits == 2
 
 
 def test_row_cache_store_is_one_write_per_row(tmp_path, monkeypatch):
