@@ -16,7 +16,8 @@ same terms.
 
 The ring carries the involution ``v -> v^-1`` (:meth:`LaurentPoly.bar`),
 which is the scalar part of the bar-involution used everywhere else in this
-package.  The triangular row's rule :func:`bar_rule`, ``p = [bar(c) - c]_+``
+package; :meth:`LaurentPoly.is_bar_invariant` tests for its fixed points in
+place.  The triangular row's rule :func:`bar_rule`, ``p = [bar(c) - c]_+``
 with ``[f]_+`` the part of ``f`` at exponents ``>= 1``, gives the unique
 ``p`` in ``v*Z[v]`` with ``p - bar(p) = bar(c) - c``; it and the
 expansion's :func:`cancel_rule`, ``p = -c``, settle a popped raw
@@ -188,9 +189,11 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        # A polynomial operand, the common case, is compared with no coercion call.
+        if type(other) is not LaurentPoly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
@@ -230,6 +233,16 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def is_bar_invariant(self) -> bool:
+        """Whether ``bar(self) == self``: the term map is a palindrome, its
+        coefficient at ``v^e`` equal to the one at ``v^-e``.  Builds nothing."""
+        terms = self._terms
+        get = terms.get
+        for e, c in terms.items():
+            if get(-e) != c:
+                return False
+        return True
 
     def is_one(self) -> bool:
         return self._terms == {0: 1}

@@ -422,6 +422,11 @@ class TorusElement:
         """Bar-involution: fixes every ``X^e`` and sends ``v -> v^-1``."""
         return TorusElement(self.form, {e: c.bar() for e, c in self.terms.items()})
 
+    def is_bar_invariant(self) -> bool:
+        """Whether ``bar(self) == self``: every coefficient is bar-invariant,
+        as bar fixes every ``X^e``.  Builds no barred copy."""
+        return all(map(LaurentPoly.is_bar_invariant, self.terms.values()))
+
     # -- structure views -----------------------------------------------------------
 
     def is_zero(self) -> bool:

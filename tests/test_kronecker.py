@@ -95,6 +95,37 @@ def test_chebyshev_family_report(alg):
     assert rep.ok, rep.summary()
 
 
+def test_chebyshev_family_report_names_a_ladder_entry_that_is_not_bar_invariant(monkeypatch):
+    alg = KroneckerAlgebra()
+    chebyshev = KroneckerAlgebra.chebyshev
+
+    def broken(self, r):
+        s = chebyshev(self, r)
+        return s.scalar_mul(v(2)) if r == 3 else s
+
+    monkeypatch.setattr(KroneckerAlgebra, "chebyshev", broken)
+    rep = alg.verify_chebyshev_family(4)
+    assert not rep.ok and rep.checks == 14
+    assert rep.failures == [
+        "product form fails at r=3",
+        "bar-invariance fails at r=3",
+        "triangular element at (-3,-3) is not the degree-3 element",
+    ]
+
+
+def test_chebyshev_family_report_names_a_wrong_product_form(monkeypatch):
+    alg = KroneckerAlgebra()
+    product_form = KroneckerAlgebra.product_form
+
+    def wrong(self, r):
+        return product_form(self, r) + (1 if r == 2 else 0)
+
+    monkeypatch.setattr(KroneckerAlgebra, "product_form", wrong)
+    rep = alg.verify_chebyshev_family(4)
+    assert not rep.ok and rep.checks == 14
+    assert rep.failures == ["product form fails at r=2"]
+
+
 def spy_products(monkeypatch):
     """Record the operands of every torus product from now on."""
     products = []
@@ -158,6 +189,19 @@ def test_cluster_labels_report(alg):
     assert rep.ok, rep.summary()
 
 
+def test_cluster_labels_report_names_a_mismatch(alg, monkeypatch):
+    cluster_monomial = KroneckerAlgebra.cluster_monomial
+
+    def broken(self, m, a1, a2):
+        out = cluster_monomial(self, m, a1, a2)
+        return out + 1 if (m, a1, a2) == (0, 1, 0) else out
+
+    monkeypatch.setattr(KroneckerAlgebra, "cluster_monomial", broken)
+    rep = alg.verify_cluster_monomial_labels()
+    assert rep.checks == 45
+    assert rep.failures == ["label (0, -1) (m=0, a=(1,0)) mismatch"]
+
+
 def test_alpha():
     assert KroneckerAlgebra.alpha(1) == (1, 0)
     assert KroneckerAlgebra.alpha(2) == (0, 1)
@@ -187,6 +231,19 @@ def test_e_times_x0_selected_cases(alg):
 def test_e_times_x0_report(alg):
     rep = alg.verify_e_times_x0(3)
     assert rep.ok, rep.summary()
+
+
+def test_e_times_x0_report_names_a_failing_case(alg, monkeypatch):
+    expected = KroneckerAlgebra._e_times_x0_expected
+
+    def broken(self, a1, a2):
+        out = expected(self, a1, a2)
+        return out + 1 if (a1, a2) == (-1, 1) else out
+
+    monkeypatch.setattr(KroneckerAlgebra, "_e_times_x0_expected", broken)
+    rep = alg.verify_e_times_x0(2)
+    assert rep.checks == 25
+    assert rep.failures == ["case formula fails at a=(-1,1)"]
 
 
 def test_division_cap_error():

@@ -56,6 +56,65 @@ def test_bar_is_ring_involution(f, g):
     assert f.bar().bar() == f
 
 
+# Coefficients on both sides of bar-invariance: palindromes (a constant plus
+# sums c (v^e + v^-e)), constants, the zero polynomial, maps on one side of
+# v^0, and palindromes with one monomial added.
+palindromes = st.dictionaries(st.integers(0, 8), st.integers(-50, 50), max_size=4).map(
+    lambda t: LaurentPoly({s * e: c for e, c in t.items() for s in (1, -1)})
+)
+one_sided = st.builds(
+    lambda t, s: LaurentPoly({s * e: c for e, c in t.items()}),
+    st.dictionaries(st.integers(1, 8), st.integers(-50, 50), min_size=1, max_size=4),
+    st.sampled_from((1, -1)),
+)
+bar_cases = st.one_of(
+    laurents,
+    palindromes,
+    st.integers(-50, 50).map(LaurentPoly.from_int),
+    st.just(LaurentPoly.zero()),
+    one_sided,
+    st.builds(lambda p, e, c: p + v(e, c), palindromes, st.integers(-8, 8), st.integers(-3, 3)),
+)
+
+
+def test_is_bar_invariant_examples():
+    assert LaurentPoly.zero().is_bar_invariant()
+    assert LaurentPoly.from_int(-7).is_bar_invariant()
+    assert (v(3, 2) + 5 + v(-3, 2)).is_bar_invariant()
+    assert not v(1).is_bar_invariant()
+    assert not (v(2) + v(-2, 3)).is_bar_invariant()
+    assert not (v(2) + v(-2) + v(-4)).is_bar_invariant()
+
+
+@given(bar_cases)
+def test_is_bar_invariant_is_bar_equality(f):
+    assert f.is_bar_invariant() == (f.bar() == f)
+
+
+@given(bar_cases, bar_cases)
+def test_equality_is_term_equality(f, g):
+    assert (f == g) == (f.items() == g.items()) == (not f != g)
+
+
+@given(bar_cases, st.integers(-50, 50))
+def test_equality_with_an_int_is_a_constant(f, k):
+    constant = f.items() == ([(0, k)] if k else [])
+    assert (f == k) == (k == f) == constant
+    assert (f != k) == (k != f) == (not constant)
+    if constant:
+        assert hash(f) == hash(k)
+
+
+def test_equality_with_other_types():
+    p = LaurentPoly.from_int(3)
+    assert p == 3 and 3 == p and p != 4 and 4 != p
+    assert hash(p) == hash(3) and hash(LaurentPoly.zero()) == hash(0)
+    assert LaurentPoly.zero() == 0 and 0 == LaurentPoly.zero()
+    assert (v(1) == "v") is False and ("v" == v(1)) is False
+    assert v(1) != "v" and (p == 3.0) is False and (p == [3]) is False
+    assert len({p, 3}) == 1
+
+
 @given(laurents, laurents, laurents)
 def test_ring_axioms(f, g, h):
     assert f + g == g + f
@@ -254,6 +313,64 @@ def test_only_listed_functions_read_the_term_map():
             if readers:
                 found[path.name] = readers
     assert found == {name: set(allowed) for name, allowed in TERM_MAP_READERS.items()}
+
+
+def bar_comparisons(tree) -> set:
+    """Qualified names of the functions that compare a ``.bar()`` result with
+    ``==`` or ``!=``."""
+    found = set()
+
+    def is_bar(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "bar"
+        )
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (*scope, child.name)
+            elif (
+                isinstance(child, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in child.ops)
+                and any(map(is_bar, (child.left, *child.comparators)))
+            ):
+                found.add(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_no_function_compares_a_barred_copy():
+    # ``is_bar_invariant`` is the one test of bar-invariance; ``bar()`` stays
+    # for the rows and products that need the barred element itself.
+    sources = Path(__file__).parent.parent / "src" / "qca"
+    found = {}
+    for path in sorted(sources.glob("*.py")):
+        comparisons = bar_comparisons(ast.parse(path.read_text(encoding="utf-8")))
+        if comparisons:
+            found[path.name] = comparisons
+    assert found == {}
+
+
+def test_bar_comparisons_finds_each_form():
+    tree = ast.parse(
+        "class A:\n"
+        "    def f(self, x):\n"
+        "        return x.bar() == x\n"
+        "    def g(self, x):\n"
+        "        return x != x.bar()\n"
+        "    def h(self, x):\n"
+        "        return x.bar().bar() is x or x.bar() < x\n"
+        "def k(x):\n"
+        "    y = x.bar()\n"
+        "    return x.is_bar_invariant() and y * x == x\n"
+        "z = 0 == w.bar()\n"
+    )
+    assert bar_comparisons(tree) == {"A.f", "A.g", "<module>"}
 
 
 def test_only_wrap_builds_a_polynomial_without_init():

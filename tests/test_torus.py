@@ -124,6 +124,36 @@ def test_bar():
         assert (x * y).bar() == y.bar() * x.bar()
 
 
+# Coefficients on both sides of bar-invariance: palindromes, constants and
+# maps on one side of v^0; elements drawn from them include the zero element.
+bar_coefficients = st.one_of(
+    st.dictionaries(st.integers(0, 4), st.integers(-5, 5), max_size=3).map(
+        lambda t: LaurentPoly({s * e: c for e, c in t.items() for s in (1, -1)})
+    ),
+    st.integers(-5, 5).map(LaurentPoly.from_int),
+    st.dictionaries(st.integers(1, 4), st.integers(-5, 5), min_size=1, max_size=3).map(
+        LaurentPoly
+    ),
+    st.dictionaries(st.integers(-4, -1), st.integers(-5, 5), min_size=1, max_size=3).map(
+        LaurentPoly
+    ),
+)
+bar_elements = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), bar_coefficients, max_size=4
+).map(FORM.element)
+
+
+@given(bar_elements)
+def test_is_bar_invariant_is_bar_equality(x):
+    assert x.is_bar_invariant() == (x.bar() == x)
+
+
+def test_is_bar_invariant_examples():
+    assert FORM.zero().is_bar_invariant() and FORM.one().is_bar_invariant()
+    assert (mono((1, 0), v(1) + v(-1)) + mono((0, 1), 3)).is_bar_invariant()
+    assert not (mono((1, 0), v(1) + v(-1)) + mono((0, 1), v(1))).is_bar_invariant()
+
+
 def test_leading_monomial():
     # Four-term element with weights (-1, 1): exponent (-1,1) wins.
     x = FORM.element({(1, 1): v(4), (-1, 1): 1, (1, -1): 1, (-1, -1): 1})
