@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 
-from .ebasis import EBasis, MutatedBasis
+from .ebasis import EBasis, MutatedBasis, unit_coefficient_label
 from .laurent import LaurentPoly, bar_rule, json_int, parse_laurent
 from .report import Report
 from .torus import TorusElement
@@ -121,7 +121,8 @@ def compare_bases(basis: EBasis, labels) -> Report:
     For every label the mutated-seed element is computed by the same
     elimination run inside the mutated torus, realized back in the original
     torus, and compared against the original element at the corresponding
-    label (recovered as the unit coefficient of the realized expansion).
+    label: the one carrying the unit coefficient of the realized ``E'(a)``,
+    expanded by :func:`_expansion_at_leading_label`.
     """
     rep = Report(name="triangular basis agrees across mutation")
     mut = MutatedBasis(basis)
@@ -130,7 +131,7 @@ def compare_bases(basis: EBasis, labels) -> Report:
     for a in labels:
         a = tuple(a)
         try:
-            phi_a = mut.unit_label(a)
+            phi_a = unit_coefficient_label(_expansion_at_leading_label(table, mut.element(a)), a)
         except ValueError as exc:
             rep.record(False, f"a={a}: {exc}")
             continue
@@ -141,6 +142,20 @@ def compare_bases(basis: EBasis, labels) -> Report:
             f"a={a}: mutated element differs from original at {phi_a}",
         )
     return rep
+
+
+def _expansion_at_leading_label(table: TriangularTable, x: TorusElement) -> dict:
+    """Exact standard-basis expansion of ``x``: that of ``x - C(l)`` plus the
+    row of ``C(l)``, ``l`` the label led by the leading term of ``x``; exact
+    for any ``l`` by linearity, and no sweep at all where ``x = C(l)``."""
+    basis = table.basis
+    lead = basis.leading_exponent_inverse(x.leading_term(basis.order)[0])
+    coeffs = basis.expand(x - table.element(lead))
+    for b, c in table.expansion(lead).items():
+        s = coeffs.pop(b, 0) + c
+        if s:
+            coeffs[b] = s
+    return coeffs
 
 
 class RowCache:

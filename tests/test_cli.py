@@ -821,6 +821,10 @@ def test_broken_unit_coefficient_fails_the_checks(coeffs, message, monkeypatch, 
     with pytest.raises(ValueError) as exc:
         MutatedBasis(EBasis(rank2_principal_seed(1, 1))).unit_label(a)
     assert str(exc.value) == message
+    # compare_bases expands E'(a) - C(l) and adds the row of C(l); at a = 0,
+    # l = a and C(l) = 1, so the broken expansion is the sweep's minus {a: 1}.
+    swept = {b: c for b, c in {**coeffs, a: coeffs.get(a, 0) - ONE}.items() if c}
+    monkeypatch.setattr(EBasis, "expand", lambda self, x: dict(swept))
     rep = compare_bases(EBasis(rank2_principal_seed(1, 1)), [a])
     assert rep.checks == 1 and rep.failures == [f"a={a}: {message}"]
     # The crystal's expansions too: at --box 0 the reduction targets are the

@@ -12,7 +12,7 @@ from qca import ebasis
 from qca.ebasis import EBasis, ExpansionError, MutatedBasis
 from qca.kronecker import KroneckerAlgebra, a11_seed
 from qca.laurent import LaurentPoly, bar_rule, cancel_rule, gaussian_binomial
-from qca.lusztig import TriangularTable, compare_bases
+from qca.lusztig import TriangularTable, _expansion_at_leading_label, compare_bases
 from qca.crystal import rank2_principal_seed
 from qca.seed import (
     QuantumSeed,
@@ -540,6 +540,46 @@ def test_compare_bases_and_frozen_shift_on_mutated_principal_seeds(name):
     assert rep.ok and rep.checks == len(labels), rep.summary()
     rep = check_frozen_shift(MutatedBasis(basis), random.Random(13), 10)
     assert rep.ok and rep.checks == 10, rep.summary()
+
+
+def windowed(seed, w):
+    """``seed`` with its compare-bases window: exchange entries in ``[-w, w]``,
+    frozen entries 0."""
+    return seed, [
+        a + (0,) * (seed.m - seed.n) for a in itertools.product(range(-w, w + 1), repeat=seed.n)
+    ]
+
+
+# compare_bases reads each unit label off _expansion_at_leading_label; these
+# are the labels on which that route is checked against the cold sweep.
+ROUTE_CASES = {
+    "principal-3-2": windowed(rank2_principal_seed(3, 2), 4),
+    **{f"principal-{b}-{c}": windowed(rank2_principal_seed(b, c), 3) for b, c in [(2, 2), (1, 4), (4, 1)]},
+    "pm1-rank3": windowed(PM1_RANK3, 1),
+    "wild-rank3": windowed(X_DPRIME_SEEDS["wild-rank3"], 1),
+    "frozen-twisted-3-2": (
+        X_DPRIME_SEEDS["frozen-twisted-3-2"],
+        list(itertools.product(range(-2, 3), range(-2, 3), range(-1, 2), range(-1, 2))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTE_CASES))
+def test_leading_label_route_agrees_with_the_cold_sweep(name):
+    seed, labels = ROUTE_CASES[name]
+    basis = EBasis(seed)
+    mut = MutatedBasis(basis)
+    table = TriangularTable(basis)
+    element, leads = table.element, []
+    table.element = lambda b: leads.append(b) or element(b)
+    for a in labels:
+        assert _expansion_at_leading_label(table, mut.element(a)) == mut.expansion_in_base(a)
+        # The one triangular element the route read is at the unit label.
+        [lead] = leads
+        leads.clear()
+        assert lead == mut.unit_label(a)
+        # The route rests on the table's row being the expansion of its element.
+        assert basis.expand(element(lead)) == table.expansion(lead)
 
 
 def gaussian_x_dprime(mut, k):

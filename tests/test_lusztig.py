@@ -267,6 +267,27 @@ def test_compare_bases_window():
     assert rep.ok, rep.summary()
 
 
+def test_compare_bases_fails_on_a_wrong_mutated_row(monkeypatch):
+    # Every row of the mutated table gets coefficient v at its own label, so
+    # each realized element is v E'(a) + ... and the unit labels, read in the
+    # original table, stay right: only the comparison can fail, at each label.
+    basis = EBasis(rank2_principal_seed(3, 2))
+    p_row = TriangularTable.p_row
+
+    def wrong_row(self, a):
+        row = p_row(self, a)
+        return row if self.basis is basis else {**row, tuple(a): v(1)}
+
+    monkeypatch.setattr(TriangularTable, "p_row", wrong_row)
+    labels = [(a1, a2, 0, 0) for a1, a2 in itertools.product(range(-1, 2), repeat=2)]
+    rep = compare_bases(basis, labels)
+    assert not rep.ok and rep.checks == len(labels)
+    assert rep.failures == [
+        f"a={a}: mutated element differs from original at {phi_rank2_principal(a, 3, 2)}"
+        for a in labels
+    ]
+
+
 def test_triangular_properties_random_seeds():
     rng = random.Random(13)
     for _ in range(4):
