@@ -358,10 +358,7 @@ def _property_suite(rng, seeds: int, count: int):
         )
         shift.absorb(suites.check_frozen_shift(MutatedBasis(basis), rng, max(count // 2, 5)))
     trans = suites.check_order_transposition(
-        principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1)),
-        (1, 0, 2),
-        rng,
-        count,
+        principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1)), rng, count
     )
     psi = suites.check_bullet_embedding(
         suites.random_principal_seed(rng, 2),

@@ -68,11 +68,11 @@ class Rank2Crystal:
         _, _, m1p, _, m1, m2p, m1pp = core
         head = self._heads.get((m1p, m1))
         if head is None:
-            head = self.basis.x_prime_power(0, m1p) * self.form.monomial((m1, 0, 0, 0))
+            head = self.basis.exchange_power(0, m1p) * self.form.monomial((m1, 0, 0, 0))
             self._heads[(m1p, m1)] = head
         tail = self._tails.get((m2p, m1pp))
         if tail is None:
-            tail = self.basis.x_prime_power(1, m2p) * self.mutated.x_dprime_power(0, m1pp)
+            tail = self.basis.exchange_power(1, m2p) * self.mutated.exchange_power(0, m1pp)
             self._tails[(m2p, m1pp)] = tail
         return LaurentPoly.v_power(nu) * head * tail
 

@@ -26,7 +26,7 @@ from operator import mul
 
 from .laurent import LaurentPoly, cancel_rule
 from .seed import QuantumSeed, _one_based, exchange_vector, mutate, require_valid, seed_weight_order
-from .torus import ContextMismatch, TorusElement, r_of, vec_add, vec_scale, vec_sub
+from .torus import ContextMismatch, TorusElement, vec_add, vec_scale, vec_sub
 
 __all__ = ["EBasis", "MutatedBasis", "ExpansionError", "unit_coefficient_label"]
 
@@ -47,10 +47,11 @@ class _StandardMonomials:
         self._elements: dict = {}
         self._siblings: dict = {}  # non-unit key -> (u, nu_u, its first element)
 
-    def _power(self, k: int, q: int) -> TorusElement:
-        """``x_k ** q`` from the ladder of its powers, extended as needed:
-        each new entry is the previous one times ``x_k``, so every power is
-        built once, by one product."""
+    def exchange_power(self, k: int, q: int) -> TorusElement:
+        """``x_k ** q`` for the exchange element ``x_k`` of :meth:`_generator`
+        (``X'_k`` on :class:`EBasis`, ``X''_k`` on :class:`MutatedBasis`) from
+        the ladder of its powers: each new entry is the previous one times
+        ``x_k``, so every power is built once, by one product."""
         ladder = self._ladders.get(k)
         if ladder is None:
             ladder = self._ladders[k] = [self.form.one(), self._generator(k)]
@@ -71,7 +72,7 @@ class _StandardMonomials:
         out = self._front(labels._base_exponent(a), nu)
         for k in labels.seed.order:
             if a[k] < 0:
-                out = out * self._power(k, -a[k])
+                out = out * self.exchange_power(k, -a[k])
         return out
 
     def _split(self, g, nu: int):
@@ -159,13 +160,6 @@ class EBasis(_StandardMonomials):
 
     def _front(self, g, nu: int) -> TorusElement:
         return self.form.monomial(g, LaurentPoly.v_power(nu))
-
-    def x_prime(self, k: int) -> TorusElement:
-        """The two-term exchange element replacing generator ``k``."""
-        return self._power(k, 1)
-
-    # ``x_prime(k) ** q`` from this basis's ladder of its powers.
-    x_prime_power = _StandardMonomials._power
 
     # -- labels and leading exponents ------------------------------------------
 
@@ -295,7 +289,8 @@ class EBasis(_StandardMonomials):
         return self.expand(e.bar() - e)
 
     def grading(self, a) -> int:
-        return r_of(a, self.seed.n)
+        """Sum of the negative parts of the exchange entries of ``a``."""
+        return sum(-x for x in a[: self.seed.n] if x < 0)
 
 
 class MutatedBasis(_StandardMonomials):
@@ -323,23 +318,13 @@ class MutatedBasis(_StandardMonomials):
     # -- mutated generators, realized ------------------------------------------
 
     def _generator(self, k: int) -> TorusElement:
+        """``X''_k`` in the original torus: the plain generator ``X_k`` at the
+        mutation index, else the binomial of ``abstract`` with each ``X'^g``
+        realized by :meth:`_front`; its Gaussian-binomial expansion is
+        checked in :func:`qca.verify.check_principal_identities`."""
         if k == self.k_mut:
             return self.form.generator(k)
         return super()._generator(k)
-
-    def x_dprime(self, k: int) -> TorusElement:
-        """The k-th mutated exchange element, realized in the original torus.
-
-        For the mutation index itself this is just the original generator;
-        otherwise it is the mutated seed's own exchange binomial
-        ``X'^e + X'^(e - b_k)`` of ``abstract``, each ``X'^g`` realized by
-        :meth:`_front`.  Its Gaussian-binomial expansion is checked
-        in :func:`qca.verify.check_principal_identities`.
-        """
-        return self._power(k, 1)
-
-    # ``x_dprime(k) ** q`` from this basis's ladder of its powers.
-    x_dprime_power = _StandardMonomials._power
 
     def _front(self, g, nu: int) -> TorusElement:
         """``v^nu X'^g`` as one left unit shift of a ladder entry.
@@ -347,7 +332,7 @@ class MutatedBasis(_StandardMonomials):
         With ``q = g[k]`` and ``h = g - q e_k``, ``X'^g = v^(-L'(h, q e_k))
         X'^h X'_k^q``.  The mutated form ``L'`` agrees with ``L`` away from
         ``k`` and ``L'(h, e_k) = L(h, e'_k)``, so ``X'^h`` is ``X^h`` and
-        ``X'_k^q`` is the base ladder entry ``x_prime_power(k, q)``.  A
+        ``X'_k^q`` is the base ladder entry ``exchange_power(k, q)``.  A
         negative ``q`` raises ValueError: the two-term exchange element is
         not invertible inside the torus.
         """
@@ -355,7 +340,7 @@ class MutatedBasis(_StandardMonomials):
         if q < 0:
             raise ValueError("mutated generator is not invertible in the torus")
         front = self.form.monomial(h, LaurentPoly.v_power(nu_h))
-        return front * self.base.x_prime_power(self.k_mut, q)
+        return front * self.base.exchange_power(self.k_mut, q)
 
     def _split(self, g, nu: int):
         """``(q, h, nu - q L(h, e'_k))`` of :meth:`_front`: ``R`` is ``X'_k^q``."""
@@ -364,14 +349,10 @@ class MutatedBasis(_StandardMonomials):
         h = (*g[:k], 0, *g[k + 1 :])
         return q, h, nu - q * self.form.skew(h, self.base.e_prime(k))
 
-    def expansion_in_base(self, a) -> dict:
-        """Coefficients of the realized mutated element in the original basis."""
-        return self.base.expand(self.element(a))
-
     def unit_label(self, a):
         """The base label carrying the unit coefficient of the expansion of
-        ``a``, by :func:`unit_coefficient_label`."""
-        return unit_coefficient_label(self.expansion_in_base(a), a)
+        ``a`` in the original basis, by :func:`unit_coefficient_label`."""
+        return unit_coefficient_label(self.base.expand(self.element(a)), a)
 
 
 def unit_coefficient_label(coeffs: dict, source):

@@ -26,7 +26,6 @@ __all__ = [
     "ContextMismatch",
     "DivisionError",
     "plus_part",
-    "r_of",
     "vec_add",
     "vec_sub",
     "vec_neg",
@@ -47,14 +46,6 @@ __all__ = [
 def plus_part(a):
     """Componentwise ``max(., 0)``."""
     return tuple(x if x > 0 else 0 for x in a)
-
-
-def r_of(a, n: int) -> int:
-    """Sum of the negative parts of the first ``n`` components.
-
-    This is the grading of basis labels; triangular rows sit strictly below it.
-    """
-    return sum(-x for x in a[:n] if x < 0)
 
 
 def vec_add(a, b):

@@ -91,7 +91,7 @@ def test_criterion_5_unit_coefficient_conditions():
         mut = MutatedBasis(EBasis(principal_seed(((0, -b), (c, 0)), (c, b))))
         for a1, a2 in itertools.product(range(-2, 3), repeat=2):
             a = (a1, a2, 0, 0)
-            coeffs = mut.expansion_in_base(a)
+            coeffs = mut.base.expand(mut.element(a))
             target = phi_rank2_principal(a, b, c)
             units = [k for k, cf in coeffs.items() if cf.is_one()]
             ok = ok and units == [target]
@@ -149,7 +149,6 @@ def test_criterion_8_property_suite():
         ok
         and check_order_transposition(
             principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1)),
-            (1, 0, 2),
             rng,
             30,
         ).ok

@@ -816,7 +816,7 @@ ONE = LaurentPoly.one()
     ids=["two-units", "outside-vZ[v]", "no-unit"],
 )
 def test_broken_unit_coefficient_fails_the_checks(coeffs, message, monkeypatch, capsys):
-    monkeypatch.setattr(MutatedBasis, "expansion_in_base", lambda self, a: coeffs)
+    monkeypatch.setattr(EBasis, "expand", lambda self, x: coeffs)
     a = (0, 0, 0, 0)
     with pytest.raises(ValueError) as exc:
         MutatedBasis(EBasis(rank2_principal_seed(1, 1))).unit_label(a)

@@ -59,11 +59,11 @@ def uncached_chain(cr, mm):
     m3, m4, m1p, m2, m1, m2p, m1pp = mm
     out = cr.form.monomial((0, 0, m3, m4), v(cr.nu_explicit(mm)))
     for factor in (
-        cr.basis.x_prime(0) ** m1p,
+        cr.basis.exchange_power(0, 1) ** m1p,
         cr.form.monomial((0, m2, 0, 0)),
         cr.form.monomial((m1, 0, 0, 0)),
-        cr.basis.x_prime(1) ** m2p,
-        cr.mutated.x_dprime(0) ** m1pp,
+        cr.basis.exchange_power(1, 1) ** m2p,
+        cr.mutated.exchange_power(0, 1) ** m1pp,
     ):
         out = out * factor
     return out
@@ -237,7 +237,8 @@ def test_block_relations_are_the_rank2_exchange_products(b, c):
     cr = Rank2Crystal(b, c)
     mono = cr.form.monomial
     x1, x2 = mono((1, 0, 0, 0)), mono((0, 1, 0, 0))
-    x1p, x2p, x1pp = cr.basis.x_prime(0), cr.basis.x_prime(1), cr.mutated.x_dprime(0)
+    x1p, x2p = cr.basis.exchange_power(0, 1), cr.basis.exchange_power(1, 1)
+    x1pp = cr.mutated.exchange_power(0, 1)
     want = {
         "left product identity at 0": [
             (x1p * x1, 1), (cr.form.one(), -1), (mono((0, 0, 1, 0)) * x2**c, v(c, -1)),

@@ -38,11 +38,16 @@ from qca.torus import (
 from qca.verify import (
     check_bar_triangularity,
     check_exchange_relations,
+    check_expand_roundtrip,
     check_frozen_shift,
+    check_order_transposition,
     random_principal_seed,
 )
 
 v = LaurentPoly.v_power
+
+# A sink fed by two sources: compatible orders (1, 2, 3) and (2, 1, 3).
+FORK = principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1))
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +74,9 @@ def test_exchange_vectors(affine):
 
 def test_x_prime(affine):
     form = affine.form
-    assert affine.x_prime(1) == form.monomial((0, -1)) + form.monomial((2, -1))
+    assert affine.exchange_power(1, 1) == form.monomial((0, -1)) + form.monomial((2, -1))
     for k in (0, 1):
-        x = affine.x_prime(k)
+        x = affine.exchange_power(k, 1)
         assert x.bar() == x
 
 
@@ -80,7 +85,7 @@ def test_x_prime_leading_term_is_exchange_vector():
     for _ in range(8):
         basis = EBasis(random_principal_seed(rng, rng.choice([2, 3])))
         for k in range(basis.seed.n):
-            g, c = basis.x_prime(k).leading_term(basis.order)
+            g, c = basis.exchange_power(k, 1).leading_term(basis.order)
             assert g == basis.e_prime(k)
             assert c == LaurentPoly.one()
 
@@ -89,10 +94,10 @@ def test_x_prime_rank2_principal():
     b, c = 3, 2
     basis = EBasis(principal_seed(((0, -b), (c, 0)), (c, b)))
     form = basis.form
-    assert basis.x_prime(0) == form.monomial((-1, c, 1, 0)) + form.monomial(
+    assert basis.exchange_power(0, 1) == form.monomial((-1, c, 1, 0)) + form.monomial(
         (-1, 0, 0, 0)
     )
-    assert basis.x_prime(1) == form.monomial((0, -1, 0, 1)) + form.monomial(
+    assert basis.exchange_power(1, 1) == form.monomial((0, -1, 0, 1)) + form.monomial(
         (b, -1, 0, 0)
     )
 
@@ -124,7 +129,8 @@ def test_standard_monomial_affine_base_case(affine):
         {(1, 1): v(4), (-1, 1): 1, (1, -1): 1, (-1, -1): 1}
     )
     # The un-normalized product is X'_1 X'_2, in the seed order.
-    assert affine.element((-1, -1)) == (affine.x_prime(0) * affine.x_prime(1)).scalar_mul(v(1))
+    x1p, x2p = affine.exchange_power(0, 1), affine.exchange_power(1, 1)
+    assert affine.element((-1, -1)) == (x1p * x2p).scalar_mul(v(1))
     # At (1, 1) the normalized element is the single twisted monomial.
     x1, x2 = form.monomial((1, 0)), form.monomial((0, 1))
     assert affine.element((1, 1)) == (x1 * x2).scalar_mul(v(1))
@@ -151,7 +157,7 @@ def test_rank2_principal_closed_form():
         form = basis.form
         X1 = form.monomial((1, 0, 0, 0))
         X2 = form.monomial((0, 1, 0, 0))
-        X1p, X2p = basis.x_prime(0), basis.x_prime(1)
+        X1p, X2p = basis.exchange_power(0, 1), basis.exchange_power(1, 1)
         for a1, a2 in itertools.product(range(-2, 3), repeat=2):
             for a3, a4 in [(0, 0), (1, -1), (-2, 2)]:
                 a = (a1, a2, a3, a4)
@@ -289,6 +295,14 @@ def test_r_row_closure_identity(affine):
             assert total == LaurentPoly.zero(), (a, target)
 
 
+def test_grading_counts_negative_exchange_entries(affine):
+    assert affine.grading((-1, 2)) == 1
+    assert affine.grading((1, 1)) == 0
+    assert affine.grading((-3, -3)) == 6
+    # Frozen entries do not count, negative or not.
+    assert EBasis(FORK).grading((-1, 2, -3, -5, 0, 1)) == 4
+
+
 def test_filtration_of_products(affine):
     rng = random.Random(9)
     for _ in range(20):
@@ -299,16 +313,57 @@ def test_filtration_of_products(affine):
         assert all(affine.grading(k) <= bound for k in affine.expand(prod))
 
 
-def test_order_transposition_invariance():
-    # Zero exchange entry between adjacent order indices: swapping them
-    # leaves every standard element unchanged.
-    s = principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1))
-    b1 = EBasis(s)
-    b2 = EBasis(replace(s, order=(1, 0, 2)))
+def random_labels(length, count):
+    """The ``count`` labels of ``length`` entries that the property checks
+    draw from ``random.Random(10)``."""
     rng = random.Random(10)
-    for _ in range(25):
-        a = tuple(rng.randint(-2, 2) for _ in range(6))
-        assert b1.element(a) == b2.element(a)
+    return [tuple(rng.randint(-2, 2) for _ in range(length)) for _ in range(count)]
+
+
+def test_order_transposition_invariance():
+    # The fork's two compatible orders differ by swapping its two sources.
+    rep = check_order_transposition(FORK, random.Random(10), 25)
+    assert rep.ok and rep.checks == 25, rep.summary()
+    # An edgeless exchange graph admits every order: 5 others per label.
+    edgeless = principal_seed(((0, 0, 0), (0, 0, 0), (0, 0, 0)), (1, 2, 1))
+    assert len(compatible_orders(edgeless)) == 6
+    rep = check_order_transposition(edgeless, random.Random(10), 25)
+    assert rep.ok and rep.checks == 5 * 25, rep.summary()
+
+
+def test_order_transposition_failure_is_reported(monkeypatch):
+    element = EBasis.element
+
+    def perturbed(self, a):
+        e = element(self, a)
+        return e if self.seed.order == FORK.order else e.scalar_mul(v(1))
+
+    monkeypatch.setattr(EBasis, "element", perturbed)
+    rep = check_order_transposition(FORK, random.Random(10), 25)
+    assert rep.checks == 25 and len(rep.failures) == 25 and not rep.ok
+    assert rep.failures[0] == f"E{random_labels(FORK.m, 1)[0]} differs under order [2,1,3]"
+    # A seed with one compatible order has nothing to compare: no checks, a failed report.
+    rep = check_order_transposition(rank2_principal_seed(1, 1), random.Random(10), 25)
+    assert rep.checks == 0 and not rep.ok
+
+
+def test_expand_roundtrip_failure_is_reported(monkeypatch):
+    monkeypatch.setattr(EBasis, "expand", lambda self, x: {})
+    rep = check_expand_roundtrip(EBasis(a11_seed()), random.Random(10), 20)
+    assert rep.checks == 20 and not rep.ok
+    assert rep.failures == [f"roundtrip fails at {a}" for a in random_labels(2, 20)]
+
+
+def test_frozen_shift_failure_is_reported(monkeypatch):
+    # A fixed expansion at the zero label does not move with the label.
+    seed = rank2_principal_seed(2, 1)
+    monkeypatch.setattr(EBasis, "expand", lambda self, x: {(0,) * seed.m: LaurentPoly.one()})
+    rep = check_frozen_shift(MutatedBasis(EBasis(seed)), random.Random(10), 20)
+    # Each check draws its label, then the frozen part of its shift.
+    draws = random_labels(seed.m + seed.m - seed.n, 20)
+    shifted = [(d[: seed.m], (0,) * seed.n + d[seed.m :]) for d in draws]
+    assert rep.checks == 20 and not rep.ok
+    assert rep.failures == [f"shift fails at {a} + {s}" for a, s in shifted if any(s)]
 
 
 # -- the mutated basis ---------------------------------------------------------
@@ -327,7 +382,7 @@ def test_prime_monomial_cases(mutated21):
     assert mutated21._front(g, 0) == basis.form.monomial(g)
     # Unit vector at the mutation index gives the exchange element itself.
     e_n = tuple(1 if i == basis.seed.n - 1 else 0 for i in range(m))
-    assert mutated21._front(e_n, 0) == basis.x_prime(basis.seed.n - 1)
+    assert mutated21._front(e_n, 0) == basis.exchange_power(basis.seed.n - 1, 1)
     with pytest.raises(ValueError):
         mutated21._front((0, -1, 0, 0), 0)
 
@@ -351,7 +406,7 @@ def test_x_dprime_trivial_when_decoupled():
     # Exchange entry to the mutation index vanishes: nothing changes.
     basis = EBasis(principal_seed(((0, 0), (0, 0)), (1, 1)))
     mut = MutatedBasis(basis)
-    assert mut.x_dprime(0) == basis.x_prime(0)
+    assert mut.exchange_power(0, 1) == basis.exchange_power(0, 1)
 
 
 def test_x_dprime_rank2_closed_form():
@@ -359,8 +414,8 @@ def test_x_dprime_rank2_closed_form():
         basis = EBasis(principal_seed(((0, -b), (c, 0)), (c, b)))
         mut = MutatedBasis(basis)
         form = basis.form
-        got = mut.x_dprime(0)
-        closed = basis.x_prime(0) * basis.x_prime(1) ** c
+        got = mut.exchange_power(0, 1)
+        closed = basis.exchange_power(0, 1) * basis.exchange_power(1, 1) ** c
         for s in range(1, c + 1):
             coeff = gaussian_binomial(c, s).substitute_power(2 * b).shifted(b * s * s)
             closed = closed - form.monomial((b * s - 1, 0, 1, c - s)).scalar_mul(coeff)
@@ -371,7 +426,7 @@ def test_x_dprime_rank2_closed_form():
         assert got == two_term
         # Exchange product with the original generator.
         lhs = form.monomial((1, 0, 0, 0)) * got
-        rhs = form.monomial((0, 0, 1, c)).scalar_mul(v(-c)) + basis.x_prime(1) ** c
+        rhs = form.monomial((0, 0, 1, c)).scalar_mul(v(-c)) + basis.exchange_power(1, 1) ** c
         assert lhs == rhs
 
 
@@ -380,7 +435,7 @@ def test_mutated_elements_generator_cases(mutated21):
     form = basis.form
     n = basis.seed.n
     e = lambda i: tuple(1 if j == i else 0 for j in range(basis.seed.m))
-    assert mutated21.element(e(n - 1)) == basis.x_prime(n - 1)
+    assert mutated21.element(e(n - 1)) == basis.exchange_power(n - 1, 1)
     assert mutated21.element(vec_scale(-1, e(n - 1))) == form.monomial(e(n - 1))
     for i in range(n, basis.seed.m):
         assert mutated21.element(e(i)) == form.monomial(e(i))
@@ -389,7 +444,7 @@ def test_mutated_elements_generator_cases(mutated21):
         )
     for k in range(n - 1):
         assert mutated21.element(e(k)) == form.monomial(e(k))
-        assert mutated21.element(vec_scale(-1, e(k))) == mutated21.x_dprime(k)
+        assert mutated21.element(vec_scale(-1, e(k))) == mutated21.exchange_power(k, 1)
 
 
 def test_mutated_element_rank2_closed_form():
@@ -399,8 +454,8 @@ def test_mutated_element_rank2_closed_form():
         form = basis.form
         X1 = form.monomial((1, 0, 0, 0))
         X2 = form.monomial((0, 1, 0, 0))
-        X2p = basis.x_prime(1)
-        X1pp = mut.x_dprime(0)
+        X2p = basis.exchange_power(1, 1)
+        X1pp = mut.exchange_power(0, 1)
         for a1, a2 in itertools.product(range(-2, 3), repeat=2):
             for a3, a4 in [(0, 0), (1, -1)]:
                 a = (a1, a2, a3, a4)
@@ -425,8 +480,8 @@ def test_unit_label_and_frozen_shift(mutated21):
         shift = (0,) * seed.n + tuple(
             rng.randint(-2, 2) for _ in range(seed.m - seed.n)
         )
-        coeffs = mutated21.expansion_in_base(a)
-        shifted = mutated21.expansion_in_base(vec_add(a, shift))
+        coeffs = mutated21.base.expand(mutated21.element(a))
+        shifted = mutated21.base.expand(mutated21.element(vec_add(a, shift)))
         assert shifted == {vec_add(k, shift): cf for k, cf in coeffs.items()}
         assert mutated21.unit_label(vec_add(a, shift)) == vec_add(
             mutated21.unit_label(a), shift
@@ -436,7 +491,7 @@ def test_unit_label_and_frozen_shift(mutated21):
 def test_unit_coefficient_conditions(mutated21):
     for a1, a2 in itertools.product(range(-2, 3), repeat=2):
         a = (a1, a2, 0, 0)
-        coeffs = mutated21.expansion_in_base(a)
+        coeffs = mutated21.base.expand(mutated21.element(a))
         units = [k for k, cf in coeffs.items() if cf.is_one()]
         assert len(units) == 1
         assert all(
@@ -458,7 +513,7 @@ LADDER_SEEDS = {
 }
 
 
-# Seeds on which x_dprime is also checked against its Gaussian-binomial
+# Seeds on which X''_k is also checked against its Gaussian-binomial
 # expansion.  Besides a doubled and a wild rank-3 seed, the rank-2 seed (3, 2)
 # with frozen coordinates changed by ((1, 0), (-1, 1)) has a frozen entry -1
 # that the mutation lifts to 1, so the frozen correction in the expansion is
@@ -573,7 +628,7 @@ def test_leading_label_route_agrees_with_the_cold_sweep(name):
     element, leads = table.element, []
     table.element = lambda b: leads.append(b) or element(b)
     for a in labels:
-        assert _expansion_at_leading_label(table, mut.element(a)) == mut.expansion_in_base(a)
+        assert _expansion_at_leading_label(table, mut.element(a)) == basis.expand(mut.element(a))
         # The one triangular element the route read is at the unit label.
         [lead] = leads
         leads.clear()
@@ -583,7 +638,7 @@ def test_leading_label_route_agrees_with_the_cold_sweep(name):
 
 
 def gaussian_x_dprime(mut, k):
-    """``x_dprime(k)`` for ``k != k_mut`` as a combination of original
+    """``X''_k`` for ``k != k_mut`` as a combination of original
     standard elements with Gaussian-binomial coefficients in ``v^(2 d)``, ``d``
     the symmetrizer at ``k_mut``: a closed form of the mutated exchange
     binomial, kept as an oracle."""
@@ -614,7 +669,7 @@ def scratch_element(basis, a):
     raw = basis.form.monomial(tuple(x if i >= n else max(x, 0) for i, x in enumerate(a)))
     for k in basis.seed.order:
         if a[k] < 0:
-            raw = raw * basis.x_prime(k) ** -a[k]
+            raw = raw * basis.exchange_power(k, 1) ** -a[k]
     return raw.scalar_mul(v(basis.normalization_exponent(a)))
 
 
@@ -626,7 +681,7 @@ def scratch_prime_monomial(mut, g):
     out = mut.base.form.one()
     for i in range(seed.m):
         if i == mut.k_mut:
-            out = out * mut.base.x_prime(i) ** g[i]
+            out = out * mut.base.exchange_power(i, 1) ** g[i]
         elif g[i]:
             out = out * mut.base.form.monomial(vec_scale(g[i], basis_vector(seed.m, i)))
     return out.scalar_mul(v(-sigma))
@@ -640,7 +695,7 @@ def scratch_mutated_element(mut, a):
     out = scratch_prime_monomial(mut, tuple(x if i >= n else max(x, 0) for i, x in enumerate(a)))
     for k in mut.abstract.seed.order:
         if a[k] < 0:
-            x = mut.base.form.generator(k) if k == mut.k_mut else mut.x_dprime(k)
+            x = mut.base.form.generator(k) if k == mut.k_mut else mut.exchange_power(k, 1)
             out = out * x ** -a[k]
     return out.scalar_mul(v(mut.abstract.normalization_exponent(a)))
 
@@ -658,12 +713,12 @@ def test_power_ladders_match_pow(seed):
     basis = EBasis(seed)
     mut = MutatedBasis(basis)
     for k in range(mut.k_mut):
-        assert mut.x_dprime(k) == gaussian_x_dprime(mut, k)
+        assert mut.exchange_power(k, 1) == gaussian_x_dprime(mut, k)
     # Out of order, so the ladders are extended by several entries at once.
     for q in (3, 0, 6, 1, 5, 2, 4):
         for k in range(seed.n):
-            assert basis.x_prime_power(k, q) == basis.x_prime(k) ** q
-            assert mut.x_dprime_power(k, q) == mut.x_dprime(k) ** q
+            assert basis.exchange_power(k, q) == basis.exchange_power(k, 1) ** q
+            assert mut.exchange_power(k, q) == mut.exchange_power(k, 1) ** q
 
 
 @pytest.mark.parametrize("seed", list(LADDER_SEEDS.values()), ids=list(LADDER_SEEDS))
@@ -699,7 +754,7 @@ def test_mutated_elements_match_scratch_in_every_compatible_order(name):
         assert k == order[-1]
         for j in range(seed.n):
             if j != k:
-                assert mut.x_dprime(j) == gaussian_x_dprime(mut, j)
+                assert mut.exchange_power(j, 1) == gaussian_x_dprime(mut, j)
         for a in sample_labels(seed, rng, 30):
             assert mut.element(a) == scratch_mutated_element(mut, a)
             g = a[:k] + (abs(a[k]),) + a[k + 1 :]
@@ -749,19 +804,19 @@ def test_ladder_entries_built_once(monkeypatch):
     monkeypatch.setattr(TorusElement, "__pow__", no_pow)
     basis = EBasis(seed)
     mut = MutatedBasis(basis)
-    xs += [basis.x_prime(k) for k in range(seed.n)]
-    # Building x_dprime(k) already takes powers of x_prime(n - 1).
-    xs += [mut.x_dprime(k) for k in range(seed.n)]
+    xs += [basis.exchange_power(k, 1) for k in range(seed.n)]
+    # Building X''_k already takes powers of X'_(n - 1).
+    xs += [mut.exchange_power(k, 1) for k in range(seed.n)]
     labels = sample_labels(seed, random.Random(12), 60) + [(-4, -4, -4, 0, 0, 0)]
     for _ in range(2):
         for a in labels:
             basis.element(a)
             mut.element(a)
     monkeypatch.undo()
-    # The labels reach power 4 of every x_prime(k) and every x_dprime(k); at
-    # the mutation index x_dprime is the plain generator, on a ladder too.
-    ladders = [(basis.x_prime_power, k) for k in range(seed.n)]
-    ladders += [(mut.x_dprime_power, k) for k in range(seed.n)]
+    # The labels reach power 4 of every X'_k and every X''_k; at the
+    # mutation index X''_k is the plain generator, on a ladder too.
+    ladders = [(basis.exchange_power, k) for k in range(seed.n)]
+    ladders += [(mut.exchange_power, k) for k in range(seed.n)]
     for power, k in ladders:
         entries = [power(k, q) for q in range(5)]
         x = entries[1]

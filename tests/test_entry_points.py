@@ -2,7 +2,8 @@
 class defined in ``qca`` is reached from ``qca`` itself, from the benchmark,
 or through the package's ``__all__``, never from the tests alone.  A test
 oracle lives in the test file that reads it.  Likewise every attribute that
-``qca`` sets on ``self`` is read somewhere in ``qca`` or the benchmark."""
+``qca`` sets on ``self`` is read somewhere in ``qca`` or the benchmark, and
+every operation has one name: no class re-binds another class's function."""
 
 import ast
 from collections import Counter
@@ -80,6 +81,29 @@ def unread_attributes(sources, bench):
     )
 
 
+def class_bindings(tree):
+    """``(class, name, source)`` of each class-body line ``name = Owner.attr``,
+    which binds an attribute of another class in this one."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if not isinstance(stmt, ast.Assign):
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+                for target in stmt.targets:
+                    yield node.name, getattr(target, "id", None), ast.unparse(value)
+
+
+# ``bench/tracer.py`` wraps ``element`` on each basis class alone, so each
+# class holds the builder's function itself, under its own name.
+SHARED_BINDINGS = [
+    ("EBasis", "element", "_StandardMonomials.element"),
+    ("MutatedBasis", "element", "_StandardMonomials.element"),
+]
+
+
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -137,6 +161,28 @@ def test_unread_attributes_finds_an_attribute_nothing_reads():
     # An increment is no attribute load: hits, only ever incremented, is unread.
     assert unread_attributes(sources, bench) == [("a.py", "hits"), ("a.py", "label")]
     assert unread_attributes(sources, []) == [("a.py", "hits"), ("a.py", "label"), ("a.py", "traced")]
+
+
+def test_no_class_binds_another_class_function_under_a_second_name():
+    found = [binding for path in SOURCES for binding in class_bindings(parse(path))]
+    assert found == SHARED_BINDINGS
+
+
+def test_class_bindings_finds_an_alias():
+    tree = ast.parse(
+        "class Base:\n"
+        "    def power(self, k):\n"
+        "        return k\n"
+        "class Child(Base):\n"
+        "    __slots__ = ()\n"
+        "    power = Base.power\n"
+        "    power_alias = Base.power\n"
+        "    __radd__ = __add__ = power\n"
+    )
+    # A same-class alias or a constant is not another class's function.
+    assert list(class_bindings(tree)) == [
+        ("Child", "power", "Base.power"), ("Child", "power_alias", "Base.power"),
+    ]
 
 
 def test_sources_found():

@@ -19,8 +19,8 @@ def test_first_vars(alg):
     assert alg.var(0) == form.monomial((2, -1)) + form.monomial((0, -1))
     assert alg.var(3) == form.monomial((-1, 2)) + form.monomial((-1, 0))
     basis = alg.basis
-    assert alg.var(3) == basis.x_prime(0)
-    assert alg.var(0) == basis.x_prime(1)
+    assert alg.var(3) == basis.exchange_power(0, 1)
+    assert alg.var(0) == basis.exchange_power(1, 1)
 
 
 def test_relations(alg):

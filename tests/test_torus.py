@@ -16,7 +16,6 @@ from qca.torus import (
     divide,
     plus_part,
     quasi_commutes,
-    r_of,
     vanishes,
     vec_add,
     vec_dot,
@@ -48,9 +47,6 @@ def test_lattice_helpers():
     a = (3, -5)
     minus = plus_part(tuple(-x for x in a))
     assert tuple(p - q for p, q in zip(plus_part(a), minus)) == a
-    assert r_of((-1, 2, -3), 3) == 4
-    assert r_of((1, 1), 2) == 0
-    assert r_of((-3, -3), 2) == 6
 
 
 def test_skew_form_validation():
