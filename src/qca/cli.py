@@ -112,9 +112,7 @@ def _expansion_string(basis: EBasis, head, coeffs: dict) -> str:
     )
     parts = []
     for key in keys:
-        c = coeffs.get(key)
-        if c is None or c.is_zero():
-            continue
+        c = coeffs[key]
         name = "E(" + ",".join(str(x) for x in key) + ")"
         items = c.items()
         if len(items) == 1:
@@ -129,7 +127,7 @@ def _expansion_string(basis: EBasis, head, coeffs: dict) -> str:
             parts.append(body if sign == "+" else f"-{body}")
         else:
             parts.append(f" {sign} {body}")
-    return "".join(parts) if parts else "0"
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

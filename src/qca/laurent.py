@@ -176,18 +176,6 @@ class LaurentPoly:
                 else:
                     del acc[e]
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined in the Laurent ring")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         # A polynomial operand, the common case, is compared with no coercion call.
         if type(other) is not LaurentPoly:
@@ -230,9 +218,6 @@ class LaurentPoly:
         return _wrap({e * k: c for e, c in self._terms.items()})
 
     # -- predicates and views ------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_bar_invariant(self) -> bool:
         """Whether ``bar(self) == self``: the term map is a palindrome, its
@@ -332,12 +317,12 @@ class LaurentPoly:
         if coerced is NotImplemented:
             raise TypeError(f"cannot divide a LaurentPoly by {type(divisor).__name__}")
         divisor = coerced
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by zero Laurent polynomial")
         if divisor.is_unit():
             ((k, sign),) = divisor._terms.items()
             return self.shifted(-k, sign)
-        if self.is_zero():
+        if not self:
             return LaurentPoly.zero()
         # Shift both operands so they become ordinary polynomials; divisibility
         # in the Laurent ring only ever differs from the polynomial ring by a

@@ -30,7 +30,6 @@ __all__ = [
     "vec_sub",
     "vec_neg",
     "vec_scale",
-    "vec_dot",
     "vec_restrict",
     "basis_vector",
     "divide",
@@ -66,10 +65,6 @@ def vec_neg(a):
 
 def vec_scale(k: int, a):
     return tuple(k * x for x in a)
-
-
-def vec_dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def vec_restrict(a, keep):
@@ -304,7 +299,7 @@ class TorusElement:
     def scalar_mul(self, c) -> "TorusElement":
         """Multiply by a Laurent (or integer) scalar."""
         c = _scalar(c)
-        if c.is_zero():
+        if not c:
             return TorusElement(self.form, {})
         if c.is_unit():  # +-v^k: an exponent shift
             ((k, sign),) = c._terms.items()
@@ -420,9 +415,6 @@ class TorusElement:
 
     # -- structure views -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -445,10 +437,10 @@ class TorusElement:
         return bool(self.terms)
 
     def leading_term(self, order: "WeightOrder"):
-        """The ``(exponent, coefficient)`` pair maximizing the order key."""
+        """The ``(exponent, coefficient)`` pair that leads in the order."""
         if not self.terms:
             raise ValueError("zero element has no leading term")
-        e = max(self.terms, key=order.key)
+        e = min(self.terms, key=order.descending_key)
         return e, self.terms[e]
 
     # -- text and records ---------------------------------------------------------
@@ -501,19 +493,17 @@ class TorusElement:
 
 
 class WeightOrder:
-    """Total order on exponents: weight functional first, then lex."""
+    """Total order on exponents: weight functional first, then lex, stated
+    once, by :meth:`descending_key`."""
 
     __slots__ = ("weights",)
 
     def __init__(self, weights):
         self.weights = tuple(map(json_int, weights))
 
-    def key(self, e):
-        """The plain sort key, read by ``leading_term``; the tests' oracle of ``descending_key``."""
-        return (vec_dot(self.weights, e), e)
-
     def descending_key(self, e):
-        """A key whose ascending order is this order reversed (for a min-heap)."""
+        """A key whose ascending order is this order reversed: the leading
+        exponent has the least key (``leading_term``, the division's heap)."""
         return (-sum(map(mul, self.weights, e)), tuple(map(neg, e)))
 
     def __repr__(self):
@@ -526,7 +516,7 @@ def divide(p, q: TorusElement, order: WeightOrder, cap: int = 10**6) -> TorusEle
     ``p`` is a :class:`TorusElement` or a sequence of ``(x, y)`` element
     pairs meaning ``sum x * y``, which is never built: :func:`_packed_pairs`
     seeds the packed remainder with it.  An element is the one pair
-    ``(p, X^0)``, whose terms pack as they are.
+    ``(p, X^0)``, seeded the same way.
 
     Since bar is an anti-automorphism, the left quotient ``r`` with
     ``q * r == p`` is ``bar(divide(bar(p), bar(q), order))``.  Works by
@@ -552,10 +542,9 @@ def divide(p, q: TorusElement, order: WeightOrder, cap: int = 10**6) -> TorusEle
     attempt, and ``t`` is packed only after the bound check, and not at all
     for a monomial ``q``.
     """
-    if q.is_zero():
+    if not q:
         raise ZeroDivisionError("division by zero torus element")
-    single = isinstance(p, TorusElement)
-    pairs = ((p, q.form.one()),) if single else tuple(p)
+    pairs = ((p, q.form.one()),) if isinstance(p, TorusElement) else tuple(p)
     for x in chain.from_iterable(pairs):
         q._check(x)
     pairs = [pair for pair in pairs if all(pair)]  # a zero's partner may not fit the digits
@@ -573,10 +562,7 @@ def divide(p, q: TorusElement, order: WeightOrder, cap: int = 10**6) -> TorusEle
     step = lattice_step(chain(q.terms.values(), *(x.terms.values() for x in factors)))
     key = order.descending_key
     while True:  # one attempt per width and step
-        if single:
-            rem = {e: list(c.packed(width, step)) for e, c in p.terms.items()}
-        else:
-            rem, step = _packed_pairs(pairs, width, step, lvec)
+        rem, step = _packed_pairs(pairs, width, step, lvec)
         right = [(h, lh, *c.packed(width, step)) for h, lh, c in rest]
         heap = [(key(e), e) for e in rem]
         heapify(heap)

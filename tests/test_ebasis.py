@@ -32,7 +32,6 @@ from qca.torus import (
     vec_neg,
     vec_restrict,
     vec_scale,
-    vec_dot,
     vec_sub,
 )
 from qca.verify import (
@@ -45,6 +44,11 @@ from qca.verify import (
 )
 
 v = LaurentPoly.v_power
+
+
+def vec_dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b, strict=True))
+
 
 # A sink fed by two sources: compatible orders (1, 2, 3) and (2, 1, 3).
 FORK = principal_seed(((0, 0, -1), (0, 0, -1), (1, 1, 0)), (1, 1, 1))

@@ -3,7 +3,8 @@ class defined in ``qca`` is reached from ``qca`` itself, from the benchmark,
 or through the package's ``__all__``, never from the tests alone.  A test
 oracle lives in the test file that reads it.  Likewise every attribute that
 ``qca`` sets on ``self`` is read somewhere in ``qca`` or the benchmark, and
-every operation has one name: no class re-binds another class's function."""
+every operation has one name: no class re-binds another class's function,
+and no class with ``__bool__`` states its truth test again as a method."""
 
 import ast
 from collections import Counter
@@ -96,6 +97,40 @@ def class_bindings(tree):
                     yield node.name, getattr(target, "id", None), ast.unparse(value)
 
 
+def truth_aliases(tree):
+    """``(class, name)`` of each method, other than ``__bool__``, of a class
+    that defines ``__bool__``, whose whole body (after any docstring) is
+    ``return not self.<attr>`` or ``return bool(self.<attr>)``: a second name
+    for the truth test."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods = [stmt for stmt in node.body if isinstance(stmt, ast.FunctionDef)]
+        if not any(m.name == "__bool__" for m in methods):
+            continue
+        for m in methods:
+            body = m.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if m.name == "__bool__" or len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            value = body[0].value
+            if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.Not):
+                operand = value.operand
+            elif (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id == "bool"
+                and len(value.args) == 1
+                and not value.keywords
+            ):
+                operand = value.args[0]
+            else:
+                continue
+            if isinstance(operand, ast.Attribute) and ast.unparse(operand.value) == "self":
+                yield node.name, m.name
+
+
 # ``bench/tracer.py`` wraps ``element`` on each basis class alone, so each
 # class holds the builder's function itself, under its own name.
 SHARED_BINDINGS = [
@@ -183,6 +218,34 @@ def test_class_bindings_finds_an_alias():
     assert list(class_bindings(tree)) == [
         ("Child", "power", "Base.power"), ("Child", "power_alias", "Base.power"),
     ]
+
+
+def test_no_class_states_its_truth_test_twice():
+    found = [alias for path in SOURCES for alias in truth_aliases(parse(path))]
+    assert found == []
+
+
+def test_truth_aliases_finds_a_second_zero_test():
+    tree = ast.parse(
+        "class Poly:\n"
+        "    def __bool__(self):\n"
+        "        return bool(self.terms)\n"
+        "    def is_zero(self):\n"
+        "        return not self.terms\n"
+        "    def nonzero(self):\n"
+        '        """Docstring."""\n'
+        "        return bool(self.terms)\n"
+        "    def is_one(self):\n"
+        "        return self.terms == {0: 1}\n"
+        "    def empty(self, other):\n"
+        "        return not other.terms\n"
+        "class Plain:\n"
+        "    def is_zero(self):\n"
+        "        return not self.terms\n"
+    )
+    # A class with no __bool__, another test, or another object's attribute
+    # is no second name.
+    assert list(truth_aliases(tree)) == [("Poly", "is_zero"), ("Poly", "nonzero")]
 
 
 def test_sources_found():

@@ -189,6 +189,8 @@ def test_divide_exact():
         (v(1) + 1).divide_exact(v(1) + 2)
     with pytest.raises(ZeroDivisionError):
         v(1).divide_exact(LaurentPoly.zero())
+    # Zero over a divisor that is no unit is zero.
+    assert LaurentPoly.zero().divide_exact(v(1) + 2) == 0
 
 
 def test_divide_exact_by_an_unsupported_operand_is_a_type_error():
@@ -232,14 +234,6 @@ def test_parse_examples():
 @given(laurents)
 def test_parse_roundtrip(f):
     assert parse_laurent(str(f)) == f
-
-
-@given(laurents, st.integers(min_value=0, max_value=4))
-def test_pow_matches_repeated_multiplication(f, k):
-    expected = LaurentPoly.one()
-    for _ in range(k):
-        expected = expected * f
-    assert f**k == expected
 
 
 def pair_sum(f, g):

@@ -18,12 +18,16 @@ from qca.torus import (
     quasi_commutes,
     vanishes,
     vec_add,
-    vec_dot,
     vec_neg,
     vec_sub,
 )
 
 v = LaurentPoly.v_power
+
+
+def vec_dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b, strict=True))
+
 
 # The rank-2 affine context: twist matrix [[0,-1],[1,0]].
 FORM = SkewForm(((0, -1), (1, 0)))
@@ -177,11 +181,18 @@ def weights_and_exponents(draw):
 def test_descending_key_matches_the_dot_product_key(case):
     w, exponents = case
     order = WeightOrder(w)
+
+    def key(e):  # the order's plain statement: weight, then lex
+        return (vec_dot(w, e), e)
+
     for e in exponents:
         assert order.descending_key(e) == (-vec_dot(w, e), vec_neg(e))
     # Ascending keys walk the order from the top down.
     descending = sorted(exponents, key=order.descending_key)
-    assert descending == sorted(exponents, key=order.key, reverse=True)
+    assert descending == sorted(exponents, key=key, reverse=True)
+    flat = SkewForm([[0] * len(w)] * len(w))
+    x = flat.element({e: 1 for e in exponents})
+    assert x.leading_term(order)[0] == max(exponents, key=key)
 
 
 def left_divide(p, q, order, cap=10**6):
@@ -211,7 +222,7 @@ def test_divide_examples():
                 (rng.randint(-2, 2), rng.randint(-2, 2)): 1,
             }
         )
-        if qq.is_zero():
+        if not qq:
             continue
         assert divide(x * qq, qq, ORDER) == x
         r = left_divide(qq * x, qq, ORDER)
@@ -261,14 +272,14 @@ def naive_mul(x, y):
 def rebuild_divide(p, q, order, cap=10**6):
     """Right division that rescans the remainder for its leading term and
     rebuilds it from a full product at every step."""
-    if q.is_zero():
+    if not q:
         raise ZeroDivisionError("division by zero torus element")
     form = p.form
     gq, cq = q.leading_term(order)
     rem = p
     quot = {}
     steps = 0
-    while not rem.is_zero():
+    while rem:
         steps += 1
         if steps > cap:
             raise DivisionError(f"division exceeded {cap} steps")
@@ -447,6 +458,9 @@ def test_twist_kernel_matches_the_double_sum(case):
 def test_lvec_rejects_a_wrong_length():
     with pytest.raises(ValueError):
         FORM.lvec((1, 2, 3))
+    # The monomial constructor checks its own exponent and names both lengths.
+    with pytest.raises(ValueError, match=r"^exponent length 3 != m = 2$"):
+        FORM.monomial((1, 2, 3))
 
 
 def test_packed_product_cancels_to_zero():
@@ -474,7 +488,7 @@ def test_divide_matches_rebuild_oracle(monkeypatch):
             for shape_q in SHAPES[:5]:
                 x = random_element(rng, form, *shape_x, rng.choice(MAGNITUDES), spread=2)
                 q = random_element(rng, form, *shape_q, rng.choice(MAGNITUDES), spread=2)
-                if q.is_zero():
+                if not q:
                     continue
                 p = naive_mul(x, q)
                 widths.clear()
@@ -564,7 +578,7 @@ def test_strided_division_matches_rebuild_oracle(monkeypatch):
                         mag = rng.choice(MAGNITUDES)
                         x = strided_element(rng, form, *shape_x, mag, step, offsets, spread=2)
                         q = strided_element(rng, form, *shape_q, mag, step, offsets, spread=2)
-                        if q.is_zero():
+                        if not q:
                             continue
                         p = naive_mul(x, q)
                         steps.clear()
@@ -573,36 +587,54 @@ def test_strided_division_matches_rebuild_oracle(monkeypatch):
     assert kept  # some division ran at the drawn step throughout
 
 
-@pytest.mark.parametrize("lead", [LaurentPoly.one(), LaurentPoly({0: 1, 2: 1})])
-def test_strided_division_restarts_off_the_lattice(monkeypatch, lead):
-    # With q = c X^(0,0) + v X^(-1,0) + v X^(0,-1) on a flat form and
-    # x = t X^(0,-1) - t X^(-1,0) + s X^(-1,-1), the two pairs of x and the
-    # rest of q that meet at X^(-1,-1) cancel, so p = x q keeps every
-    # coefficient on one lattice of step 2 (p at X^(-1,-1) is s c).  The
-    # first elimination still sends v t (odd exponents) to X^(-1,-1), whose
-    # remainder entry has even ones: the division starts over at step 1.
-    steps = packing_steps(monkeypatch)
+LEADS = [LaurentPoly.one(), LaurentPoly({0: 1, 2: 1})]
+
+
+def off_lattice_case(lead):
+    """``(x, q, order)`` whose division restarts at a smaller step.
+
+    With q = c X^(0,0) + v X^(-1,0) + v X^(0,-1) on a flat form, c = ``lead``,
+    and x = t X^(0,-1) - t X^(-1,0) + s X^(-1,-1), the two pairs of x and the
+    rest of q that meet at X^(-1,-1) cancel, so p = x q keeps every
+    coefficient on one lattice of step 2 (p at X^(-1,-1) is s c).  The
+    first elimination still sends v t (odd exponents) to X^(-1,-1), whose
+    remainder entry has even ones: the division starts over at step 1.
+    """
     flat = SkewForm(((0, 0), (0, 0)))
-    order = WeightOrder((1, 1))
     t, s = LaurentPoly({0: 1, 2: 3}), LaurentPoly({0: 2, 2: -1, 4: 5})
     q = flat.element({(0, 0): lead, (-1, 0): v(1), (0, -1): v(1)})
     x = flat.element({(0, -1): t, (-1, 0): -t, (-1, -1): s})
+    return x, q, WeightOrder((1, 1))
+
+
+@pytest.mark.parametrize("lead", LEADS)
+def test_strided_division_restarts_off_the_lattice(monkeypatch, lead):
+    steps = packing_steps(monkeypatch)
+    x, q, order = off_lattice_case(lead)
     p = naive_mul(x, q)
-    assert p.terms[(-1, -1)] == s * lead
+    assert p.terms[(-1, -1)] == x.terms[(-1, -1)] * lead
     assert divide(p, q, order) == x == rebuild_divide(p, q, order)
     assert steps[0] == 2 and steps[-1] == 1
 
 
-def test_divide_bounds_sum_over_eliminations():
-    # With y = X^(0,-1), every coefficient of q and of p = x q fits in one
-    # byte, so the remainder starts one byte wide, and eliminations push one
-    # remainder coefficient past a byte.  The running bound adds every
-    # elimination's largest contribution, so it reaches a byte's capacity no
-    # later than that coefficient: the division starts over at two bytes and
-    # decodes it exactly.
+def widening_case():
+    """``(x, q)`` whose division restarts at a wider digit.
+
+    With y = X^(0,-1), every coefficient of q and of p = x q fits in one
+    byte, so the remainder starts one byte wide, and eliminations push one
+    remainder coefficient past a byte.  The running bound adds every
+    elimination's largest contribution, so it reaches a byte's capacity no
+    later than that coefficient: the division starts over at two bytes.
+    """
     flat = SkewForm(((0, 0), (0, 0)))
     q = flat.element({(0, -k): c for k, c in enumerate((1, -1, -64, -2, 2))})
     x = flat.element({(0, -k): c for k, c in enumerate((1, -1, 1, -2, 0, 0, 0, 1)) if c})
+    return x, q
+
+
+def test_divide_bounds_sum_over_eliminations():
+    # The restart at two bytes decodes the wide coefficient exactly.
+    x, q = widening_case()
     p = naive_mul(x, q)
     assert max(coeff.l1() for coeff in p.terms.values()) < 128
     assert divide(p, q, ORDER, cap=50) == x
@@ -629,9 +661,11 @@ def test_divide_eliminates_through_the_packed_kernel(monkeypatch):
     x = mono((2, 1), LaurentPoly({0: 1, 2: -1})) + mono((1, 1)) + mono((0, 0), v(-2))
     p = naive_mul(x, q)
     assert divide(p, q, ORDER) == x == rebuild_divide(p, q, ORDER)
-    # One call per elimination, with the one quotient term on the left.
-    assert [len(left) for left, *_ in calls] == [1] * len(x.terms)
-    assert {left[0][0] for left, *_ in calls} == set(x.terms)
+    # One seeding call with the terms of p on the left, then one call per
+    # elimination, with the one quotient term on the left.
+    assert [len(left) for left, *_ in calls] == [len(p.terms)] + [1] * len(x.terms)
+    assert {e for e, *_ in calls[0][0]} == set(p.terms)
+    assert {left[0][0] for left, *_ in calls[1:]} == set(x.terms)
 
 
 def test_divide_by_a_monomial_packs_no_quotient(monkeypatch):
@@ -640,16 +674,21 @@ def test_divide_by_a_monomial_packs_no_quotient(monkeypatch):
     calls = kernel_calls(monkeypatch)
     p = mono((1, 0), LaurentPoly({0: 1, 200: -2, 400: 1}))
     q = mono((0, 0), LaurentPoly({0: 1, 1: -2, 2: 1}))
-    want = mono((1, 0), LaurentPoly({k: 1 for k in range(200)}) ** 2)
+    ones = LaurentPoly({k: 1 for k in range(200)})
+    want = mono((1, 0), ones * ones)
     assert max(want.terms[(1, 0)]._terms.values()) == 200
     assert divide(p, q, ORDER) == want == rebuild_divide(p, q, ORDER)
     assert q * left_divide(p, q, ORDER) == p
-    assert not calls
+    # Each division's one call seeds its numerator at one byte; no
+    # elimination call packs the quotient.
+    assert [(len(left), left[0][0], width, step) for left, width, step in calls] == [
+        (1, (1, 0), 1, 1)
+    ] * 2
 
 
 def test_divide_cap_counts_the_final_attempt(monkeypatch):
-    # The division of test_divide_bounds_sum_over_eliminations starts over
-    # at a wider digit; its cap still counts the oracle's eliminations.
+    # The division of widening_case starts over at a wider digit; its cap
+    # still counts the oracle's eliminations.
     calls = kernel_calls(monkeypatch)
     widths = []
     packed = LaurentPoly.packed
@@ -659,16 +698,46 @@ def test_divide_cap_counts_the_final_attempt(monkeypatch):
         return packed(self, width, step)
 
     monkeypatch.setattr(LaurentPoly, "packed", spy)
-    flat = SkewForm(((0, 0), (0, 0)))
-    q = flat.element({(0, -k): c for k, c in enumerate((1, -1, -64, -2, 2))})
-    x = flat.element({(0, -k): c for k, c in enumerate((1, -1, 1, -2, 0, 0, 0, 1)) if c})
+    x, q = widening_case()
     p = naive_mul(x, q)
     cap = len(x.terms)  # one oracle step per quotient term
     assert divide(p, q, ORDER, cap) == x == rebuild_divide(p, q, ORDER, cap)
-    assert widths[0] == 1 and {width for _, width, _ in calls} == {2}
+    # The seeding at one byte, then the seeding and every elimination at two.
+    assert widths[0] == 1
+    assert [width for _, width, _ in calls] == [1] + [2] * (1 + len(x.terms))
     for divider in (divide, rebuild_divide):
         with pytest.raises(DivisionError, match=rf"^division exceeded {cap - 1} steps$"):
             divider(p, q, ORDER, cap - 1)
+
+
+def test_an_element_numerator_seeds_as_the_one_pair(monkeypatch):
+    # An element p divides exactly as the one pair (p, X^0): the same kernel
+    # calls from the seeding on, through a restart at a wider digit and at a
+    # smaller step, and the same quotient.
+    calls = kernel_calls(monkeypatch)
+    rng = random.Random(37)
+    cases = [(*widening_case(), ORDER)] + [off_lattice_case(lead) for lead in LEADS]
+    for _ in range(30):
+        form, order = rng.choice(((FORM, ORDER), (FORM3, ORDER3)))
+        x = random_element(rng, form, *rng.choice(SHAPES[:5]), rng.choice(MAGNITUDES))
+        q = random_element(rng, form, *rng.choice(SHAPES[:4]), rng.choice(MAGNITUDES))
+        if q:
+            cases.append((x, q, order))
+    for i, (x, q, order) in enumerate(cases):
+        p = naive_mul(x, q)
+        runs = []
+        for numerator in (p, ((p, q.form.one()),)):
+            calls.clear()
+            runs.append((divide(numerator, q, order), list(calls)))
+        assert runs[0] == runs[1] and runs[0][0] == x
+        widths = [width for _, width, _ in calls]
+        steps = [step for *_, step in calls]
+        if p:
+            assert [e for e, *_ in calls[0][0]] == list(p.terms)  # the seeding
+        if i == 0:
+            assert widths[0] == 1 and widths[-1] == 2
+        elif i <= len(LEADS):
+            assert steps[0] == 2 and steps[-1] == 1
 
 
 def test_divide_failures_match_rebuild_oracle():
@@ -682,7 +751,7 @@ def test_divide_failures_match_rebuild_oracle():
         q = random_element(
             rng, form, rng.randint(1, 3), rng.randint(1, 3), rng.choice([1, 3, 10**30])
         )
-        if q.is_zero():
+        if not q:
             continue
         if rng.choice(("right", "left")) == "left":
             # q r == p is the right division bar(r) bar(q) == bar(p).
@@ -735,7 +804,7 @@ def test_pair_numerators_match_built_numerators():
             for mag in MAGNITUDES:
                 x = random_element(rng, form, *shape_x, mag, spread=2)
                 q = random_element(rng, form, *rng.choice(SHAPES[:5]), mag, spread=2)
-                if q.is_zero():
+                if not q:
                     continue
                 pairs = factor_pairs(rng, x, q)
                 p = built(pairs)
@@ -802,7 +871,7 @@ def test_inexact_pair_numerators_fail_like_built_ones():
             for _ in range(rng.randint(1, 3))
         ]
         q = random_element(rng, form, rng.randint(1, 3), rng.randint(1, 3), rng.choice([1, 3]))
-        if q.is_zero():
+        if not q:
             continue
         cap = rng.randint(1, 12)
         try:
@@ -939,6 +1008,9 @@ def test_unsupported_operands_are_type_errors():
     # Integers and Laurent scalars still act.
     assert x + 1 == 1 + x == 2 and x - 1 == 0
     assert x * v(1) == v(1) * x == FORM.monomial((0, 0), v(1))
+    # Another type compares unequal: the element defers, and so does str.
+    assert x.__eq__("x") is NotImplemented
+    assert (x == "x") is False and x != "x"
 
 
 def test_int_minus_element():
