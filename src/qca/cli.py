@@ -328,7 +328,7 @@ def _compare_bases_parallel(seed: QuantumSeed, labels, jobs: int) -> Report:
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = [labels[i::jobs] for i in range(jobs)]
-    # The seed is a frozen dataclass and pickles as it is, its form included.
+    # A seed pickles with its __dict__, so each worker gets its built form.
     payloads = [(seed, chunk) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         rep, *rest = pool.map(_compare_chunk, payloads)

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = ["Report"]
 
 
-@dataclass
 class Report:
-    name: str
-    checks: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, name: str, checks: int = 0, failures: list | None = None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        same_class = other.__class__ is self.__class__
+        return vars(self) == vars(other) if same_class else NotImplemented
 
     def record(self, ok: bool, detail: str = ""):
         self.checks += 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 
@@ -50,16 +49,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuantumSeed:
-    m: int
-    n: int
-    btilde: tuple  # m rows of n entries
-    lam: tuple  # m rows of m entries, skew-symmetric
-    d: tuple  # n positive symmetrizers
-    order: tuple  # permutation of range(n)
+_FIELDS = ("m", "n", "btilde", "lam", "d", "order")
 
-    def __post_init__(self):
+
+class QuantumSeed:
+    """The six fields are fixed at construction: ``==``, ``hash`` and
+    ``repr`` read them, and setting or deleting an attribute raises
+    AttributeError.  Caches sit in ``__dict__`` beside them, so a pickled
+    seed carries them and :meth:`replace` does not."""
+
+    def __init__(self, m: int, n: int, btilde: tuple, lam: tuple, d: tuple, order: tuple):
+        # btilde: m rows of n entries; lam: m rows of m entries, skew-symmetric;
+        # d: n positive symmetrizers; order: a permutation of range(n).
+        self.__dict__.update(zip(_FIELDS, (m, n, btilde, lam, d, order)))
         if not (1 <= self.n <= self.m):
             raise ValueError("need 1 <= n <= m")
         if len(self.btilde) != self.m or any(len(r) != self.n for r in self.btilde):
@@ -70,6 +72,32 @@ class QuantumSeed:
             raise ValueError("need n positive symmetrizers")
         if sorted(self.order) != list(range(self.n)):
             raise ValueError("order must be a permutation of the exchange indices")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.m, self.n, self.btilde, self.lam, self.d, self.order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(_FIELDS, self._fields()))
+        return f"QuantumSeed({body})"
+
+    def replace(self, **changes) -> QuantumSeed:
+        """A new seed with ``changes`` to its fields, checked as the
+        constructor checks; no cached form or validity carries over."""
+        return QuantumSeed(**dict(zip(_FIELDS, self._fields()), **changes))
 
     def column(self, k: int):
         """The k-th exchange column as a vector in Z^m."""
@@ -94,16 +122,17 @@ def _one_based(pairs):
     return [(i + 1, j + 1) for i, j in pairs]
 
 
-@dataclass
 class SeedReport:
     """The three validity lists, 0-based; the rest describes the seed and is
     computed only when the report is rendered (``qca seed check``)."""
 
-    seed: QuantumSeed
-    skew_violations: list
-    compat_violations: list
-    order_violations: list
     listed_orders = 24  # at most, in a rendered report: every order at rank 4
+
+    def __init__(self, seed: QuantumSeed, skew_violations, compat_violations, order_violations):
+        self.seed = seed
+        self.skew_violations = skew_violations
+        self.compat_violations = compat_violations
+        self.order_violations = order_violations
 
     @cached_property
     def acyclic(self) -> bool:
@@ -367,7 +396,7 @@ def mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     if incoming != outgoing:
         rest = tuple(j for j in order if j != k)
         order = (k, *rest) if incoming else (*rest, k)
-    return replace(seed, btilde=tuple(new_b), lam=new_lam, order=order)
+    return seed.replace(btilde=tuple(new_b), lam=new_lam, order=order)
 
 
 def principal_seed(exchange_rows, d) -> QuantumSeed:

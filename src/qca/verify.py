@@ -14,8 +14,6 @@ elements.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .ebasis import EBasis, MutatedBasis
 from .laurent import LaurentPoly, gaussian_binomial
 from .lusztig import TriangularTable
@@ -205,7 +203,7 @@ def _embedding_bases(seed: QuantumSeed):
     """The bullet exponents and the mutated bases of the principal and the
     doubled seed, each holding its unmutated basis as ``base``.  Both carry
     the order of ``seed``, so both mutate at the same index."""
-    pbasis = EBasis(replace(principal_seed(seed.exchange_matrix(), seed.d), order=seed.order))
+    pbasis = EBasis(principal_seed(seed.exchange_matrix(), seed.d).replace(order=seed.order))
     dbasis = EBasis(double_seed(seed))
     return bullet_exponents(seed), MutatedBasis(pbasis), MutatedBasis(dbasis)
 
@@ -359,7 +357,7 @@ def check_order_transposition(seed: QuantumSeed, rng, count: int) -> Report:
     with one compatible order gets no checks, so its report fails."""
     rep = Report(name="order transposition invariance")
     own = EBasis(seed)
-    others = [EBasis(replace(seed, order=o)) for o in compatible_orders(seed) if o != seed.order]
+    others = [EBasis(seed.replace(order=o)) for o in compatible_orders(seed) if o != seed.order]
     for _ in range(count):
         a = _random_label(rng, seed.m)
         for other in others:

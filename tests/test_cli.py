@@ -3,7 +3,6 @@
 import argparse
 import json
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -847,7 +846,7 @@ GOLDEN_SEEDS = {
     "a11": seed_to_dict(a11_seed()),
     # Valid, but its exchange graph is the directed 3-cycle: no order fits.
     "cyclic": seed_to_dict(principal_seed(((0, 1, -1), (-1, 0, 1), (1, -1, 0)), (1, 1, 1))),
-    "fork-order-3-2-1": seed_to_dict(replace(FORK, order=(2, 1, 0))),
+    "fork-order-3-2-1": seed_to_dict(FORK.replace(order=(2, 1, 0))),
     "non-skew": dict(m=2, n=2, B=[[0, -2], [2, 0]], Lambda=[[0, -1], [2, 0]], d=[2, 2]),
     # The (1, 1) principal exchange matrix under a form that is skew but
     # compatible nowhere on the diagonal.

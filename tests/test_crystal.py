@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,7 +409,7 @@ def test_principal_identities_random_and_degenerate():
 
 def test_principal_identities_reject_other_orders():
     # In the order (2, 1) the identities as stated fail 3 of their 4 checks.
-    s = replace(principal_seed(((0, 1), (-1, 0)), (1, 1)), order=(1, 0))
+    s = principal_seed(((0, 1), (-1, 0)), (1, 1)).replace(order=(1, 0))
     with pytest.raises(ValueError, match="natural order"):
         check_principal_identities(s)
 
@@ -579,10 +578,10 @@ def test_bullet_embedding_frozen_twisted_and_doubled(name):
 # (2, 1), the rank-3 principal seed with entries +-1 in its only compatible
 # order (2, 1, 3), and a mutated seed as ``qca seed mutate`` writes it.
 UNNATURAL_ORDER_SEEDS = {
-    "a2-order-21": replace(principal_seed(((0, 1), (-1, 0)), (1, 1)), order=(1, 0)),
-    "pm1-rank3-order-213": replace(
-        principal_seed(((0, 1, -1), (-1, 0, -1), (1, 1, 0)), (1, 1, 1)), order=(1, 0, 2)
-    ),
+    "a2-order-21": principal_seed(((0, 1), (-1, 0)), (1, 1)).replace(order=(1, 0)),
+    "pm1-rank3-order-213": principal_seed(
+        ((0, 1, -1), (-1, 0, -1), (1, 1, 0)), (1, 1, 1)
+    ).replace(order=(1, 0, 2)),
     "mutated-principal-3-2": mutate(rank2_principal_seed(3, 2), 1),
 }
 

@@ -3,7 +3,6 @@
 import itertools
 import random
 import re
-from dataclasses import replace
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -109,7 +108,7 @@ def test_x_prime_rank2_principal():
 def test_order_incompatible_seed_rejected():
     s = a11_seed()
     with pytest.raises(ValueError):
-        EBasis(replace(s, order=(1, 0)))
+        EBasis(s.replace(order=(1, 0)))
 
 
 def test_label_of_wrong_length_is_a_value_error(affine):
@@ -575,8 +574,8 @@ def test_compare_bases_frozen_twisted():
 # Mutated principal seeds have negative frozen entries.  Each is taken in the
 # order mutate gives it, and MutatedBasis mutates it once more at the end of
 # that order; the second entry is the compare-bases window.
-PM1_RANK3 = replace(
-    principal_seed(((0, 1, -1), (-1, 0, -1), (1, 1, 0)), (1, 1, 1)), order=(1, 0, 2)
+PM1_RANK3 = principal_seed(((0, 1, -1), (-1, 0, -1), (1, 1, 0)), (1, 1, 1)).replace(
+    order=(1, 0, 2)
 )
 FROZEN_SIGN_SEEDS = {
     "principal-3-2-mu1": (mutate(rank2_principal_seed(3, 2), 0), 2),
@@ -753,7 +752,7 @@ def test_mutated_elements_match_scratch_in_every_compatible_order(name):
     assert orders
     rng = random.Random(len(name))
     for order in orders:
-        mut = MutatedBasis(EBasis(replace(seed, order=order)))
+        mut = MutatedBasis(EBasis(seed.replace(order=order)))
         k = mut.k_mut
         assert k == order[-1]
         for j in range(seed.n):

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from qca.crystal import rank2_principal_seed
+from qca.seed import save_seed
+
 SRC = Path(__file__).parent.parent / "src"
 SOURCES = sorted((SRC / "qca").glob("*.py"))
 ALLOWED = {"qca"} | set(sys.stdlib_module_names)
@@ -24,6 +27,11 @@ DEFERRED = {
     ("cli.py", "_compare_bases_parallel", "concurrent.futures"),
 }
 POOL_PACKAGES = ("concurrent", "multiprocessing")
+# Modules no qca process loads.  dataclasses pulls in inspect, ast, dis,
+# tokenize, linecache and copy, and each decorated class execs generated
+# code: with no bytecode cache, importing qca.cli took 44 ms with it and
+# 37 ms without it (medians of 15 fresh processes).
+NOT_LOADED = ("dataclasses", "inspect")
 
 
 def imported_modules(tree):
@@ -86,8 +94,23 @@ def test_function_imports_finds_nested_and_method_imports():
     assert list(function_imports(tree)) == [("C.m", "."), ("f.g", "json"), ("f.g", "math")]
 
 
+def run_fresh(script, *args):
+    """The last stdout line of ``script`` as JSON, run in a fresh interpreter
+    so that nothing this test session imported counts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def test_cli_with_one_job_loads_no_process_pool(tmp_path):
-    # A fresh interpreter, so that nothing this test session imported counts.
     script = f"""
 import json, sys
 pool = lambda: sorted(m for m in sys.modules if m.split(".")[0] in {POOL_PACKAGES!r})
@@ -102,20 +125,26 @@ print(json.dumps([codes, after_import, pool()]))
 """
     bfile = tmp_path / "b.json"
     bfile.write_text("[[0,-1],[1,0]]")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(bfile), str(tmp_path / "p.json")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "(9 checks)" in proc.stdout
-    codes, after_import, after_run = json.loads(proc.stdout.strip().splitlines()[-1])
+    out, (codes, after_import, after_run) = run_fresh(script, bfile, tmp_path / "p.json")
+    assert "(9 checks)" in out
     assert codes == [0, 0]
     assert after_import == [] and after_run == []
+
+
+def test_basis_c_loads_no_dataclasses(tmp_path):
+    script = f"""
+import json, sys
+before = set(sys.modules)
+from qca.cli import main
+code = main(["basis", "c", sys.argv[1], "--a=-2,-1,0,0", "--cache", sys.argv[2]])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+    seed = tmp_path / "p.json"
+    save_seed(rank2_principal_seed(3, 2), seed)
+    out, (code, loaded) = run_fresh(script, seed, tmp_path / "cache")
+    assert code == 0 and out.startswith("C = E(-2,-1,0,0) +")
+    assert "qca.cli" in loaded
+    assert [name for name in NOT_LOADED if name in loaded] == []
 
 
 def test_sources_found():

@@ -1,9 +1,9 @@
 """Seed validation, mutation, acyclicity, principal and double builds."""
 
 import json
+import pickle
 import random
 import time
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -151,7 +151,7 @@ def test_mutation_at_either_end_of_a_compatible_order():
         for _ in range(4):
             base = random_principal_seed(rng, n)
             for order in compatible_orders(base):
-                s = replace(base, order=order)
+                s = base.replace(order=order)
                 for k in {order[0], order[-1]}:
                     mutated = mutate(s, k)
                     assert validate(mutated).order_compatible, (s, k)
@@ -184,7 +184,7 @@ def test_sink_or_source_mutation_keeps_every_compatible_order_compatible():
             base = random_principal_seed(rng, n)
             kinds = [sink_or_source(base, k, extended=False) for k in range(n)]
             for order in compatible_orders(base):
-                s = replace(base, order=order)
+                s = base.replace(order=order)
                 for k in range(n):
                     if kinds[k] != "neither":
                         mutations += 1
@@ -229,7 +229,7 @@ def test_exchange_index_range_checked(k):
 )
 def test_quantum_seed_shape_errors(change, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        replace(a11_seed(), **change)
+        a11_seed().replace(**change)
 
 
 def test_acyclicity_cases():
@@ -319,8 +319,44 @@ def test_form_built_once_per_seed():
     # see only the seed data.
     t = a11_seed()
     assert t == s and hash(t) == hash(s) and t.form() is not s.form()
-    assert replace(s).form() is not s.form() and replace(s) == s
+    assert s.replace().form() is not s.form() and s.replace() == s
     assert set(seed_to_dict(s)) == {"m", "n", "B", "Lambda", "d", "order"}
+
+
+def test_seed_fields_are_fixed_values():
+    s = a11_seed()
+    for name in ("m", "order", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s == a11_seed() and hash(s) == hash(a11_seed())
+    assert s != s.replace(order=(1, 0)) and s != seed_to_dict(s)
+    assert repr(s) == (
+        "QuantumSeed(m=2, n=2, btilde=((0, -2), (2, 0)), lam=((0, -1), (1, 0)), "
+        "d=(2, 2), order=(0, 1))"
+    )
+
+
+def test_replace_checks_as_the_constructor_does():
+    s = a11_seed()
+    fields = dict(m=s.m, n=s.n, btilde=s.btilde, lam=s.lam, d=s.d, order=(1, 1))
+    with pytest.raises(ValueError) as built:
+        QuantumSeed(**fields)
+    with pytest.raises(ValueError) as replaced:
+        s.replace(order=(1, 1))
+    assert str(replaced.value) == str(built.value)
+    with pytest.raises(TypeError):
+        s.replace(rank=2)
+
+
+def test_seed_pickles_with_its_built_form():
+    # A --jobs worker receives the seed pickled, and should not rebuild the form.
+    s = a11_seed()
+    assert pickle.loads(pickle.dumps(s)) == s
+    s.form()
+    t = pickle.loads(pickle.dumps(s))
+    assert t == s and "_form" in t.__dict__ and t.form().rows == s.form().rows
 
 
 def test_seed_json_roundtrip(tmp_path):
@@ -353,19 +389,19 @@ def test_read_seed_reads_without_validating(tmp_path):
 def test_seed_is_validated_once_per_object(monkeypatch):
     calls = []
     monkeypatch.setattr(seed_module, "validate", lambda s: calls.append(s) or validate(s))
-    s = replace(a11_seed())
+    s = a11_seed().replace()
     first = require_valid(s)
     second = require_valid(s)
     EBasis(s)
     assert calls == [s]
     assert second.to_dict() == first.to_dict() and second.skew_violations is not first.skew_violations
     # The kept lists are not fields: equality, hashing and copies ignore them.
-    copy = replace(s)
+    copy = s.replace()
     assert copy == s and hash(copy) == hash(s)
     require_valid(copy)
     assert len(calls) == 2
     # An invalid seed raises on every call, from one validation.
-    bad = replace(s, lam=((0, 1), (1, 0)))
+    bad = s.replace(lam=((0, 1), (1, 0)))
     for _ in range(2):
         with pytest.raises(ValueError, match="skew-symmetry violated at"):
             require_valid(bad)
@@ -484,8 +520,7 @@ def test_validate_matches_the_per_pair_oracle(rng, n, perturbation):
         lam[i][j] += t
     elif perturbation == "Btilde entry":
         b[i][j % n] += t
-    seed = replace(
-        s,
+    seed = s.replace(
         btilde=tuple(map(tuple, b)),
         lam=tuple(map(tuple, lam)),
         order=tuple(rng.sample(range(n), n)),
