@@ -71,10 +71,11 @@ def _parse_pair(text: str):
 
 
 # The least value of each size flag: a radius or cap may be 0, while a
-# smaller count or rank-2 parameter would leave a verify suite vacuous.
+# smaller count, rank-2 parameter or identity bound would leave a verify
+# suite vacuous (at --bound 0 no straightening identity applies).
 _FLAG_MINIMUM = {
-    **dict.fromkeys(("rmax", "box", "window", "bound", "expansion_cap"), 0),
-    **dict.fromkeys(("seeds", "samples", "count", "nmax", "jobs", "b", "c"), 1),
+    **dict.fromkeys(("rmax", "box", "window", "expansion_cap"), 0),
+    **dict.fromkeys(("bound", "seeds", "samples", "count", "nmax", "jobs", "b", "c"), 1),
 }
 
 

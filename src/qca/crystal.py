@@ -45,6 +45,9 @@ class Rank2Crystal:
         self.mutated = MutatedBasis(self.basis)
         self.form = self.basis.form
         self._monomials: dict = {}
+        # Each exponent value to the one tuple that keys it in every cached
+        # monomial.
+        self._exponents: dict = {}
         # X'1^m'1 X^(m1,0,0,0) by (m'1, m1), and X'2^m'2 X''1^m''1 by
         # (m'2, m''1).
         self._heads: dict = {}
@@ -54,7 +57,7 @@ class Rank2Crystal:
 
     @staticmethod
     def in_index_set(mm) -> bool:
-        return len(mm) == 7 and all(x >= 0 for x in mm[2:])
+        return len(mm) == 7 and min(mm[2:]) >= 0
 
     @staticmethod
     def in_interior(mm) -> bool:
@@ -89,6 +92,17 @@ class Rank2Crystal:
             (-m1pp, 0, m1pp, self.c * m1pp),
         ]
 
+    def _keyed(self, out: TorusElement) -> TorusElement:
+        """``out`` keyed by the exponent table's tuples.  Where no exponent of
+        ``out`` is in the table yet, its own tuples join the table."""
+        table = self._exponents
+        terms = out.terms
+        if table.keys().isdisjoint(terms):
+            table.update(zip(terms, terms))
+            return out
+        shared = map(table.setdefault, terms, terms)
+        return TorusElement(self.form, dict(zip(shared, terms.values())))
+
     def normalization_exponent(self, mm) -> int:
         """Normalizes the leading term up to the interior twist correction."""
         m3, m4, m1p, _, _, _, m1pp = mm
@@ -107,6 +121,8 @@ class Rank2Crystal:
         ``e -> L(e, f)``; the twist of ``X^f`` is constant, the normalization
         cancels it, and frozen part ``f`` is frozen part ``(0, 0)`` with every
         exponent translated by ``f``, sharing its :class:`LaurentPoly` objects.
+        Every cached monomial keys its terms by the exponent table's tuples,
+        one per exponent value.
         """
         mm = tuple(mm)
         out = self._monomials.get(mm)
@@ -121,16 +137,18 @@ class Rank2Crystal:
             core = (0, 0, m1p, 0, m1, m2p, m1pp)
             out = self._monomials.get(core)
             if out is None:
-                out = self._ordered_product(core, self.normalization_exponent(core))
+                out = self._keyed(self._ordered_product(core, self.normalization_exponent(core)))
                 self._monomials[core] = out
             if m2:
                 u = (0, m2, 0, 0)
                 lead = tuple(map(sum, zip(*self._leading_vectors(core))))
                 out = out._shift_by_unit(u, LaurentPoly.v_power(-self.form.skew(u, lead)), -1)
+                out = self._keyed(out)
                 self._monomials[base] = out
         if m3 or m4:
-            terms = {(e1, e2, e3 + m3, e4 + m4): x for (e1, e2, e3, e4), x in out.terms.items()}
-            out = TorusElement(self.form, terms)
+            keys = [(e1, e2, e3 + m3, e4 + m4) for e1, e2, e3, e4 in out.terms]
+            shared = map(self._exponents.setdefault, keys, keys)
+            out = TorusElement(self.form, dict(zip(shared, out.terms.values())))
             self._monomials[mm] = out
         return out
 

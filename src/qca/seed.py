@@ -10,7 +10,6 @@ use 1-based ones, converted where they are written.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from functools import cached_property
 from itertools import islice
@@ -561,5 +560,7 @@ def save_seed(seed: QuantumSeed, path):
 
 def seed_hash(seed: QuantumSeed) -> str:
     """Content hash used to key the on-disk result cache."""
+    import hashlib
+
     blob = json.dumps(seed_to_dict(seed), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

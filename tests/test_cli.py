@@ -609,6 +609,7 @@ def test_error_exit_code(tmp_path, capsys):
         ("--seeds", "-2"),
         ("--rmax", "-1"),
         ("--bound", "-1"),
+        ("--bound", "0"),
     ],
 )
 def test_verify_identities_bad_flag_is_named(flag, value, capsys):
@@ -727,7 +728,7 @@ LEAST_VERIFY_RUNS = {
         ],
     ),
     "identities": (
-        "--seeds 1 --nmax 2 --rmax 0 --bound 0 --pairs 1,1",
+        "--seeds 1 --nmax 2 --rmax 0 --bound 1 --pairs 1,1",
         [
             "gaussian binomial products r <= 0",
             "exchange relations on 1 random principal seeds",

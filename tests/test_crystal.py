@@ -209,6 +209,14 @@ def test_frozen_shift_shares_coefficients(b, c):
         assert all(x is y for x, y in zip(shifted.values(), base.values())), mm
 
 
+@pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (2, 2), (1, 3)])
+def test_monomials_share_exponent_tuples(b, c):
+    cr = Rank2Crystal(b, c)
+    assert cr.verify_identities(bound=2, frozen_range=(0, 1)).ok
+    keys = [e for m in cr._monomials.values() for e in m.terms]
+    assert len({id(e) for e in keys}) == len(set(keys))
+
+
 def test_block_relations_all_pairs(monkeypatch):
     for b, c in [(1, 1), (2, 1), (2, 2), (1, 3)]:
         cr = Rank2Crystal(b, c)

@@ -25,6 +25,9 @@ DEFERRED = {
     # subprocess: 20-30 ms and about 2.3 MB of start-up in every qca process,
     # though only --jobs > 1 starts it.
     ("cli.py", "_compare_bases_parallel", "concurrent.futures"),
+    # hashlib (loading _hashlib) takes 3.1-4.4 ms by python -X importtime,
+    # and only the basis c row cache hashes a seed.
+    ("seed.py", "seed_hash", "hashlib"),
 }
 POOL_PACKAGES = ("concurrent", "multiprocessing")
 # Modules no qca process loads.  dataclasses pulls in inspect, ast, dis,
@@ -145,6 +148,24 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
     assert code == 0 and out.startswith("C = E(-2,-1,0,0) +")
     assert "qca.cli" in loaded
     assert [name for name in NOT_LOADED if name in loaded] == []
+
+
+def test_only_the_row_cache_loads_hashlib(tmp_path):
+    script = """
+import json, sys
+from qca.cli import main
+seed, cache = sys.argv[1:]
+codes = [main(["verify", "compare-bases", "--seed", seed, "--window", "1"])]
+loaded = ["hashlib" in sys.modules]
+codes.append(main(["basis", "c", seed, "--a=-2,-1,0,0", "--cache", cache]))
+loaded.append("hashlib" in sys.modules)
+print(json.dumps([codes, loaded]))
+"""
+    seed = tmp_path / "p.json"
+    save_seed(rank2_principal_seed(3, 2), seed)
+    _, (codes, loaded) = run_fresh(script, seed, tmp_path / "cache")
+    assert codes == [0, 0]
+    assert loaded == [False, True]
 
 
 def test_sources_found():
