@@ -118,6 +118,39 @@ def _packed_sums(left, right, acc, width: int, step: int):
     return new
 
 
+def _dict_product(acc, x, y, k: int = 0, a: int = 1) -> bool:
+    """Add ``a v^k x * y`` into ``acc``, a ``{v-exponent: int}`` map per
+    exponent, and return True: the one dict-loop twisted product of the
+    module, the product's and :func:`vanishes`'s.  For a product that runs
+    packed (``_PACK_MIN_PAIRS``), add nothing and return False."""
+    pairs = len(x.terms) * len(y.terms)
+    if pairs >= _PACK_MIN_PAIRS:
+        laurent_pairs = sum(len(c._terms) for c in x.terms.values()) * sum(
+            len(c._terms) for c in y.terms.values()
+        )
+        if laurent_pairs >= _PACK_MIN_PAIRS * pairs:
+            return False
+    lvec = x.form.lvec
+    # Inline, not mul_into: a call per torus term pair cost rank3_deep 6% CPU (2-core Xeon).
+    for f, cf in y.terms.items():
+        lf = lvec(f)
+        right = cf._terms.items()
+        for e, ce in x.terms.items():
+            twist = sum(map(mul, e, lf)) + k
+            g = tuple(map(add, e, f))
+            out = acc.get(g)
+            if out is None:
+                out = acc[g] = {}
+            get = out.get
+            for e1, c1 in ce._terms.items():
+                s1 = e1 + twist
+                c1 *= a
+                for e2, c2 in right:
+                    j = s1 + e2
+                    out[j] = get(j, 0) + c1 * c2
+    return True
+
+
 def _pair_bound(pairs) -> int:
     """The exact bound on each coefficient's L1 norm in ``sum x * y`` over
     pairs of nonzero elements, which sizes every packed accumulation's
@@ -325,31 +358,9 @@ class TorusElement:
             ((u, c),) = self.terms.items()
             if c.is_unit():
                 return other._shift_by_unit(u, c, -1)
-        pairs = len(self.terms) * len(other.terms)
-        if pairs >= _PACK_MIN_PAIRS:
-            laurent_pairs = sum(len(c._terms) for c in self.terms.values()) * sum(
-                len(c._terms) for c in other.terms.values()
-            )
-            if laurent_pairs >= _PACK_MIN_PAIRS * pairs:
-                return self._packed_mul(other)
-        lvec = self.form.lvec
         acc: dict = {}  # exponent -> {v-exponent: integer coefficient}
-        # Inline, not mul_into: a call per torus term pair cost rank3_deep 6% CPU (2-core Xeon).
-        for f, cf in other.terms.items():
-            lf = lvec(f)
-            right = cf._terms.items()
-            for e, ce in self.terms.items():
-                twist = sum(map(mul, e, lf))
-                g = tuple(map(add, e, f))
-                out = acc.get(g)
-                if out is None:
-                    out = acc[g] = {}
-                get = out.get
-                for e1, c1 in ce._terms.items():
-                    s1 = e1 + twist
-                    for e2, c2 in right:
-                        k = s1 + e2
-                        out[k] = get(k, 0) + c1 * c2
+        if not _dict_product(acc, self, other):
+            return self._packed_mul(other)
         terms = {}
         for g, out in acc.items():
             c = LaurentPoly(out)
@@ -601,17 +612,27 @@ def divide(p, q: TorusElement, order: WeightOrder, cap: int = 10**6) -> TorusEle
 
 def vanishes(pairs) -> bool:
     """Whether ``sum coeff * x`` over the ``(x, coeff)`` pairs is zero, with
-    each ``coeff`` an int or a :class:`LaurentPoly`.
+    each ``coeff`` an int or a :class:`LaurentPoly` and each ``x`` an element
+    or a factor pair ``(x, y)``, meaning ``x * y``.
 
     Every term is added in place into one ``{v-exponent: int}`` map per
-    exponent; no scaled element and no intermediate sum is built.  An
-    identity ``lhs == sum rhs_i`` is checked as ``vanishes`` of ``(lhs, 1)``
-    and the ``(rhs_i, -1)``.  Raises :class:`ContextMismatch` when the
-    elements live in different contexts.
+    exponent; no scaled element and no intermediate sum is built.  A factor
+    pair with an int or ``+-v^k`` coefficient adds its twisted term pairs
+    straight into the maps through :func:`_dict_product`; one that the
+    product would pack, or with any other coefficient, is multiplied first.
+    An identity ``lhs == sum rhs_i`` is checked as ``vanishes`` of
+    ``(lhs, 1)`` and the ``(rhs_i, -1)``.  Raises :class:`ContextMismatch`
+    when the elements live in different contexts.
     """
     acc: dict = {}  # exponent -> {v-exponent: integer coefficient}
     form = None
     for x, c in pairs:
+        if isinstance(x, tuple):
+            x, y = x
+            if y.form is not x.form:
+                x._check(y)
+        else:
+            y = None
         if x.form is not form:
             if form is not None and x.form != form:
                 raise ContextMismatch("torus elements live in different contexts")
@@ -621,12 +642,18 @@ def vanishes(pairs) -> bool:
         elif len(c._terms) == 1:
             ((k, a),) = c._terms.items()
         else:
+            if y is not None:
+                x = x * y
             for e, ce in x.terms.items():
                 out = acc.get(e)
                 if out is None:
                     out = acc[e] = {}
                 ce.mul_into(out, c)
             continue
+        if y is not None:
+            if _dict_product(acc, x, y, k, a):
+                continue
+            x = x * y
         # A monomial coefficient a * v^k shifts and scales each term; a
         # coefficient 1 starts a new exponent's map as a copy.  Inline, not
         # mul_into: a call per term cost identity_suite 11-18% CPU (2-core Xeon).
@@ -646,5 +673,18 @@ def vanishes(pairs) -> bool:
 
 
 def quasi_commutes(x: TorusElement, y: TorusElement, t: int) -> bool:
-    """Whether ``x * y == v^{2t} * y * x`` holds exactly."""
-    return vanishes(((x * y, 1), (y * x, LaurentPoly.v_power(2 * t, -1))))
+    """Whether ``x * y == v^{2t} * y * x`` holds exactly.
+
+    Terms ``c X^e`` of ``x`` and ``d X^f`` of ``y`` give ``c d X^e X^f =
+    v^{2 L(e, f)} d c X^f X^e``, so when every term pair twists by
+    ``L(e, f) = t`` the two sides agree term by term, which is decided from
+    the exponents alone.  Otherwise they may still agree by cancellation,
+    which :func:`vanishes` decides over the factor pairs ``(x, y)`` and
+    ``(y, x)``.  Raises :class:`ContextMismatch` for elements of different
+    contexts.
+    """
+    x._check(y)
+    lvec = x.form.lvec
+    if all(sum(map(mul, e, lf)) == t for lf in map(lvec, y.terms) for e in x.terms):
+        return True
+    return vanishes((((x, y), 1), ((y, x), LaurentPoly.v_power(2 * t, -1))))

@@ -2,9 +2,9 @@
 
 Everything here is exact: a suite either reproduces a stated identity, as an
 equality of torus elements or as the exact vanishing of its two sides'
-difference (:func:`qca.torus.vanishes`), or reports the first
-counterexample.  Random sampling is driven by a caller-supplied
-``random.Random`` so runs are reproducible.
+difference (:func:`qca.torus.vanishes`, each product passed as a factor
+pair), or reports the first counterexample.  Random sampling is driven by a
+caller-supplied ``random.Random`` so runs are reproducible.
 
 The embedding suite maps a seed's principal seed into its doubled seed by
 the bullet exponents and reads the matching labels ``psi`` and ``psi'`` off
@@ -122,7 +122,7 @@ def check_exchange_relations(basis: EBasis) -> Report:
 def _commutator_holds(x, y, lam: int, d: int, rhs) -> bool:
     """Whether ``v^-lam x y - v^lam y x = (v^-d - v^d) rhs`` holds exactly."""
     v = LaurentPoly.v_power
-    return vanishes(((x * y, v(-lam)), (y * x, v(lam, -1)), (rhs, v(-d, -1)), (rhs, v(d))))
+    return vanishes((((x, y), v(-lam)), ((y, x), v(lam, -1)), (rhs, v(-d, -1)), (rhs, v(d))))
 
 
 def _mutated_exponent(seed: QuantumSeed, j: int):
@@ -136,9 +136,10 @@ def _mutated_exponent(seed: QuantumSeed, j: int):
 
 def principal_product_identities(basis: EBasis, mut: MutatedBasis):
     """The short product identities of a principal seed in natural order, as
-    ``(name, terms)`` pairs for :func:`qca.torus.vanishes`: ``X_j X'_j``
-    (right, j > 0), ``X'_j X_j`` (left, j < n - 1) and ``X_j X''_j``
-    (mutated, j < n - 1) against monomials of the parts of ``b_j`` off ``j``."""
+    ``(name, terms)`` pairs for :func:`qca.torus.vanishes`, each product a
+    factor pair: ``X_j X'_j`` (right, j > 0), ``X'_j X_j`` (left,
+    j < n - 1) and ``X_j X''_j`` (mutated, j < n - 1) against monomials of
+    the parts of ``b_j`` off ``j``."""
     seed, form = basis.seed, basis.form
     v = LaurentPoly.v_power
     last = seed.n - 1
@@ -148,13 +149,13 @@ def principal_product_identities(basis: EBasis, mut: MutatedBasis):
         low = form.monomial(vec_neg(vec_restrict(bj, lambda i: i < j)))
         high = form.monomial(vec_restrict(bj, lambda i: i > j))
         if j > 0:
-            yield f"right product identity at {j}", ((xj * xjp, 1), (high, v(-dj, -1)), (low, -1))
+            yield f"right product identity at {j}", (((xj, xjp), 1), (high, v(-dj, -1)), (low, -1))
         if j < last:
-            yield f"left product identity at {j}", ((xjp * xj, 1), (low, -1), (high, v(dj, -1)))
+            yield f"left product identity at {j}", (((xjp, xj), 1), (low, -1), (high, v(dj, -1)))
             yield f"mutated product identity at {j}", (
-                (xj * mut.exchange_power(j, 1), 1),
+                ((xj, mut.exchange_power(j, 1)), 1),
                 (form.monomial(_mutated_exponent(seed, j)), v(-dj, -1)),
-                (low * basis.exchange_power(last, seed.btilde[last][j]), -1),
+                ((low, basis.exchange_power(last, seed.btilde[last][j])), -1),
             )
 
 
@@ -177,7 +178,7 @@ def check_principal_identities(seed: QuantumSeed) -> Report:
     for j in range(last):
         bnj = seed.btilde[last][j]
         top = vec_sub(_mutated_exponent(seed, j), basis_vector(seed.m, j))
-        low = basis.exchange_power(j, 1) * basis.exchange_power(last, bnj)
+        low = (basis.exchange_power(j, 1), basis.exchange_power(last, bnj))
         expansion = [(mut.exchange_power(j, 1), 1), (low, -1)]
         for s in range(1, bnj + 1):
             coeff = gaussian_binomial(bnj, s).substitute_power(2 * dn).shifted(s * s * dn)

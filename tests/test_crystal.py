@@ -24,6 +24,7 @@ from qca.verify import (
     random_principal_seed,
 )
 from qca.torus import basis_vector, vec_neg, vec_restrict
+from test_kronecker import spy_products
 
 v = LaurentPoly.v_power
 
@@ -260,7 +261,9 @@ def test_block_relations_are_the_rank2_exchange_products(b, c):
     got = dict(principal_product_identities(cr.basis, cr.mutated))
     assert got.keys() == want.keys()
     for name, terms in got.items():
-        assert [x * k for x, k in terms] == [x * k for x, k in want[name]], name
+        # A generated product is a factor pair, multiplied out to compare.
+        built = [(x[0] * x[1] if isinstance(x, tuple) else x) * k for x, k in terms]
+        assert built == [x * k for x, k in want[name]], name
 
 
 def test_identity_example(cr11):
@@ -397,6 +400,22 @@ def test_exchange_relations_on_random_seeds():
         s = random_principal_seed(rng, rng.choice([1, 2, 3]))
         rep = check_exchange_relations(EBasis(s))
         assert rep.ok, rep.summary()
+
+
+def test_a_repeated_identity_check_makes_no_torus_product(monkeypatch):
+    # Every product of the exchange relations and the block relations is a
+    # factor pair that vanishes accumulates in place; only the first check
+    # builds the exchange powers the bases keep.
+    rng = random.Random(40)
+    bases = [EBasis(random_principal_seed(rng, n)) for n in (1, 2, 3, 3)]
+    cr = Rank2Crystal(2, 1)
+    first = [check_exchange_relations(basis) for basis in bases]
+    block = cr.verify_block_relations()
+    products = spy_products(monkeypatch)
+    assert [check_exchange_relations(basis) for basis in bases] == first
+    assert cr.verify_block_relations() == block
+    assert products == []
+    assert all(rep.ok for rep in first) and block.ok and block.checks == 3
 
 
 def test_principal_identities_random_and_degenerate():

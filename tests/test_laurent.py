@@ -273,9 +273,10 @@ def test_mul_into_adds_products_in_place(f, g, h, k):
 TERM_MAP_READERS = {
     "ebasis.py": {"EBasis.sweep": "measured inner loop: the accumulation of p * E(a)"},
     "torus.py": {
-        "TorusElement.__mul__": "measured inner loop: the dict product and its pack test",
         "TorusElement.scalar_mul": "unpacks a unit scalar +-v^k",
         "TorusElement._shift_by_unit": "unpacks a unit coefficient +-v^k",
+        "_dict_product": "measured inner loop: the one dict-loop product, of __mul__ and "
+        "vanishes, and its pack test",
         "vanishes": "measured inner loop: the monomial branch, and its unpacked monomial",
     },
 }

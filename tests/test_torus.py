@@ -933,18 +933,59 @@ def test_packed_product_digits_follow_the_tighter_bound(monkeypatch):
     assert set(widths) == {2}
 
 
-def test_quasi_commutes():
+def test_quasi_commutes(monkeypatch):
     x2, x1 = mono((0, 1)), mono((1, 0))
     assert quasi_commutes(x2, x1, 1)
     assert quasi_commutes(x1, x1, 0)
     assert not quasi_commutes(x1, x2, 1)
     assert quasi_commutes(x1, x2, -1)
+    calls = []
+
+    def spy(terms):
+        calls.append(terms)
+        return vanishes(terms)
+
+    monkeypatch.setattr(torus, "vanishes", spy)
+    # The third coordinate spans the kernel of the form, so every term pair
+    # of x and y twists by L(e, f) = 1: decided from the exponents alone.
+    form = SkewForm(((0, 1, 0), (-1, 0, 0), (0, 0, 0)))
+    x = form.element({(1, 0, 0): v(2) - 1, (1, 0, 1): 3})
+    y = form.element({(0, 1, 0): 1, (0, 1, 2): v(-1) + v(1)})
+    assert x * y == (y * x).scalar_mul(v(2))
+    assert quasi_commutes(x, y, 1)
+    assert quasi_commutes(y, x, -1)
+    assert quasi_commutes(x, form.zero(), 5)
+    assert calls == []
+    # X^(1,0) X^(0,1) twists by -1 and X^(1,0) X^(1,0) by 0, yet x commutes
+    # with itself: the two sides agree only after cancellation.
+    x = x1 + x2
+    assert quasi_commutes(x, x, 0)
+    assert len(calls) == 1
+    y = mono((1, 0), v(1) + 2)
+    for t in (-1, 0, 1):
+        assert x * y != (y * x).scalar_mul(v(2 * t))
+        assert not quasi_commutes(x, y, t)
+    assert len(calls) == 4
+    # Operands of different forms raise before any decision, even zeros,
+    # whose empty twist set would otherwise decide True.
+    other = SkewForm(((0, 2), (-2, 0)))
+    for x, y in ((x1, other.monomial((0, 1))), (FORM.zero(), other.zero())):
+        for pair in ((x, y), (y, x)):
+            with pytest.raises(ContextMismatch):
+                quasi_commutes(*pair, 0)
+    assert len(calls) == 4
+
+
+def multiplied(x):
+    """An element, or the product of a factor pair ``(x, y)`` built term pair
+    by term pair."""
+    return naive_mul(*x) if isinstance(x, tuple) else x
 
 
 def summed(pairs):
-    """``sum coeff * x`` built term by term with :meth:`TorusElement.scalar_mul`:
-    the oracle of :func:`vanishes`."""
-    return sum((x.scalar_mul(c) for x, c in pairs), FORM.zero())
+    """``sum coeff * x`` built term by term with :meth:`TorusElement.scalar_mul`,
+    each factor pair multiplied out: the oracle of :func:`vanishes`."""
+    return sum((multiplied(x).scalar_mul(c) for x, c in pairs), FORM.zero())
 
 
 # Integer, unit (+-v^k) and general Laurent coefficients.
@@ -953,17 +994,31 @@ COEFFS = st.one_of(
     st.builds(v, st.integers(-3, 3), st.sampled_from([1, -1])),
     st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=3).map(LaurentPoly),
 )
+EXPONENTS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 ELEMENTS = st.dictionaries(
-    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    EXPONENTS,
     st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), min_size=1, max_size=3).map(
         LaurentPoly
     ),
     max_size=3,
 ).map(FORM.element)
+# At least 4 terms of at least 4 Laurent terms each: the product of two
+# runs packed, so vanishes multiplies such a pair first.
+LONG_ELEMENTS = st.dictionaries(
+    EXPONENTS,
+    st.dictionaries(
+        st.integers(-3, 3), st.sampled_from((-2, -1, 1, 2)), min_size=4, max_size=5
+    ).map(LaurentPoly),
+    min_size=4,
+    max_size=5,
+).map(FORM.element)
+TERMS = st.one_of(
+    ELEMENTS, st.tuples(ELEMENTS, ELEMENTS), st.tuples(LONG_ELEMENTS, LONG_ELEMENTS)
+)
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.lists(st.tuples(ELEMENTS, COEFFS), max_size=5))
+@given(st.lists(st.tuples(TERMS, COEFFS), max_size=5))
 def test_vanishes_matches_the_summed_oracle(pairs):
     total = summed(pairs)
     assert vanishes(pairs) == (total == 0)
@@ -978,10 +1033,20 @@ def test_vanishes_fixed_cases():
     for c in (1, -2, v(3), v(-1, -1), v(1) + 2):
         assert vanishes([(x, c), (x, -c)])
         assert not vanishes([(x, c), (x, -v(1) * c)])
+        assert vanishes([((x, x), c), (x * x, -c)])
+        assert not vanishes([((x, x), c), (x * x, -v(1) * c)])
     assert vanishes([])
     assert vanishes([(x, 0), (FORM.zero(), v(1))])
+    assert vanishes([((x, FORM.zero()), v(1)), ((FORM.zero(), x), 2)])
+    other = SkewForm(((0, 2), (-2, 0))).monomial((1, -1))
     with pytest.raises(ContextMismatch):
-        vanishes([(x, 1), (SkewForm(((0, 2), (-2, 0))).monomial((1, -1)), 1)])
+        vanishes([(x, 1), (other, 1)])
+    # The two factors of one pair live in different forms.
+    for pair in ((x, other), (other, x)):
+        with pytest.raises(ContextMismatch):
+            vanishes([(pair, 1)])
+        with pytest.raises(ContextMismatch):
+            vanishes([(pair, v(1) + 2)])
 
 
 def test_element_records_roundtrip():
